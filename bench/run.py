@@ -1,24 +1,25 @@
-"""paratide benchmark: three workloads, their correctness checks, and metrics.
+"""paratide benchmark: two workloads, their correctness checks, and metrics.
 
 Run from the root of a checkout:
 
-    python3 bench/run.py --workload exp1-report --seed 1234 --seconds 5 --trace 0
+    python3 bench/run.py --workload exp2-tolerance --seed 1234 --seconds 25 --trace 0
 
 The program is imported from ./src and sees only a copy of the shipped
 config with ``seed`` replaced by --seed.  Run roots go under
 ./.bench_scratch/<workload>/.  Each run sets up (spin-up from an empty run
-root, timed), then repeats whole rounds -- the serial fine baseline, then
-the workload's operation -- until --seconds have passed, then checks the
-last round's outputs with the code in checks.py.  The last line of stdout
-is one JSON object: with --trace 0 the end-to-end metrics, with --trace 1
-the per-layer metrics of one traced set-up plus one traced round (see
-spans.py) and the tracing overhead.  See README.md for the workloads.
+root, timed), then repeats whole rounds -- serial fine baselines on both
+sides of the workload's operation -- until --seconds have passed and at
+least the workload's min_rounds are done, then checks the last round's
+outputs with the code in checks.py.  The last line of stdout is one JSON
+object: with --trace 0 the end-to-end metrics (means over every sample
+of the run), with --trace 1 the per-layer metrics of one traced set-up plus
+one traced round (see spans.py) and the tracing overhead.  See README.md
+for the workloads.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import re
@@ -39,9 +40,6 @@ SRC = ROOT / "src"
 SCRATCH = ROOT / ".bench_scratch"
 SHIPPED_SEED = 1234
 TOLERANCE = 1e-6
-# This machine's speed swings in episodes of seconds: one round samples too
-# little of it, so every run measures at least two.
-MIN_ROUNDS = 2
 
 
 def nproc() -> int:
@@ -71,9 +69,13 @@ class Workload:
 
     shipped_config = ""
     # Serial baselines per untraced round, half before the operation and half
-    # after; the round's sample is their mean wall.
+    # after; each is one sample of serial_fine_wall_s.
     serial_repeats = 1
     ops_per_round = 1
+    # Untraced rounds per run, at the least.  This machine's speed swings in
+    # stretches of seconds to tens of seconds, so a run measures for as long
+    # as the protocol's time allows, and one stretch does not decide it.
+    min_rounds = 1
 
     def __init__(self, pt, config_path: Path, scratch: Path):
         self.pt = pt
@@ -116,87 +118,17 @@ class Workload:
         return []
 
 
-class Exp1Report(Workload):
-    """paratide run on exp1: every iteration of three fine step counts, with
-    iterate checkpoints and reports, caches warm."""
-
-    shipped_config = "configs/exp1.conf"
-    serial_repeats = 2
-    serial_count = 0
-
-    def set_up(self) -> None:
-        super().set_up()
-        for nf in self.config.fine_spds:
-            self.pt.harness.serial_reference(self.config, nf, self.u0)
-
-    def serial(self) -> None:
-        """The serial references as a first paratide run computes them,
-        checkpoint writes included, into an empty run root of their own."""
-        self.serial_count += 1
-        os.environ["PARAREAL_RUNS_DIR"] = str(self.round_dir / f"serial{self.serial_count}")
-        try:
-            self.serial_states = {nf: self.pt.harness.serial_reference(self.config, nf, self.u0)
-                                  for nf in self.config.fine_spds}
-        finally:
-            os.environ["PARAREAL_RUNS_DIR"] = str(self.runs_root)
-
-    def prepare_round(self) -> None:
-        super().prepare_round()
-        shutil.rmtree(self.runs_root / self.config.run_name(), ignore_errors=True)
-
-    def run(self) -> None:
-        _, self.run_dir = self.pt.harness.run_experiment(self.config)
-
-    def check(self) -> list[str]:
-        c = self.config
-        n_slices, length = c.layout.n_slices, c.layout.slice_length
-        failures = self.check_common()
-        cache = self.cache_dir()
-        with open(self.run_dir / "errors.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        side = n_slices + 1
-        paths = [self.run_dir / f"nf{nf}" / f"k{k}" / f"slice{n}" / "iterate.prcp"
-                 for nf in c.fine_spds for k in range(side) for n in range(side)]
-        refs = [cache / f"ref{nf}" / f"slice{n}.prcp" for nf in c.fine_spds for n in range(side)]
-        blobs = read_blobs(paths)
-        try:
-            parsed = checks.parse_checkpoints(blobs + read_blobs(refs))
-        except checks.ParseFailure as err:
-            return failures + [f"exp1 files: {err}"]
-        for i, p in enumerate(parsed[:len(paths)]):
-            k, n = divmod(i % side**2, side)
-            if (p.time, p.slice_index, p.iteration, p.n_history) != (n * length, n, k, 0):
-                failures.append(f"{paths[i]}: clock record "
-                                f"{(p.time, p.slice_index, p.iteration, p.n_history)}")
-        fields = [p.fields for p in parsed]
-        for j, nf in enumerate(c.fine_spds):
-            label = f"nf{nf}"
-            serial = [s.data for s in self.serial_states[nf]]
-            iterates = [fields[(j * side + k) * side:(j * side + k + 1) * side] for k in range(side)]
-            cached = fields[len(paths) + j * side:len(paths) + (j + 1) * side]
-            failures += checks.identical_runs([cached], [serial],
-                                              f"{label} set-up reference vs serial fine run")
-            failures += checks.identical_runs([[s.data for s in self.serial_run(nf)]], [serial],
-                                              f"{label} propagator vs harness serial fine run")
-            failures += checks.exactness(iterates, serial, label)
-            table = {
-                (int(r["k"]), r["field"]): (float(r["E_inf"]), float(r["E_2"]))
-                for r in rows if r["run_id"] == f"{c.run_name()}-{label}"
-            }
-            if len(table) != n_slices * len(c.monitored_fields):
-                failures.append(f"{label}: errors.csv has {len(table)} cells")
-            failures += checks.norms_match(iterates, serial[-1], table, label)
-            failures += checks.self_test_exactness(iterates, serial)
-            failures += checks.self_test_norms(iterates, serial[-1], table)
-        return failures + checks.self_test_parser(blobs[-1])
-
-
 class Exp2Tolerance(Workload):
     """exp2 layout through run_parareal, stopping once U, T and S are within
     1e-6 of the benchmark's own serial fine run."""
 
     shipped_config = "configs/exp2.conf"
+    # Each baseline is ~1.5 s of in-process stepping whose speed swings with
+    # the machine's from one sample to the next: twelve per run, spread over
+    # four rounds.
+    serial_repeats = 3
     ops_per_round = 3
+    min_rounds = 4
 
     def serial(self) -> None:
         self.serial_states = {nf: self.serial_run(nf) for nf in self.config.fine_spds}
@@ -251,6 +183,10 @@ class ExternalExp1(Workload):
     shipped_config = "configs/exp1.conf"
     fine_spd = 144
     max_iterations = 2
+    # One operation of ~18 s runs its children on both vCPUs and so averages
+    # their speeds; its baseline (~5 s) spawns one child at a time and
+    # swings more, so it runs twice on each side of the operation.
+    serial_repeats = 4
 
     def command(self) -> tuple[str, ...]:
         # The child starts in its work directory: the interpreter and the
@@ -308,7 +244,6 @@ class ExternalExp1(Workload):
 
 
 WORKLOADS = {
-    "exp1-report": Exp1Report,
     "exp2-tolerance": Exp2Tolerance,
     "external-exp1": ExternalExp1,
 }
@@ -344,7 +279,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
     ap.add_argument("--seed", type=int, default=SHIPPED_SEED)
-    ap.add_argument("--seconds", type=float, default=5.0)
+    ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
     if args.seed < 0:
@@ -376,26 +311,25 @@ def main(argv=None) -> int:
         if traced:
             tracer.install()
 
-        def serial(times: int) -> float:
+        def serial(times: int) -> None:
             if traced:
                 tracer.stage = "serial"
-            t0 = time.perf_counter()
             for _ in range(times):
+                t0 = time.perf_counter()
                 wl.serial()
-            return time.perf_counter() - t0
+                if not traced:
+                    serial_walls.append(time.perf_counter() - t0)
 
         repeats = 1 if traced else cls.serial_repeats
         try:
-            serial_wall = serial((repeats + 1) // 2)
+            serial((repeats + 1) // 2)
             if traced:
                 tracer.stage = "run"
             attempted += cls.ops_per_round
             t0 = time.perf_counter()
             wl.run()
             wall = time.perf_counter() - t0
-            serial_wall += serial(repeats // 2)
-            if not traced:
-                serial_walls.append(serial_wall / repeats)
+            serial(repeats // 2)
             return wall
         except Exception:
             traceback.print_exc()
@@ -409,7 +343,7 @@ def main(argv=None) -> int:
     attempted = failed = 0
     start = time.perf_counter()
     # A traced run needs one untraced round: the base of the overhead.
-    min_rounds = 1 if tracer else MIN_ROUNDS
+    min_rounds = 1 if tracer else cls.min_rounds
     while len(run_walls) < min_rounds or time.perf_counter() - start < args.seconds:
         wall = one_round(traced=False)
         if wall is None:
@@ -430,17 +364,20 @@ def main(argv=None) -> int:
     for line in wl.report():
         print(line)
 
+    # Means, not medians, over the run's samples: the machine's speed holds
+    # for stretches of several samples, and a median jumps to whichever
+    # stretch held the most of them, where a mean weighs each by its time.
+    serial_wall = statistics.fmean(serial_walls) if serial_walls else 0.0
+    run_wall = statistics.fmean(run_walls) if run_walls else 0.0
     if tracer and traced_wall is None:
         metrics = {}
         failures.append("the traced round failed")
     elif tracer:
-        serial_med = statistics.median(serial_walls)
-        run_med = statistics.median(run_walls)
         values = tracer.layer_metrics()
-        values["parareal.speedup_measured"] = serial_med / run_med
-        values["trace.overhead_s"] = traced_wall - run_med
-        print(f"  speedup_measured = serial_fine_wall_s {serial_med:.4f} s / run_wall_s {run_med:.4f} s")
-        print(f"  tracing overhead = traced run_wall_s {traced_wall:.4f} s - untraced {run_med:.4f} s")
+        values["parareal.speedup_measured"] = serial_wall / run_wall
+        values["trace.overhead_s"] = traced_wall - run_wall
+        print(f"  speedup_measured = serial_fine_wall_s {serial_wall:.4f} s / run_wall_s {run_wall:.4f} s")
+        print(f"  tracing overhead = traced run_wall_s {traced_wall:.4f} s - untraced {run_wall:.4f} s")
         print(f"  {'span':36s} {'calls':>7s} {'total_s':>10s} {'self_s':>10s}")
         for name, row in tracer.summary().items():
             print(f"  {name:36s} {row['calls']:>7d} {row['total_s']:>10.4f} {row['self_s']:>10.4f}")
@@ -451,8 +388,8 @@ def main(argv=None) -> int:
     elif run_walls:
         values = {
             "setup_s": setup_wall,
-            "run_wall_s": statistics.median(run_walls),
-            "serial_fine_wall_s": statistics.median(serial_walls),
+            "run_wall_s": run_wall,
+            "serial_fine_wall_s": serial_wall,
             "peak_rss_mb": peak_rss_mb,
         }
         metrics = {k: {"value": v, "unit": END_TO_END_UNITS[k]} for k, v in values.items()}

@@ -86,9 +86,6 @@ TARGETS: tuple[tuple[str, str, str, Callable | None], ...] = (
     ("paratide.propagator", "propagate", "propagator.propagate", _external),
     ("paratide.propagator", "restarted_serial_run", "propagator.restarted_serial_run", None),
     ("paratide.harness", "spin_up", "harness.spin_up", None),
-    ("paratide.harness", "serial_reference", "harness.serial_reference", None),
-    ("paratide.harness", "emit_report", "harness.emit_report", None),
-    ("paratide.harness", "run_experiment", "harness.run_experiment", None),
 )
 
 
@@ -210,6 +207,4 @@ class Tracer:
             "propagator.external_slice_ms": per(total("propagator.propagate", external=True),
                                                 count("propagator.propagate", external=True), 1e3),
             "harness.spin_up_s": total("harness.spin_up"),
-            "harness.reference_s": total("harness.serial_reference"),
-            "harness.report_ms": per(total("harness.emit_report"), count("harness.emit_report"), 1e3),
         }
