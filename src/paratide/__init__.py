@@ -1,88 +1,63 @@
-"""Parallel-in-time simulation engine with a shallow-water + tracer testbed."""
+"""Parallel-in-time simulation engine with a shallow-water + tracer testbed.
 
-from .checkpoint import Checkpoint, read_checkpoint, write_checkpoint
-from .config import ExperimentConfig, parse_config
-from .metrics import (
-    SpeedupModel,
-    max_profitable_iterations,
-    measure_runtime_ratio,
-    rel_l2_norm,
-    rel_max_norm,
-    speedup_bound,
-    speedup_estimate,
-    time_averaged_error_series,
-)
-from .parareal import (
-    IterationRecord,
-    PararealConfig,
-    PararealResult,
-    run_parareal,
-)
-from .propagator import (
-    PropagateResult,
-    PropagatorSpec,
-    SliceLayout,
-    propagate,
-    run_external,
-)
-from .solver import (
-    ModelParams,
-    ab3_step,
-    cfl_max_dt,
-    integrate,
-    integrate_batch,
-    integrate_history,
-    rhs,
-)
-from .state import (
-    Field,
-    Grid,
-    ModelState,
-    StepHistory,
-    Tendency,
-    state_add,
-    state_diff,
-    validate_state,
-)
+The public names below are resolved on first access (PEP 562), so importing
+the package, or one of its modules, loads only the modules actually used:
+``python -m paratide single-shot`` never imports the Parareal driver, the
+harness or the metrics.
+"""
+
+import importlib
+
+_EXPORTS = {
+    "checkpoint": ("Checkpoint", "read_checkpoint", "write_checkpoint"),
+    "config": ("ExperimentConfig", "parse_config"),
+    "metrics": (
+        "SpeedupModel",
+        "max_profitable_iterations",
+        "measure_runtime_ratio",
+        "rel_l2_norm",
+        "rel_max_norm",
+        "speedup_bound",
+        "speedup_estimate",
+        "time_averaged_error_series",
+    ),
+    "parareal": ("IterationRecord", "PararealConfig", "PararealResult", "run_parareal"),
+    "propagator": ("PropagateResult", "PropagatorSpec", "SliceLayout", "propagate", "run_external"),
+    "solver": (
+        "ModelParams",
+        "ab3_step",
+        "cfl_max_dt",
+        "integrate",
+        "integrate_batch",
+        "integrate_history",
+        "rhs",
+    ),
+    "state": (
+        "Field",
+        "Grid",
+        "ModelState",
+        "StepHistory",
+        "Tendency",
+        "state_add",
+        "state_diff",
+        "validate_state",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Checkpoint",
-    "ExperimentConfig",
-    "Field",
-    "Grid",
-    "IterationRecord",
-    "ModelParams",
-    "ModelState",
-    "PararealConfig",
-    "PararealResult",
-    "PropagateResult",
-    "PropagatorSpec",
-    "SliceLayout",
-    "SpeedupModel",
-    "StepHistory",
-    "Tendency",
-    "ab3_step",
-    "cfl_max_dt",
-    "integrate",
-    "integrate_batch",
-    "integrate_history",
-    "max_profitable_iterations",
-    "measure_runtime_ratio",
-    "parse_config",
-    "propagate",
-    "read_checkpoint",
-    "rel_l2_norm",
-    "rel_max_norm",
-    "rhs",
-    "run_external",
-    "run_parareal",
-    "speedup_bound",
-    "speedup_estimate",
-    "state_add",
-    "state_diff",
-    "time_averaged_error_series",
-    "validate_state",
-    "write_checkpoint",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    # Not cached in this namespace: every access reads the defining module,
+    # so a name rebound there is seen here too.
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

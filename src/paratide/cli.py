@@ -12,6 +12,11 @@ Subcommands:
 
 Exit codes: 0 success, 2 validation/parse error, 3 blow-up in abort mode,
 4 I/O failure.
+
+The harness and the metrics are imported inside the commands that use
+them: single-shot, which runs once per external slice, then loads only the
+config, checkpoint, solver and state modules (and the propagator and
+errors modules they import).
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import harness
 from .checkpoint import read_checkpoint, write_checkpoint
 from .config import parse_config
 from .errors import (
@@ -30,10 +35,11 @@ from .errors import (
     EngineError,
     IOFailureError,
 )
-from .harness import RunReport, FineRunReport, ErrorCell
-from .metrics import max_profitable_iterations, speedup_bound, speedup_estimate
 from .solver import SECONDS_PER_DAY, ModelParams, integrate_history
 from .state import StepHistory
+
+if TYPE_CHECKING:
+    from .harness import RunReport
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -84,6 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    from . import harness
+
     config = parse_config(args.config)
     report, run_dir = harness.run_experiment(config, run_id=args.run_id)
     print(f"report written to {run_dir}")
@@ -100,6 +108,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_serial(args) -> int:
+    from . import harness
+
     config = parse_config(args.config)
     spd = args.spd
     if SECONDS_PER_DAY % spd != 0:
@@ -139,6 +149,8 @@ def _cmd_single_shot(args) -> int:
 
 
 def _cmd_speedup(args) -> int:
+    from .metrics import max_profitable_iterations, speedup_bound, speedup_estimate
+
     ks = [args.k] if args.k is not None else list(range(1, args.nt + 1))
     print(f"speedup model: N_t={args.nt} m={args.m:g}")
     print("k estimate bound")
@@ -149,6 +161,8 @@ def _cmd_speedup(args) -> int:
 
 
 def _cmd_restart_study(args) -> int:
+    from . import harness
+
     config = parse_config(args.config)
     counts = tuple(int(x) for x in args.slices.split(",") if x.strip())
     report = harness.restart_consistency_study(config, counts, args.days)
@@ -157,6 +171,8 @@ def _cmd_restart_study(args) -> int:
 
 
 def _cmd_avg_error(args) -> int:
+    from . import harness
+
     config = parse_config(args.config)
     spd_list = None
     if args.spd_list:
@@ -172,6 +188,8 @@ def _cmd_avg_error(args) -> int:
 
 
 def _report_from_json(path: Path) -> RunReport:
+    from .harness import ErrorCell, FineRunReport, RunReport
+
     payload = json.loads(path.read_text())
     fine_runs = []
     for fr in payload["fine_runs"]:
@@ -209,6 +227,8 @@ def _report_from_json(path: Path) -> RunReport:
 
 
 def _cmd_emit(args) -> int:
+    from . import harness
+
     path = Path(args.report)
     if not path.exists():
         raise IOFailureError(f"{path}: no such report")

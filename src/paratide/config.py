@@ -13,7 +13,6 @@ are reported with the offending line or key named.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,30 +60,46 @@ class ExperimentConfig:
     output_dir: str = "runs"
     source_path: str = ""
 
-    def hash(self) -> str:
-        """Hash of everything the reference trajectories depend on.
-
-        Reference and spin-up caches are keyed by this, so io settings and
-        error thresholds do not invalidate them.
-        """
-        payload = {
+    def _model_payload(self) -> dict:
+        return {
             "grid": [self.grid.nx, self.grid.ny, self.grid.dx, self.grid.dy],
             "params": [
                 self.params.f0, self.params.g, self.params.H, self.params.nu_h,
                 self.params.kappa, self.params.forcing_amp,
                 self.params.forcing_wavenumber, self.params.velocity_cap,
             ],
-            "layout": [self.layout.t0, self.layout.slice_length, self.layout.n_slices],
             "seed": self.seed,
+        }
+
+    def hash(self) -> str:
+        """Hash of everything the reference trajectories depend on.
+
+        Reference caches and run names are keyed by this, so io settings
+        and error thresholds do not invalidate them.
+        """
+        payload = {
+            **self._model_payload(),
+            "layout": [self.layout.t0, self.layout.slice_length, self.layout.n_slices],
             "spin_up": [self.spin_up_days, self.spin_up_spd],
             "restart_policy": self.restart_policy,
         }
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:12]
+        return _digest(payload)
+
+    def spin_up_hash(self) -> str:
+        """Hash of what the spin-up integration depends on: grid, physics,
+        seed and spin-up step.  Its duration is named by the cache file."""
+        return _digest({**self._model_payload(), "spin_up_spd": self.spin_up_spd})
 
     def run_name(self) -> str:
         stem = Path(self.source_path).stem if self.source_path else "experiment"
         return f"{stem}-{self.hash()}"
+
+
+def _digest(payload: dict) -> str:
+    import hashlib  # loads OpenSSL; single-shot children parse configs but hash none
+
+    blob = json.dumps(payload, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:12]
 
 
 def _parse_sections(path: Path) -> dict[str, dict[str, str]]:

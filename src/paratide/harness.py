@@ -106,6 +106,9 @@ def spin_up(config: ExperimentConfig, duration: int | None = None) -> ModelState
     duration defaults to the configured spin-up; zero returns the seeded
     state unchanged.  The result is re-stamped to the layout start so
     experiments can treat it as their t0 state.
+
+    The cache is keyed by config.spin_up_hash(), so configs that differ
+    only in layout or restart policy share one spin-up.
     """
     if duration is None:
         duration = int(round(config.spin_up_days * SECONDS_PER_DAY))
@@ -115,15 +118,32 @@ def spin_up(config: ExperimentConfig, duration: int | None = None) -> ModelState
             f"spin-up of {duration}s is not a multiple of the {dt}s spin-up step"
         )
 
-    cache = _cache_dir(config) / f"init_{duration}.prcp"
-    if cache.exists():
-        return read_checkpoint(cache, grid=config.grid).state.with_time(config.layout.t0)
-
-    state = initial_state(config.grid, config.params, config.seed)
-    if duration > 0:
-        state = integrate(state, duration, dt, config.params)
-    write_checkpoint(state, None, cache)
+    name = f"init_{duration}.prcp"
+    shared = runs_root(config) / "cache" / f"spinup-{config.spin_up_hash()}" / name
+    if shared.exists():
+        state = read_checkpoint(shared, grid=config.grid).state
+    else:
+        state = initial_state(config.grid, config.params, config.seed)
+        if duration > 0:
+            state = integrate(state, duration, dt, config.params)
+        write_checkpoint(state, None, shared)
+    _link_spin_up(shared, _cache_dir(config) / name, state)
     return state.with_time(config.layout.t0)
+
+
+def _link_spin_up(shared: Path, alias: Path, state: ModelState) -> None:
+    """Keep the spin-up readable at its per-config path, the cache layout
+    before spin-ups were shared: a hard link, or where the file system has
+    none, a second copy of the same bytes."""
+    if alias.exists():
+        return
+    alias.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        os.link(shared, alias)
+    except FileExistsError:
+        pass
+    except OSError:
+        write_checkpoint(state, None, alias)
 
 
 def serial_reference(

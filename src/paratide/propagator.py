@@ -13,7 +13,16 @@ external run gets its own working directory holding in.prcp, out.prcp and
 run.log.  Because the child starts inside that directory, nothing handed
 to it may depend on the parent's current directory: the work directory and
 the --in/--out paths are absolute, and so is every PYTHONPATH entry of the
-environment the child inherits.
+environment the child inherits.  A relative executable path such as
+./model is anchored to the parent's directory too; every other argument of
+the command is passed verbatim, so a relative path among them is read by
+the child against its work directory.
+
+Every way an external slice can fail on its own (nonzero exit, no output,
+an unreadable or wrong-grid or wrong-time output, a timeout) surfaces from
+propagate as a BlowUpError, which the Parareal driver handles by its
+on_blow_up policy.  A command that cannot be launched at all is a
+configuration fault and raises SpawnFailureError.
 """
 
 from __future__ import annotations
@@ -29,7 +38,9 @@ from typing import Mapping, Sequence
 from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import (
     BlowUpError,
+    CheckpointError,
     ExternalTimeoutError,
+    GridMismatchError,
     SpawnFailureError,
     StepMismatchError,
 )
@@ -149,9 +160,15 @@ def run_external(
     stdout and stderr both go to run.log inside the working directory.
     The child gets env (default: this process's environment) with its
     PYTHONPATH entries made absolute against the parent's current directory.
+    A relative command[0] that contains a path separator (./model, bin/model)
+    is anchored to the parent's current directory as well; a bare name is
+    looked up on PATH and the other arguments are passed verbatim.
     A timeout kills the child and raises; a plain nonzero exit is returned
     in the report for the caller to interpret.
     """
+    command = list(command)
+    if os.path.dirname(command[0]) and not os.path.isabs(command[0]):
+        command[0] = os.path.abspath(command[0])
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     log_path = workdir / LOG_FILE
@@ -159,7 +176,7 @@ def run_external(
     try:
         with open(log_path, "wb") as log:
             proc = subprocess.run(
-                list(command),
+                command,
                 cwd=workdir,
                 stdout=log,
                 stderr=subprocess.STDOUT,
@@ -258,29 +275,26 @@ def propagate(
         "--t-end", str(t_end),
         "--spd", str(spec.spd),
     ]
-    report = run_external(cmd, wd, timeout=timeout)
+
+    def failed(message: str) -> BlowUpError:
+        return BlowUpError(
+            message, slice_index=slice_index, iteration=iteration, log_path=wd / LOG_FILE
+        )
+
+    try:
+        report = run_external(cmd, wd, timeout=timeout)
+    except ExternalTimeoutError as err:
+        raise failed(f"external propagator timed out: {err}") from err
     if report.returncode != 0:
-        raise BlowUpError(
-            f"external propagator exited {report.returncode} (log: {report.log_path})",
-            slice_index=slice_index,
-            iteration=iteration,
-            log_path=report.log_path,
-        )
+        raise failed(f"external propagator exited {report.returncode} (log: {report.log_path})")
     if not out_path.exists():
-        raise BlowUpError(
-            f"external propagator left no output file {out_path}",
-            slice_index=slice_index,
-            iteration=iteration,
-            log_path=report.log_path,
-        )
-    ck = read_checkpoint(out_path, grid=state.grid)
+        raise failed(f"external propagator left no output file {out_path}")
+    try:
+        ck = read_checkpoint(out_path, grid=state.grid)
+    except (CheckpointError, GridMismatchError) as err:
+        raise failed(f"external propagator output unreadable: {err}") from err
     if ck.state.time != t_end:
-        raise BlowUpError(
-            f"external propagator returned t={ck.state.time}, expected {t_end}",
-            slice_index=slice_index,
-            iteration=iteration,
-            log_path=report.log_path,
-        )
+        raise failed(f"external propagator returned t={ck.state.time}, expected {t_end}")
     out_history = ck.step_history(spec.dt) if (warm and ck.history) else None
     return PropagateResult(ck.state, out_history)
 

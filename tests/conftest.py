@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -54,3 +55,34 @@ def constant_state(grid, u=0.0, v=0.0, eta=0.0, temp=10.0, salt=35.0, time=0):
         Field.S: np.full((grid.ny, grid.nx), float(salt)),
     }
     return ModelState.from_fields(grid, fields, time)
+
+
+# A stand-in model that fails in one of the ways a real one can: its first
+# argument picks the fault, the rest is the usual --in/--out/--t-end/--spd.
+FAULTY_MODEL = """
+import sys, time
+mode = sys.argv[1]
+args = dict(zip(sys.argv[2::2], sys.argv[3::2]))
+if mode == "sleep":
+    time.sleep(60)
+data = open(args["--in"], "rb").read()
+if mode == "junk":
+    out = b"this is not a checkpoint"
+elif mode == "truncated":
+    out = data[: len(data) // 2]
+elif mode == "wrong-grid":
+    import numpy as np
+    from paratide import Grid, ModelState, write_checkpoint
+    grid = Grid(8, 8, 50000.0, 50000.0)
+    state = ModelState(grid, np.zeros((5, 8, 8)), int(args["--t-end"]))
+    write_checkpoint(state, None, args["--out"])
+    sys.exit(0)
+open(args["--out"], "wb").write(out)
+"""
+
+
+def faulty_command(tmp_path, mode):
+    """Command vector that runs FAULTY_MODEL with the given fault."""
+    script = tmp_path / "faulty_model.py"
+    script.write_text(FAULTY_MODEL)
+    return (sys.executable, str(script), mode)

@@ -1,8 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from paratide import Grid, read_checkpoint, write_checkpoint
-from paratide.checkpoint import FORMAT_VERSION, MAGIC, crc64
+from paratide.checkpoint import _CRC_CHUNK, FORMAT_VERSION, MAGIC, crc64
 from paratide.errors import (
     CorruptCheckpointError,
     GridMismatchError,
@@ -131,3 +133,87 @@ def test_default_grid_spacing_used_without_grid(tmp_path):
 def test_crc64_known_vector():
     # CRC-64/XZ check value for the standard nine-byte test input
     assert crc64(b"123456789") == 0x995DC9BBDF1939FA
+
+
+# --------------------------------------------------------------------------
+# CRC-64 against a byte-at-a-time reference
+
+def _reference_table():
+    table = []
+    for i in range(256):
+        crc = i
+        for _ in range(8):
+            crc = (crc >> 1) ^ 0xC96C5795D7870F42 if crc & 1 else crc >> 1
+        table.append(crc)
+    return table
+
+
+_REF_TABLE = _reference_table()
+
+
+def reference_crc64(data: bytes) -> int:
+    crc = 0xFFFFFFFFFFFFFFFF
+    for b in data:
+        crc = _REF_TABLE[(crc ^ b) & 0xFF] ^ (crc >> 8)
+    return crc ^ 0xFFFFFFFFFFFFFFFF
+
+
+def reference_checkpoint_bytes(state, tendencies, slice_index, iteration) -> bytes:
+    """The documented layout, assembled field by field, with the loop CRC."""
+    grid = state.grid
+    body = struct.pack(
+        "<4sIIIQiiB", b"PRCP", 1, grid.nx, grid.ny, state.time,
+        slice_index, iteration, len(tendencies),
+    )
+    for block in [state.data] + [t.data for t in tendencies]:
+        body += np.asarray(block, dtype="<f8").tobytes(order="C")
+    return body + struct.pack("<Q", reference_crc64(body))
+
+
+@pytest.mark.parametrize(
+    "length",
+    [0, 1, _CRC_CHUNK - 1, _CRC_CHUNK, _CRC_CHUNK + 1, 40_993, 163_873],
+)
+def test_crc64_matches_byte_loop(length):
+    data = np.random.default_rng(length).integers(0, 256, length, dtype=np.uint8).tobytes()
+    assert crc64(data) == reference_crc64(data)
+
+
+def test_crc64_short_and_lane_boundary_lengths():
+    rng = np.random.default_rng(5)
+    lengths = list(range(17)) + [2 * _CRC_CHUNK - 1, 3 * _CRC_CHUNK, 5 * _CRC_CHUNK + 7]
+    for length in lengths:
+        data = rng.integers(0, 256, length, dtype=np.uint8).tobytes()
+        assert crc64(data) == reference_crc64(data), length
+
+
+def test_crc64_accepts_bytes_like():
+    data = np.random.default_rng(6).integers(0, 256, 3 * _CRC_CHUNK + 5, dtype=np.uint8).tobytes()
+    expected = reference_crc64(data)
+    assert crc64(data) == expected
+    assert crc64(bytearray(data)) == expected
+    assert crc64(memoryview(data)) == expected
+    # a slice of a larger buffer, as the reader passes it
+    assert crc64(memoryview(b"x" + data)[1:]) == expected
+
+
+def test_written_file_matches_reference_writer(tmp_path, grid8, sample):
+    for tendencies, sl, it in (((), -1, -1), (tuple(t for _, t in sample.tendencies), 3, 2)):
+        path = tmp_path / f"w{len(tendencies)}.prcp"
+        write_checkpoint(sample.current, tendencies, path, slice_index=sl, iteration=it)
+        expected = reference_checkpoint_bytes(sample.current, tendencies, sl, it)
+        assert path.read_bytes() == expected
+        assert read_checkpoint(path, grid=grid8).state.bit_equal(sample.current)
+
+
+def test_flipped_bit_anywhere_in_payload_rejected(tmp_path, grid8, sample):
+    path = tmp_path / "p.prcp"
+    write_checkpoint(sample.current, sample, path)
+    blob = path.read_bytes()
+    header = struct.calcsize("<4sIIIQiiB")
+    for pos in (header, (header + len(blob) - 8) // 2, len(blob) - 9):
+        damaged = bytearray(blob)
+        damaged[pos] ^= 0x10
+        (tmp_path / "bad.prcp").write_bytes(bytes(damaged))
+        with pytest.raises(CorruptCheckpointError):
+            read_checkpoint(tmp_path / "bad.prcp", grid=grid8)

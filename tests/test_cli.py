@@ -154,3 +154,48 @@ def test_emit_subcommand_round_trip(small_conf, tmp_path, capsys):
 
 def test_emit_missing_report_exits_4(tmp_path):
     assert main(["emit", str(tmp_path / "none.json"), "--format", "csv"]) == 4
+
+
+def test_single_shot_imports_only_what_it_uses(tmp_path, grid8):
+    # one single-shot child runs per external slice, so its start-up must
+    # not pay for the driver, the harness, the metrics or a thread pool
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import paratide
+
+    s = random_state(grid8, np.random.default_rng(8))
+    write_checkpoint(s, None, tmp_path / "in.prcp")
+    script = (
+        "import sys\n"
+        "import paratide.cli\n"
+        "loaded_on_import = set(sys.modules)\n"
+        "code = paratide.cli.main(sys.argv[1:])\n"
+        "heavy = ['paratide.harness', 'paratide.parareal', 'paratide.metrics', 'concurrent.futures']\n"
+        "print(code, [m for m in heavy if m in loaded_on_import], [m for m in heavy if m in sys.modules])\n"
+    )
+    root = str(Path(paratide.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", script, "single-shot", "--in", str(tmp_path / "in.prcp"),
+         "--out", str(tmp_path / "out.prcp"), "--t-end", "4800", "--spd", "36"],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert out.strip() == "0 [] []"
+    assert read_checkpoint(tmp_path / "out.prcp", grid=grid8).state.time == 4800
+
+
+def test_public_names_resolve_lazily():
+    import paratide
+
+    for name in paratide.__all__:
+        assert getattr(paratide, name) is not None, name
+    assert set(paratide.__all__) <= set(dir(paratide))
+    namespace = {}
+    exec("from paratide import *", namespace)
+    for name in paratide.__all__:
+        assert namespace[name] is getattr(paratide, name), name
+    with pytest.raises(AttributeError):
+        paratide.no_such_name

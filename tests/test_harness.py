@@ -261,3 +261,48 @@ def test_single_slice_experiment_is_trivially_exact(tmp_path, monkeypatch):
     assert fr.iterations_run == 1
     assert fr.exact_at_last is not None
     assert all(v == 0.0 for v in fr.exact_at_last.values())
+
+
+def test_spin_up_shared_across_layouts(tmp_path, monkeypatch):
+    # the spin-up depends on neither the slice layout nor the restart
+    # policy, so two configs differing only there integrate it once
+    from paratide import harness
+
+    monkeypatch.setenv("PARAREAL_RUNS_DIR", str(tmp_path / "runs"))
+    a_path, b_path = tmp_path / "a.conf", tmp_path / "b.conf"
+    a_path.write_text(SMALL)
+    b_path.write_text(
+        SMALL.replace("n_slices = 4", "n_slices = 2")
+        .replace("slice_length = 2400", "slice_length = 4800")
+        .replace("seed = 77", "seed = 77\nrestart_policy = warm")
+    )
+    a, b = parse_config(a_path), parse_config(b_path)
+    assert a.hash() != b.hash()
+    assert a.spin_up_hash() == b.spin_up_hash()
+
+    calls = []
+    real_integrate = harness.integrate
+    monkeypatch.setattr(harness, "integrate", lambda *args: calls.append(1) or real_integrate(*args))
+    state_a = spin_up(a)
+    state_b = spin_up(b)
+    assert len(calls) == 1
+    assert state_a.bit_equal(state_b)
+    # one file, also reachable from each config's own cache directory
+    files = {p.stat().st_ino for p in (tmp_path / "runs").rglob("init_*.prcp")}
+    assert len(files) == 1
+    for config in (a, b):
+        assert (runs_root(config) / "cache" / config.hash() / "init_43200.prcp").exists()
+
+
+def test_spin_up_copied_where_hard_links_fail(small_config, monkeypatch):
+    from paratide import harness
+
+    def no_links(src, dst):
+        raise PermissionError("hard links not supported")
+
+    monkeypatch.setattr(harness.os, "link", no_links)
+    state = spin_up(small_config)
+    alias = runs_root(small_config) / "cache" / small_config.hash() / "init_43200.prcp"
+    (shared,) = runs_root(small_config).rglob("spinup-*/init_43200.prcp")
+    assert alias.read_bytes() == shared.read_bytes()
+    assert spin_up(small_config).bit_equal(state)

@@ -20,7 +20,7 @@ from paratide.parareal import (
 )
 from paratide.solver import integrate
 
-from conftest import constant_state, random_state
+from conftest import constant_state, faulty_command, random_state
 
 
 def flow(factor, slice_length):
@@ -351,3 +351,32 @@ def test_external_fine_kill_continues_uncorrected(tmp_path, settled_state, param
     coarse_fn = make_propagator(cfg.coarse, params, layout)
     assert res.iterates[1][2].bit_equal(coarse_fn(res.iterates[1][1], 1, 1))
     assert (tmp_path / "run" / "k1" / "slice1" / "fine" / "run.log").exists()
+
+
+@pytest.mark.parametrize("policy", ["continue_uncorrected", "abort"])
+@pytest.mark.parametrize("mode", ["junk", "truncated", "sleep"])
+def test_external_fine_faults_follow_on_blow_up(tmp_path, settled_state, params, mode, policy):
+    # every fine child fails: unreadable output or a timeout is a slice
+    # failure like any other, flagged in continue mode and fatal in abort
+    # mode (the CLI maps the BlowUpError to exit 3)
+    layout = SliceLayout(t0=0, slice_length=2400, n_slices=2)
+    cfg = PararealConfig(
+        layout=layout,
+        coarse=PropagatorSpec(36),
+        fine=PropagatorSpec(72, mode="external", command=faulty_command(tmp_path, mode)),
+        epsilon=0.0,
+        max_iterations=1,
+        on_blow_up=policy,
+    )
+    timeout = 0.5 if mode == "sleep" else None
+    if policy == "abort":
+        with pytest.raises(BlowUpError) as err:
+            run_parareal(settled_state, cfg, params, run_dir=tmp_path / "run", timeout=timeout)
+        assert err.value.iteration == 1 and err.value.log_path is not None
+        return
+    res = run_parareal(settled_state, cfg, params, run_dir=tmp_path / "run", timeout=timeout)
+    assert not res.aborted and res.iterations_run == 1
+    assert sorted(e.slice_index for e in res.blow_ups if e.phase == "fine") == [0, 1]
+    coarse_fn = make_propagator(cfg.coarse, params, layout)
+    for n in range(2):
+        assert res.iterates[1][n + 1].bit_equal(coarse_fn(res.iterates[1][n], n, 1))

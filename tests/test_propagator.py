@@ -21,6 +21,8 @@ from paratide.errors import (
 from paratide.propagator import consecutive_run, restarted_serial_run, split_run
 from paratide.solver import integrate
 
+from conftest import faulty_command
+
 SINGLE_SHOT = (sys.executable, "-m", "paratide", "single-shot")
 # the directory this process imported paratide from, as an absolute path
 PARATIDE_ROOT = str(Path(paratide.__file__).resolve().parents[1])
@@ -215,3 +217,28 @@ def test_external_missing_output_is_blow_up(tmp_path, settled_state, params):
             workdir=tmp_path / "w",
         )
     assert "no output" in str(err.value)
+
+
+def test_run_external_relative_executable(tmp_path, monkeypatch):
+    # ./x.sh names a file in the parent's directory, not in the child's
+    monkeypatch.chdir(tmp_path)
+    script = tmp_path / "x.sh"
+    script.write_text("#!/bin/sh\necho ran \"$1\"\n")
+    script.chmod(0o755)
+    report = run_external(["./x.sh", "arg"], "w")
+    assert report.returncode == 0
+    assert report.log_path.read_text().strip() == "ran arg"
+
+
+@pytest.mark.parametrize("mode", ["junk", "truncated", "wrong-grid", "sleep"])
+def test_external_fault_is_blow_up_with_context(tmp_path, settled_state, params, mode):
+    spec = PropagatorSpec(36, mode="external", command=faulty_command(tmp_path, mode))
+    with pytest.raises(BlowUpError) as err:
+        propagate(
+            spec, settled_state, settled_state.time + 2400, params,
+            workdir=tmp_path / "w", slice_index=4, iteration=1,
+            timeout=0.5 if mode == "sleep" else None,
+        )
+    assert err.value.slice_index == 4
+    assert err.value.iteration == 1
+    assert err.value.log_path == tmp_path / "w" / "run.log"
