@@ -12,7 +12,6 @@ _EXPORTS = {
     "checkpoint": ("Checkpoint", "read_checkpoint", "write_checkpoint"),
     "config": ("ExperimentConfig", "parse_config"),
     "metrics": (
-        "SpeedupModel",
         "max_profitable_iterations",
         "measure_runtime_ratio",
         "rel_l2_norm",

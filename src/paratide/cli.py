@@ -25,7 +25,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .checkpoint import read_checkpoint, write_checkpoint
 from .config import parse_config
@@ -37,9 +36,6 @@ from .errors import (
 )
 from .solver import SECONDS_PER_DAY, ModelParams, integrate_history
 from .state import StepHistory
-
-if TYPE_CHECKING:
-    from .harness import RunReport
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -187,52 +183,13 @@ def _cmd_avg_error(args) -> int:
     return EXIT_OK
 
 
-def _report_from_json(path: Path) -> RunReport:
-    from .harness import ErrorCell, FineRunReport, RunReport
-
-    payload = json.loads(path.read_text())
-    fine_runs = []
-    for fr in payload["fine_runs"]:
-        fine_runs.append(
-            FineRunReport(
-                fine_spd=fr["fine_spd"],
-                run_id=fr["run_id"],
-                iterations_run=fr["iterations_run"],
-                aborted=fr["aborted"],
-                errors=tuple(
-                    ErrorCell(c["k"], c["field"], c["E_inf"], c["E_2"], c["status"])
-                    for c in fr["errors"]
-                ),
-                wall={int(k): tuple(v) for k, v in fr["wall"].items()},
-                blow_ups=tuple(fr["blow_ups"]),
-                first_crossing=fr["first_crossing"],
-                exact_at_last=fr["exact_at_last"],
-                m_nominal=fr["m_nominal"],
-                max_profitable_k=fr["max_profitable_k"],
-                speedup_rows=tuple((r["k"], r["estimate"], r["bound"]) for r in fr["speedup"]),
-            )
-        )
-    return RunReport(
-        run_id=payload["run_id"],
-        config_path=payload["config_path"],
-        config_hash=payload["config_hash"],
-        epsilon=payload["epsilon"],
-        n_slices=payload["n_slices"],
-        slice_length=payload["slice_length"],
-        coarse_spd=payload["coarse_spd"],
-        monitored=tuple(payload["monitored"]),
-        fine_runs=tuple(fine_runs),
-        flags=payload["flags"],
-    )
-
-
 def _cmd_emit(args) -> int:
     from . import harness
 
     path = Path(args.report)
     if not path.exists():
         raise IOFailureError(f"{path}: no such report")
-    report = _report_from_json(path)
+    report = harness.RunReport.from_dict(json.loads(path.read_text()))
     out_dir = Path(args.out_dir) if args.out_dir else path.parent
     written = harness.emit_report(report, args.format, out_dir)
     print(f"wrote {written}")

@@ -19,20 +19,25 @@ import numpy as np
 
 from .checkpoint import read_checkpoint, write_checkpoint
 from .config import ExperimentConfig
-from .errors import IOFailureError, ValidationError, ZeroReferenceError
+from .errors import IOFailureError, ValidationError
 from .metrics import (
     ERROR_CSV_HEADER,
     SliceAverages,
     first_crossing_iteration,
     max_profitable_iterations,
-    rel_l2_norm,
     rel_max_norm,
     speedup_bound,
     speedup_estimate,
     time_averaged_error_series,
 )
 from .parareal import PararealConfig, PararealResult, run_parareal
-from .propagator import PropagatorSpec, SliceLayout, consecutive_run, split_run
+from .propagator import (
+    PropagatorSpec,
+    SliceLayout,
+    consecutive_run,
+    restarted_serial_run,
+    split_run,
+)
 from .solver import (
     SECONDS_PER_DAY,
     ModelParams,
@@ -149,22 +154,16 @@ def _link_spin_up(shared: Path, alias: Path, state: ModelState) -> None:
 def serial_reference(
     config: ExperimentConfig, fine_spd: int, u0: ModelState
 ) -> list[ModelState]:
-    """Restarted serial fine trajectory at all slice boundaries (cached)."""
-    layout = config.layout
+    """restarted_serial_run at fine_spd, cached under ref<fine_spd>/."""
     ref_dir = _cache_dir(config) / f"ref{fine_spd}"
     marker = ref_dir / "complete"
     if marker.exists():
         return [
             read_checkpoint(ref_dir / f"slice{n}.prcp", grid=config.grid).state
-            for n in range(layout.n_slices + 1)
+            for n in range(config.layout.n_slices + 1)
         ]
 
-    dt = SECONDS_PER_DAY // fine_spd
-    states = [u0]
-    for n in range(layout.n_slices):
-        states.append(
-            integrate(states[n], layout.t0 + (n + 1) * layout.slice_length, dt, config.params)
-        )
+    states = restarted_serial_run(PropagatorSpec(fine_spd), u0, config.layout, config.params)
     for n, s in enumerate(states):
         write_checkpoint(s, None, ref_dir / f"slice{n}.prcp", slice_index=n)
     marker.write_text("ok\n")
@@ -251,49 +250,62 @@ class RunReport:
             ],
         }
 
+    @classmethod
+    def from_dict(cls, payload: dict) -> "RunReport":
+        """Inverse of to_dict (as read back from report.json)."""
+        fine_runs = tuple(
+            FineRunReport(
+                fine_spd=fr["fine_spd"],
+                run_id=fr["run_id"],
+                iterations_run=fr["iterations_run"],
+                aborted=fr["aborted"],
+                errors=tuple(
+                    ErrorCell(c["k"], c["field"], c["E_inf"], c["E_2"], c["status"])
+                    for c in fr["errors"]
+                ),
+                wall={int(k): tuple(v) for k, v in fr["wall"].items()},
+                blow_ups=tuple(fr["blow_ups"]),
+                first_crossing=fr["first_crossing"],
+                exact_at_last=fr["exact_at_last"],
+                m_nominal=fr["m_nominal"],
+                max_profitable_k=fr["max_profitable_k"],
+                speedup_rows=tuple((r["k"], r["estimate"], r["bound"]) for r in fr["speedup"]),
+            )
+            for fr in payload["fine_runs"]
+        )
+        return cls(
+            run_id=payload["run_id"],
+            config_path=payload["config_path"],
+            config_hash=payload["config_hash"],
+            epsilon=payload["epsilon"],
+            n_slices=payload["n_slices"],
+            slice_length=payload["slice_length"],
+            coarse_spd=payload["coarse_spd"],
+            monitored=tuple(payload["monitored"]),
+            fine_runs=fine_runs,
+            flags=payload["flags"],
+        )
+
 
 def _error_cells(
-    result: PararealResult,
-    reference: list[ModelState],
-    monitored: tuple[Field, ...],
-    n_slices: int,
+    result: PararealResult, monitored: tuple[Field, ...], n_slices: int
 ) -> tuple[ErrorCell, ...]:
-    """One cell per (k, field) for k = 0 .. N_t - 1.
+    """One cell per (k, field) for k = 0 .. N_t - 1, read from the norms
+    the run recorded against its reference.
 
     Iterations beyond an aborted run are marked skipped; a zero reference
     norm is reported as undefined instead of dividing.
     """
-    ref_final = reference[-1]
     cells = []
     for k in range(n_slices):
         for f in monitored:
             if k > result.iterations_run:
                 cells.append(ErrorCell(k, f.name, None, None, "skipped"))
-                continue
-            approx = result.iterates[k][-1].field(f)
-            ref = ref_final.field(f)
-            try:
-                e_inf = rel_max_norm(approx, ref)
-                e_2 = rel_l2_norm(approx, ref)
-            except ZeroReferenceError:
+            elif result.records[k].errors[f] is None:
                 cells.append(ErrorCell(k, f.name, None, None, "undefined"))
-                continue
-            cells.append(ErrorCell(k, f.name, e_inf, e_2, "ok"))
+            else:
+                cells.append(ErrorCell(k, f.name, *result.records[k].errors[f], "ok"))
     return tuple(cells)
-
-
-def _crossings(
-    cells: tuple[ErrorCell, ...], monitored: tuple[Field, ...], epsilon: float
-) -> dict[str, int | None]:
-    out = {}
-    for f in monitored:
-        table = {
-            c.k: (c.e_inf, c.e_2)
-            for c in cells
-            if c.field_name == f.name and c.status == "ok"
-        }
-        out[f.name] = first_crossing_iteration(table, epsilon)
-    return out
 
 
 def run_experiment(
@@ -329,11 +341,19 @@ def run_experiment(
         )
         result = run_parareal(
             u0, cfg, config.params,
+            reference=reference,
             run_dir=(run_dir / f"nf{nf}" if keep_iterate_checkpoints else None),
             run_id=sub_id,
         )
-        cells = _error_cells(result, reference, config.monitored_fields, config.layout.n_slices)
-        crossing = _crossings(cells, config.monitored_fields, config.epsilon)
+        n_slices = config.layout.n_slices
+        cells = _error_cells(result, config.monitored_fields, n_slices)
+        # k = N_t reproduces the reference outright, so it never counts
+        crossing = {
+            f.name: first_crossing_iteration(
+                {r.k: r.errors[f] for r in result.records[:n_slices]}, config.epsilon
+            )
+            for f in config.monitored_fields
+        }
 
         exact = None
         if result.iterations_run == config.layout.n_slices and not result.aborted:

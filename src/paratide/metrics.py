@@ -19,14 +19,13 @@ import numpy as np
 
 from .errors import LayoutMismatchError, ZeroReferenceError
 from .propagator import PropagatorSpec, SliceLayout
-from .solver import ModelParams, StepHistory, ab3_step
+from .solver import ModelParams, integrate
 from .state import Field, ModelState
 
 ERROR_CSV_HEADER = (
     "run_id", "k", "field", "E_inf", "E_2",
     "wall_coarse_s", "wall_fine_s", "blow_up_flags",
 )
-TIMING_COLUMNS = ("wall_coarse_s", "wall_fine_s")
 
 
 def rel_max_norm(approx: np.ndarray, ref: np.ndarray) -> float:
@@ -53,6 +52,22 @@ def rel_l2_norm(approx: np.ndarray, ref: np.ndarray) -> float:
     return float(np.linalg.norm((approx - ref).ravel()) / denom)
 
 
+def errors_at_final(
+    state: ModelState, reference: ModelState, fields: Sequence[Field]
+) -> dict[Field, tuple[float, float] | None]:
+    """(E_inf, E_2) per field of state against reference; None marks an
+    undefined ratio (identically zero reference field)."""
+    out = {}
+    for f in fields:
+        approx = state.field(f)
+        ref = reference.field(f)
+        try:
+            out[f] = (rel_max_norm(approx, ref), rel_l2_norm(approx, ref))
+        except ZeroReferenceError:
+            out[f] = None
+    return out
+
+
 def _check_speedup_args(k: int, n_slices: int, m: float) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -73,44 +88,6 @@ def speedup_bound(k: int, n_slices: int, m: float) -> float:
     """Rough upper bound min(m/(k+1), N_t/k); always >= the estimate."""
     _check_speedup_args(k, n_slices, m)
     return min(m / (k + 1), n_slices / k)
-
-
-@dataclass(frozen=True)
-class SpeedupModel:
-    """Runtime model for one slice count and fine/coarse cost ratio.
-
-    tau_g, when measured, converts the dimensionless model into wall-time
-    predictions; the model itself only needs the ratio.
-    """
-
-    n_slices: int
-    runtime_ratio: float
-    tau_g: float | None = None
-
-    def __post_init__(self):
-        if self.n_slices < 1:
-            raise ValueError("n_slices must be >= 1")
-        if self.runtime_ratio <= 0:
-            raise ValueError("runtime_ratio must be positive")
-
-    def estimate(self, k: int) -> float:
-        return speedup_estimate(k, self.n_slices, self.runtime_ratio)
-
-    def bound(self, k: int) -> float:
-        return speedup_bound(k, self.n_slices, self.runtime_ratio)
-
-    def max_profitable(self) -> int:
-        return max_profitable_iterations(self.runtime_ratio, self.n_slices)
-
-    def serial_seconds(self) -> float | None:
-        if self.tau_g is None:
-            return None
-        return self.n_slices * self.runtime_ratio * self.tau_g
-
-    def parareal_seconds(self, k: int) -> float | None:
-        if self.tau_g is None:
-            return None
-        return (k + 1) * self.n_slices * self.tau_g + k * self.runtime_ratio * self.tau_g
 
 
 def max_profitable_iterations(m: float, n_slices: int) -> int:
@@ -147,11 +124,10 @@ class RuntimeRatioResult:
 
 def _time_workload(state: ModelState, dt: int, n_steps: int, params: ModelParams,
                    loops: int) -> float:
+    t_end = state.time + n_steps * dt
     start = _time.perf_counter()
     for _ in range(loops):
-        h = StepHistory(state)
-        for _ in range(n_steps):
-            h = ab3_step(h, dt, params)
+        integrate(state, t_end, dt, params)
     return _time.perf_counter() - start
 
 
@@ -254,11 +230,15 @@ def time_averaged_error_series(
 
 
 def first_crossing_iteration(
-    errors_by_k: Mapping[int, tuple[float, float]], epsilon: float
+    errors_by_k: Mapping[int, tuple[float, float] | None], epsilon: float
 ) -> int | None:
-    """Smallest k at which both norms are <= epsilon, or None if never."""
+    """Smallest k at which both norms are <= epsilon, or None if never.
+
+    An undefined pair (None: identically zero reference field) never
+    counts as converged.
+    """
     for k in sorted(errors_by_k):
-        e_inf, e_2 = errors_by_k[k]
-        if e_inf <= epsilon and e_2 <= epsilon:
+        pair = errors_by_k[k]
+        if pair is not None and pair[0] <= epsilon and pair[1] <= epsilon:
             return k
     return None

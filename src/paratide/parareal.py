@@ -26,9 +26,9 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .checkpoint import write_checkpoint
-from .errors import BlowUpError, ZeroReferenceError
-from .metrics import rel_l2_norm, rel_max_norm
-from .propagator import PropagatorSpec, SliceLayout, propagate
+from .errors import BlowUpError
+from .metrics import errors_at_final, first_crossing_iteration
+from .propagator import PropagatorSpec, SliceLayout, propagate, restarted_serial_run
 from .solver import ModelParams, integrate_batch
 from .state import Field, ModelState, state_add, state_diff
 
@@ -99,8 +99,9 @@ class IterationRecord:
     k: int
     wall_coarse_s: float
     wall_fine_s: float
-    wall_correction_s: float
-    errors: dict[Field, tuple[float, float]] | None   # field -> (E_inf, E_2) at T
+    # field -> (E_inf, E_2) at T against the reference, None per field
+    # where undefined; None as a whole when no reference is known
+    errors: dict[Field, tuple[float, float] | None] | None
     blow_up_slices: tuple[int, ...] = ()
 
 
@@ -135,9 +136,10 @@ def make_propagator(
     """Bind a spec to a callable mapping (state, slice, iteration) -> state.
 
     Internal propagators also expose a vectorized ``batch`` entry point for
-    the fine phase (lanes stack into one numpy computation) and are marked
-    as not releasing the GIL, so the driver never wastes threads on them.
-    External propagators block in the child process, where threads do help.
+    the fine phase (lanes stack into one numpy computation), so the fine
+    phase never wastes threads on them.  Every other propagator runs on the
+    fine phase's thread pool: external ones block in the child process,
+    where threads do help.
     """
 
     def fn(state: ModelState, slice_index: int, iteration: int) -> ModelState:
@@ -166,9 +168,6 @@ def make_propagator(
             return outs
 
         fn.batch = batch
-        fn.releases_gil = False
-    else:
-        fn.releases_gil = True
     return fn
 
 
@@ -214,7 +213,7 @@ def fine_parallel_phase(
     if batch is not None:
         for n, out in zip(indices, batch([u_prev[n] for n in indices], indices, k)):
             outcomes[n] = out
-    elif getattr(fine_fn, "releases_gil", True):
+    else:
         workers = min(cfg.max_parallel_fine, len(indices)) or 1
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = {n: pool.submit(fine_fn, u_prev[n], n, k) for n in indices}
@@ -223,12 +222,6 @@ def fine_parallel_phase(
                     outcomes[n] = futures[n].result()
                 except BlowUpError as err:
                     outcomes[n] = err
-    else:
-        for n in indices:
-            try:
-                outcomes[n] = fine_fn(u_prev[n], n, k)
-            except BlowUpError as err:
-                outcomes[n] = err
 
     for n in indices:
         outcome = outcomes[n]
@@ -284,32 +277,6 @@ def correction_sweep(
     return u_next, g_next, events
 
 
-def _errors_at_final(
-    state: ModelState, reference: ModelState, fields: Sequence[Field]
-) -> dict[Field, tuple[float, float] | None]:
-    """Relative norms per monitored field; None marks an undefined ratio
-    (identically zero reference field)."""
-    out = {}
-    for f in fields:
-        approx = state.field(f)
-        ref = reference.field(f)
-        try:
-            out[f] = (rel_max_norm(approx, ref), rel_l2_norm(approx, ref))
-        except ZeroReferenceError:
-            out[f] = None
-    return out
-
-
-def serial_fine_reference(
-    u0: ModelState, cfg: PararealConfig, fine_fn: PropagatorFn
-) -> list[ModelState]:
-    """Restarted serial fine trajectory: one bare fine call per slice."""
-    states = [u0]
-    for n in range(cfg.layout.n_slices):
-        states.append(fine_fn(states[n], n, -1))
-    return states
-
-
 def _write_iterate_checkpoints(
     run_dir: Path, k: int, states: Sequence[ModelState]
 ) -> None:
@@ -335,28 +302,44 @@ def run_parareal(
     """Full Parareal loop with convergence monitoring.
 
     The error monitor compares the final-time iterate against the restarted
-    serial fine run; with epsilon > 0 the loop stops once both norms fall
-    below it for every monitored field, and always stops at max_iterations
-    (at iteration N_t the fine trajectory is reproduced outright).  When no
-    reference is supplied and epsilon stopping is active, the reference is
-    computed here with the same fine propagator.
+    serial fine run: whenever a reference is known, each IterationRecord
+    carries the norms of its iterate.  With epsilon > 0 the loop stops once
+    both norms fall below it for every monitored field, and always stops at
+    max_iterations (at iteration N_t the fine trajectory is reproduced
+    outright).  When epsilon stopping is active and no reference is
+    supplied, it is computed here by restarted_serial_run from cfg.fine,
+    with external work directories under run_dir/serial/slice<n>/; a
+    caller's own fine_fn must then come with its reference.
     """
     run_dir = Path(run_dir) if run_dir is not None else None
+    monitoring = cfg.epsilon > 0
+    if monitoring and reference is None:
+        if fine_fn is not None:
+            raise ValueError("epsilon stopping with a custom fine_fn needs a reference")
+        reference = restarted_serial_run(
+            cfg.fine, u0, cfg.layout, params,
+            run_dir=run_dir / "serial" if run_dir is not None else None,
+            timeout=timeout,
+        )
     if coarse_fn is None:
         coarse_fn = make_propagator(cfg.coarse, params, cfg.layout, run_dir, "coarse", timeout)
     if fine_fn is None:
         fine_fn = make_propagator(cfg.fine, params, cfg.layout, run_dir, "fine", timeout)
-
-    monitoring = cfg.epsilon > 0
-    if monitoring and reference is None:
-        reference = serial_fine_reference(u0, cfg, fine_fn)
     ref_final = reference[-1] if reference is not None else None
 
-    def record_for(k, states, wall_coarse, wall_fine, wall_corr, flagged):
+    def record_for(k, states, wall_coarse, wall_fine, flagged):
         errors = None
         if ref_final is not None:
-            errors = _errors_at_final(states[-1], ref_final, cfg.monitored_fields)
-        return IterationRecord(k, wall_coarse, wall_fine, wall_corr, errors, tuple(flagged))
+            errors = errors_at_final(states[-1], ref_final, cfg.monitored_fields)
+        return IterationRecord(k, wall_coarse, wall_fine, errors, tuple(flagged))
+
+    def converged(errors) -> bool:
+        # undefined errors (zero reference field) never count as converged;
+        # that is a degenerate experiment to flag
+        return all(
+            errors[f] is not None and errors[f][0] <= cfg.epsilon and errors[f][1] <= cfg.epsilon
+            for f in cfg.monitored_fields
+        )
 
     t0 = _time.perf_counter()
     u_curr = coarse_init_sweep(u0, cfg, coarse_fn)
@@ -364,30 +347,14 @@ def run_parareal(
     g_curr: list[ModelState | None] = list(u_curr)
 
     iterates = [tuple(u_curr)]
-    records = [record_for(0, u_curr, init_wall, 0.0, 0.0, ())]
+    records = [record_for(0, u_curr, init_wall, 0.0, ())]
     all_events: list[BlowUpEvent] = []
-    first_crossing: dict[Field, int | None] = {}
-    stopped = False
+    stopped = monitoring and converged(records[0].errors)
     aborted = False
     abort_reason = ""
 
     if run_dir is not None:
         _write_iterate_checkpoints(run_dir, 0, u_curr)
-
-    def crossed(errors) -> bool:
-        ok = True
-        for f in cfg.monitored_fields:
-            pair = errors[f]
-            if pair is not None and pair[0] <= cfg.epsilon and pair[1] <= cfg.epsilon:
-                first_crossing.setdefault(f, records[-1].k)
-            else:
-                # undefined errors (zero reference field) never count as
-                # converged; that is a degenerate experiment to flag
-                ok = False
-        return ok
-
-    if monitoring and crossed(records[0].errors):
-        stopped = True
 
     k = 0
     while not stopped and k < cfg.iterations:
@@ -412,17 +379,19 @@ def run_parareal(
         u_curr, g_curr = u_next, g_next
         iterates.append(tuple(u_curr))
         flagged = [e.slice_index for e in fine_events + sweep_events]
-        records.append(record_for(k, u_curr, corr_wall, fine_wall, corr_wall, flagged))
+        records.append(record_for(k, u_curr, corr_wall, fine_wall, flagged))
         if run_dir is not None:
             _write_iterate_checkpoints(run_dir, k, u_curr)
         if aborted:
             break
-        if monitoring and crossed(records[-1].errors):
-            stopped = True
+        stopped = monitoring and converged(records[-1].errors)
 
+    first_crossing: dict[Field, int | None] = {}
     if monitoring:
-        for f in cfg.monitored_fields:
-            first_crossing.setdefault(f, None)
+        first_crossing = {
+            f: first_crossing_iteration({r.k: r.errors[f] for r in records}, cfg.epsilon)
+            for f in cfg.monitored_fields
+        }
 
     result = PararealResult(
         layout=cfg.layout,

@@ -65,7 +65,6 @@ class PropagatorSpec:
     spd: int
     mode: str = "internal"                       # "internal" | "external"
     command: tuple[str, ...] = ()
-    workdir_template: str = ""                   # may contain {iteration} and {slice}
     restart_policy: str = "cold"
 
     def __post_init__(self):
@@ -198,18 +197,6 @@ def run_external(
     )
 
 
-def _external_workdir(
-    spec: PropagatorSpec, workdir: str | Path | None, slice_index: int, iteration: int
-) -> Path:
-    """Absolute work directory: the child runs inside it, so a relative one
-    would make the --in/--out paths resolve one level too deep."""
-    if workdir is None and spec.workdir_template:
-        workdir = spec.workdir_template.format(iteration=iteration, slice=slice_index)
-    if workdir is None:
-        workdir = tempfile.mkdtemp(prefix="paratide-run-")
-    return Path(workdir).absolute()
-
-
 def propagate(
     spec: PropagatorSpec,
     state: ModelState,
@@ -258,7 +245,11 @@ def propagate(
         return PropagateResult(h.current, h if warm else None)
 
     # External mode: state goes out and comes back through checkpoints.
-    wd = _external_workdir(spec, workdir, slice_index, iteration)
+    # Absolute: the child runs inside it, so a relative work directory would
+    # make the --in/--out paths resolve one level too deep.
+    if workdir is None:
+        workdir = tempfile.mkdtemp(prefix="paratide-run-")
+    wd = Path(workdir).absolute()
     wd.mkdir(parents=True, exist_ok=True)
     in_path = wd / IN_FILE
     out_path = wd / OUT_FILE

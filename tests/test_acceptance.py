@@ -28,6 +28,7 @@ from paratide import (
     write_checkpoint,
 )
 from paratide.cli import main as cli_main
+from paratide.checkpoint import crc64
 from paratide.errors import CorruptCheckpointError
 from paratide.harness import (
     restart_consistency_study,
@@ -36,7 +37,7 @@ from paratide.harness import (
     spin_up,
 )
 from paratide.metrics import measure_runtime_ratio
-from paratide.parareal import serial_fine_reference, make_propagator
+from paratide.parareal import make_propagator
 from paratide.solver import StepHistory, ab3_step, integrate, rhs
 from paratide.state import FIELD_ORDER
 
@@ -114,6 +115,32 @@ def test_criterion_2_parareal_exactness(exp1_config, exp1_u0, capsys):
                 assert result.iterates[k][n].bit_equal(reference[n]), (nf, k, n)
     with capsys.disabled():
         _passed(2, "U^{N_t} matches restarted fine run <=1e-12; slices n<=k bit-identical")
+
+
+# CRC-64 of the concatenated slice states U^k_0..U^k_N_t of every iterate k
+# for exp1 at nf 72, pinned from the code before the serial-reference and
+# error paths were merged: any refactor of run_parareal must keep these bits.
+GOLDEN_EXP1_NF72 = (
+    0xE88C871AA28B6ABB, 0x7AC6FA1EE2DD2DA9, 0x917BFAB5A4BE6DFD, 0x293B8888FF495333,
+    0x7FA6A1E4B8DC0F8E, 0x2D63FFCE647121DD, 0x051E1BBC3196B64C, 0xAC9C6581C18BACC2,
+    0xA54B75686E9A0B10, 0x8249DAAB087AFE10, 0x2B8EC120154EC33E, 0x0E9C28EFC715C4C1,
+    0x540D42FFE1828AAB,
+)
+
+
+def test_golden_iterate_digest_exp1_nf72(exp1_config, exp1_u0):
+    cfg = PararealConfig(
+        layout=exp1_config.layout,
+        coarse=PropagatorSpec(exp1_config.coarse_spd, restart_policy=exp1_config.restart_policy),
+        fine=PropagatorSpec(72, restart_policy=exp1_config.restart_policy),
+        epsilon=0.0,
+    )
+    result = run_parareal(exp1_u0, cfg, exp1_config.params)
+    assert result.iterations_run == exp1_config.layout.n_slices
+    digests = tuple(
+        crc64(b"".join(s.data.tobytes() for s in iterate)) for iterate in result.iterates
+    )
+    assert digests == GOLDEN_EXP1_NF72
 
 
 def test_criterion_3_restart_pathology(exp1_config, exp1_u0, capsys):

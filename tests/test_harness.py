@@ -89,6 +89,47 @@ def test_serial_reference_cached_bit_exact(small_config):
         assert a.bit_equal(b)
 
 
+def test_serial_reference_cold_cache_is_restarted_serial_run(small_config):
+    from paratide import PropagatorSpec
+    from paratide.propagator import restarted_serial_run
+
+    u0 = spin_up(small_config)
+    cached = serial_reference(small_config, 144, u0)
+    direct = restarted_serial_run(
+        PropagatorSpec(144), u0, small_config.layout, small_config.params
+    )
+    assert len(cached) == len(direct) == small_config.layout.n_slices + 1
+    for a, b in zip(cached, direct):
+        assert a.bit_equal(b)
+    marker = runs_root(small_config) / "cache" / small_config.hash() / "ref144" / "complete"
+    assert marker.exists()
+
+
+def test_error_cells_match_norms_of_iterates(small_config):
+    # the report reads the norms the run recorded; they must be the norms
+    # of the final-time iterates against the reference
+    from paratide import PararealConfig, PropagatorSpec, rel_l2_norm, rel_max_norm, run_parareal
+    from paratide.harness import _error_cells
+
+    u0 = spin_up(small_config)
+    reference = serial_reference(small_config, 72, u0)
+    cfg = PararealConfig(
+        layout=small_config.layout, coarse=PropagatorSpec(small_config.coarse_spd),
+        fine=PropagatorSpec(72), epsilon=0.0,
+    )
+    res = run_parareal(u0, cfg, small_config.params, reference=reference)
+    monitored = small_config.monitored_fields
+    cells = _error_cells(res, monitored, small_config.layout.n_slices)
+    assert len(cells) == small_config.layout.n_slices * len(monitored)
+    for c in cells:
+        f = Field[c.field_name]
+        approx = res.iterates[c.k][-1].field(f)
+        ref = reference[-1].field(f)
+        assert c.status == "ok"
+        assert c.e_inf == rel_max_norm(approx, ref)
+        assert c.e_2 == rel_l2_norm(approx, ref)
+
+
 def test_run_experiment_report_shape(small_config):
     report, run_dir = run_experiment(small_config)
     assert (run_dir / "errors.csv").exists()
@@ -146,10 +187,12 @@ def test_emit_empty_report_is_header_only(tmp_path):
 
 
 def test_report_json_round_trips_through_emit(small_config, tmp_path):
-    from paratide.cli import _report_from_json
+    import json
+
+    from paratide.harness import RunReport
 
     report, run_dir = run_experiment(small_config)
-    loaded = _report_from_json(run_dir / "report.json")
+    loaded = RunReport.from_dict(json.loads((run_dir / "report.json").read_text()))
     emit_report(loaded, "csv", tmp_path)
     assert (tmp_path / "errors.csv").read_bytes() == (run_dir / "errors.csv").read_bytes()
 
@@ -191,7 +234,8 @@ def test_report_marks_blow_up_and_skipped_cells(grid8, tmp_path):
     # emitted as skipped, and the blow-up lands in the CSV flags column
     from paratide import ModelParams, ModelState, PararealConfig, PropagatorSpec, SliceLayout, run_parareal
     from paratide.errors import BlowUpError
-    from paratide.harness import ErrorCell, FineRunReport, RunReport, _crossings, _error_cells
+    from paratide.harness import FineRunReport, RunReport, _error_cells
+    from paratide.metrics import first_crossing_iteration
     from conftest import constant_state
 
     layout = SliceLayout(t0=0, slice_length=600, n_slices=4)
@@ -210,14 +254,16 @@ def test_report_marks_blow_up_and_skipped_cells(grid8, tmp_path):
         return flow(0.8)(state, n, k)
 
     u0 = constant_state(grid8, u=1.0)
-    res = run_parareal(u0, cfg, ModelParams(), coarse_fn=failing_coarse, fine_fn=flow(0.9))
-    assert res.aborted and res.iterations_run == 2
-
     reference = [u0]
     for n in range(4):
         reference.append(flow(0.9)(reference[-1], n, -1))
+    res = run_parareal(
+        u0, cfg, ModelParams(), coarse_fn=failing_coarse, fine_fn=flow(0.9), reference=reference
+    )
+    assert res.aborted and res.iterations_run == 2
+
     monitored = cfg.monitored_fields
-    cells = _error_cells(res, reference, monitored, layout.n_slices)
+    cells = _error_cells(res, monitored, layout.n_slices)
     statuses = {(c.k, c.field_name): c.status for c in cells}
     assert statuses[(2, "U")] == "ok"
     assert statuses[(3, "U")] == "skipped"
@@ -230,7 +276,10 @@ def test_report_marks_blow_up_and_skipped_cells(grid8, tmp_path):
             {"k": e.k, "slice": e.slice_index, "phase": e.phase, "message": e.message}
             for e in res.blow_ups
         ),
-        first_crossing=_crossings(cells, monitored, 1e-2),
+        first_crossing={
+            f.name: first_crossing_iteration({r.k: r.errors[f] for r in res.records}, 1e-2)
+            for f in monitored
+        },
         exact_at_last=None, m_nominal=2.0, max_profitable_k=0, speedup_rows=(),
     )
     report = RunReport(

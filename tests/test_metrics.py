@@ -252,21 +252,3 @@ def test_error_ordering_by_step_size(settled_state, params):
     series = time_averaged_error_series(runs, 1440, fields=(Field.T,))
     first = {spd: series[spd][Field.T][0] for spd in (36, 72, 144)}
     assert first[36] > first[72] > first[144] > 0.0
-
-
-def test_speedup_model_object():
-    from paratide.metrics import SpeedupModel
-
-    model = SpeedupModel(n_slices=12, runtime_ratio=8.0, tau_g=10.0)
-    assert model.estimate(6) == speedup_estimate(6, 12, 8.0)
-    assert model.bound(6) == speedup_bound(6, 12, 8.0)
-    assert model.max_profitable() == 6
-    # estimate equals serial / parareal runtime by construction
-    assert model.serial_seconds() / model.parareal_seconds(6) == pytest.approx(
-        model.estimate(6), rel=1e-14
-    )
-    assert SpeedupModel(12, 8.0).serial_seconds() is None
-    with pytest.raises(ValueError):
-        SpeedupModel(0, 1.0)
-    with pytest.raises(ValueError):
-        SpeedupModel(12, 0.0)

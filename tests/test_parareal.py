@@ -16,8 +16,8 @@ from paratide.parareal import (
     correction_sweep,
     fine_parallel_phase,
     make_propagator,
-    serial_fine_reference,
 )
+from paratide.propagator import restarted_serial_run
 from paratide.solver import integrate
 
 from conftest import constant_state, faulty_command, random_state
@@ -147,8 +147,7 @@ def test_g_equals_f_converges_at_first_iteration(settled_state, params):
         layout=layout, coarse=PropagatorSpec(72), fine=PropagatorSpec(72),
         epsilon=0.0, allow_equal_spd=True, max_iterations=1,
     )
-    fine_fn = make_propagator(cfg.fine, params, layout)
-    reference = serial_fine_reference(settled_state, cfg, fine_fn)
+    reference = restarted_serial_run(cfg.fine, settled_state, layout, params)
     result = run_parareal(settled_state, cfg, params)
     for n in range(5):
         assert result.iterates[1][n].bit_equal(reference[n])
@@ -275,13 +274,29 @@ def test_steady_state_converges_immediately(grid8):
     assert all(v is not None and v <= 1 for v in res.first_crossing.values())
 
 
+def test_custom_fine_fn_with_epsilon_needs_reference(grid8):
+    # run_parareal builds a reference only from cfg.fine, never from a
+    # caller's callable, so epsilon stopping without one is refused
+    cfg = small_cfg(n_slices=4, epsilon=1e-2)
+    u0 = constant_state(grid8, u=1.0)
+    with pytest.raises(ValueError, match="reference"):
+        run_parareal(u0, cfg, ModelParams(), coarse_fn=flow(0.8, 600), fine_fn=flow(0.9, 600))
+    reference = [u0]
+    for n in range(4):
+        reference.append(flow(0.9, 600)(reference[-1], n, -1))
+    res = run_parareal(
+        u0, cfg, ModelParams(), coarse_fn=flow(0.8, 600), fine_fn=flow(0.9, 600),
+        reference=reference,
+    )
+    assert res.records[0].errors is not None
+
+
 def test_exactness_propagation_internal(settled_state, params):
     layout = SliceLayout(t0=0, slice_length=2400, n_slices=6)
     cfg = PararealConfig(
         layout=layout, coarse=PropagatorSpec(36), fine=PropagatorSpec(144), epsilon=0.0
     )
-    fine_fn = make_propagator(cfg.fine, params, layout)
-    reference = serial_fine_reference(settled_state, cfg, fine_fn)
+    reference = restarted_serial_run(cfg.fine, settled_state, layout, params)
     res = run_parareal(settled_state, cfg, params)
     for k in range(res.iterations_run + 1):
         for n in range(min(k, layout.n_slices) + 1):
@@ -310,8 +325,7 @@ def test_error_series_decays_to_round_off_plateau(settled_state, params):
     cfg = PararealConfig(
         layout=layout, coarse=PropagatorSpec(36), fine=PropagatorSpec(144), epsilon=0.0
     )
-    fine_fn = make_propagator(cfg.fine, params, layout)
-    reference = serial_fine_reference(settled_state, cfg, fine_fn)
+    reference = restarted_serial_run(cfg.fine, settled_state, layout, params)
     res = run_parareal(settled_state, cfg, params)
     from paratide import rel_max_norm
     errs = [

@@ -166,11 +166,8 @@ def test_external_propagate_matches_internal(tmp_path, settled_state, params):
     assert (tmp_path / "w" / "run.log").exists()
 
 
-def test_external_warm_split_matches_consecutive(tmp_path, settled_state, params):
-    spec = PropagatorSpec(
-        36, mode="external", command=SINGLE_SHOT, restart_policy="warm",
-        workdir_template=str(tmp_path / "k{iteration}" / "s{slice}"),
-    )
+def test_external_warm_split_matches_consecutive(settled_state, params):
+    spec = PropagatorSpec(36, mode="external", command=SINGLE_SHOT, restart_policy="warm")
     layout = SliceLayout(t0=settled_state.time, slice_length=7200, n_slices=2)
     chained = split_run(spec, settled_state, layout, params)
     whole = consecutive_run(
