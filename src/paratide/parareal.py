@@ -18,9 +18,11 @@ mode the run stops.
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 import time as _time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -136,10 +138,12 @@ def make_propagator(
     """Bind a spec to a callable mapping (state, slice, iteration) -> state.
 
     Internal propagators also expose a vectorized ``batch`` entry point for
-    the fine phase (lanes stack into one numpy computation), so the fine
-    phase never wastes threads on them.  Every other propagator runs on the
-    fine phase's thread pool: external ones block in the child process,
-    where threads do help.
+    the fine phase: ``batch(states)`` integrates the states across one slice
+    as lanes of one numpy computation and returns, lane by lane, the new
+    state or the BlowUpError of a lane that diverged.  It is picklable, so
+    the fine phase hands whole chunks of lanes to forked workers with it.
+    Every other propagator runs on the fine phase's thread pool: external
+    ones block in the child process, where threads do help.
     """
 
     def fn(state: ModelState, slice_index: int, iteration: int) -> ModelState:
@@ -159,16 +163,26 @@ def make_propagator(
         ).state
 
     if spec.mode == "internal":
-        def batch(states, indices, iteration):
-            outs = integrate_batch(states, layout.slice_length, spec.dt, params)
-            for n, out in zip(indices, outs):
-                if isinstance(out, BlowUpError):
-                    out.slice_index = n
-                    out.iteration = iteration
-            return outs
-
-        fn.batch = batch
+        fn.batch = functools.partial(_integrate_lanes, layout.slice_length, spec.dt, params)
     return fn
+
+
+def _integrate_lanes(
+    duration: int, dt: int, params: ModelParams, states: Sequence[ModelState]
+) -> list[ModelState | BlowUpError]:
+    # Module level, so a worker process receives it by import path; it
+    # looks integrate_batch up at call time.
+    return integrate_batch(states, duration, dt, params)
+
+
+def _fine_processes(cfg: PararealConfig, lanes: int) -> int:
+    """Processes an internal fine phase of this many lanes runs on.
+
+    Platforms without os.sched_getaffinity (macOS; Windows, which cannot
+    fork) keep the whole phase in this process.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return min(cfg.max_parallel_fine, cpus, lanes)
 
 
 def coarse_init_sweep(
@@ -193,8 +207,16 @@ def fine_parallel_phase(
     cfg: PararealConfig,
     fine_fn: PropagatorFn,
     k: int,
+    pool: Executor | None = None,
 ) -> tuple[list[ModelState | None], list[ModelState | None], list[BlowUpEvent]]:
     """Concurrent fine propagation for slices n = k-1 .. N_t-1.
+
+    An internal propagator's lanes are cut into
+    w = min(max_parallel_fine, usable CPUs, lanes) contiguous chunks when a
+    process pool is given, into one chunk otherwise.  This process
+    integrates the first chunk with the propagator's ``batch`` entry and
+    the pool's w - 1 workers the others.  Any other propagator runs slice
+    by slice on a thread pool of max_parallel_fine threads.
 
     Returns (fine values, corrections, blow-up events), each indexed by
     target slice n+1 over the full 0..N_t range (entries below the loop
@@ -211,12 +233,20 @@ def fine_parallel_phase(
     outcomes: dict[int, ModelState | BlowUpError] = {}
     batch = getattr(fine_fn, "batch", None)
     if batch is not None:
-        for n, out in zip(indices, batch([u_prev[n] for n in indices], indices, k)):
-            outcomes[n] = out
+        w = _fine_processes(cfg, len(indices)) if pool is not None else 1
+        chunks = [indices[i * len(indices) // w:(i + 1) * len(indices) // w] for i in range(w)]
+        futures = [pool.submit(batch, [u_prev[n] for n in c]) for c in chunks[1:]]
+        results = [batch([u_prev[n] for n in chunks[0]])] + [f.result() for f in futures]
+        for chunk, outs in zip(chunks, results):
+            for n, out in zip(chunk, outs):
+                if isinstance(out, BlowUpError):
+                    out.slice_index = n
+                    out.iteration = k
+                outcomes[n] = out
     else:
         workers = min(cfg.max_parallel_fine, len(indices)) or 1
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {n: pool.submit(fine_fn, u_prev[n], n, k) for n in indices}
+        with ThreadPoolExecutor(max_workers=workers) as threads:
+            futures = {n: threads.submit(fine_fn, u_prev[n], n, k) for n in indices}
             for n in indices:
                 try:
                     outcomes[n] = futures[n].result()
@@ -356,35 +386,55 @@ def run_parareal(
     if run_dir is not None:
         _write_iterate_checkpoints(run_dir, 0, u_curr)
 
-    k = 0
-    while not stopped and k < cfg.iterations:
-        k += 1
-        t0 = _time.perf_counter()
-        fine_vals, deltas, fine_events = fine_parallel_phase(u_curr, g_curr, cfg, fine_fn, k)
-        fine_wall = _time.perf_counter() - t0
+    # Workers for an internal fine phase, sized for its widest iteration
+    # (k = 1).  The executor forks them all at its first submit, before it
+    # starts a thread of its own, so a run that stops at k = 0 starts none.
+    # Forked, not spawned: a worker inherits the loaded numpy and paratide
+    # instead of importing them afresh in every run, and this driver
+    # starts no thread that a fork could catch holding a lock.  Imported
+    # here, so that a run without workers does not load multiprocessing.
+    pool = None
+    workers = _fine_processes(cfg, cfg.layout.n_slices) - 1 if hasattr(fine_fn, "batch") else 0
+    if workers:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-        t0 = _time.perf_counter()
-        u_next, g_next, sweep_events = correction_sweep(
-            u_curr, fine_vals, deltas, g_curr, cfg, coarse_fn, k
-        )
-        corr_wall = _time.perf_counter() - t0
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        k = 0
+        while not stopped and k < cfg.iterations:
+            k += 1
+            t0 = _time.perf_counter()
+            fine_vals, deltas, fine_events = fine_parallel_phase(
+                u_curr, g_curr, cfg, fine_fn, k, pool
+            )
+            fine_wall = _time.perf_counter() - t0
 
-        all_events.extend(fine_events)
-        all_events.extend(sweep_events)
-        if sweep_events:
-            # The sequential chain broke: nothing meaningful follows.
-            aborted = True
-            abort_reason = sweep_events[-1].message
+            t0 = _time.perf_counter()
+            u_next, g_next, sweep_events = correction_sweep(
+                u_curr, fine_vals, deltas, g_curr, cfg, coarse_fn, k
+            )
+            corr_wall = _time.perf_counter() - t0
 
-        u_curr, g_curr = u_next, g_next
-        iterates.append(tuple(u_curr))
-        flagged = [e.slice_index for e in fine_events + sweep_events]
-        records.append(record_for(k, u_curr, corr_wall, fine_wall, flagged))
-        if run_dir is not None:
-            _write_iterate_checkpoints(run_dir, k, u_curr)
-        if aborted:
-            break
-        stopped = monitoring and converged(records[-1].errors)
+            all_events.extend(fine_events)
+            all_events.extend(sweep_events)
+            if sweep_events:
+                # The sequential chain broke: nothing meaningful follows.
+                aborted = True
+                abort_reason = sweep_events[-1].message
+
+            u_curr, g_curr = u_next, g_next
+            iterates.append(tuple(u_curr))
+            flagged = [e.slice_index for e in fine_events + sweep_events]
+            records.append(record_for(k, u_curr, corr_wall, fine_wall, flagged))
+            if run_dir is not None:
+                _write_iterate_checkpoints(run_dir, k, u_curr)
+            if aborted:
+                break
+            stopped = monitoring and converged(records[-1].errors)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     first_crossing: dict[Field, int | None] = {}
     if monitoring:

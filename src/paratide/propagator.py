@@ -28,6 +28,7 @@ configuration fault and raises SpawnFailureError.
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import tempfile
 import time as _time
@@ -216,6 +217,10 @@ def propagate(
     cold calls reproduce restart-file behavior.  Within a parallel-in-time
     run the inputs are synthesized by the correction algebra and carry no
     history, so slice propagation always bootstraps afresh there.
+
+    An external run without a workdir works in a fresh temporary directory,
+    removed once its output has been read; after a failure it is kept, since
+    the BlowUpError's log_path points into it.
     """
     t_end = int(t_end)
     span = t_end - state.time
@@ -247,7 +252,8 @@ def propagate(
     # External mode: state goes out and comes back through checkpoints.
     # Absolute: the child runs inside it, so a relative work directory would
     # make the --in/--out paths resolve one level too deep.
-    if workdir is None:
+    own_workdir = workdir is None
+    if own_workdir:
         workdir = tempfile.mkdtemp(prefix="paratide-run-")
     wd = Path(workdir).absolute()
     wd.mkdir(parents=True, exist_ok=True)
@@ -287,6 +293,8 @@ def propagate(
     if ck.state.time != t_end:
         raise failed(f"external propagator returned t={ck.state.time}, expected {t_end}")
     out_history = ck.step_history(spec.dt) if (warm and ck.history) else None
+    if own_workdir:
+        shutil.rmtree(wd)
     return PropagateResult(ck.state, out_history)
 
 

@@ -108,6 +108,11 @@ class ModelState:
             object.__setattr__(self, "data", self.data.astype(np.float64))
         _freeze(self.data)
 
+    def __reduce__(self):
+        # Unpickling goes through __init__, so a state that comes back from
+        # a worker process is frozen like any other.
+        return (ModelState, (self.grid, self.data, self.time))
+
     @classmethod
     def from_fields(cls, grid: Grid, fields: Mapping[Field, np.ndarray], time: int) -> "ModelState":
         return cls(grid, _stack_fields(grid, fields), time)

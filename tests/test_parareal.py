@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,7 @@ from paratide import (
     run_parareal,
 )
 from paratide.errors import BlowUpError
+from paratide import parareal
 from paratide.parareal import (
     coarse_init_sweep,
     correction_sweep,
@@ -207,6 +212,109 @@ def test_scheduling_independence_with_thread_pool(grid8):
     for ia, ib in zip(results[0].iterates, results[1].iterates):
         for a, b in zip(ia, ib):
             assert a.bit_equal(b)
+
+
+def pretend_cpus(monkeypatch, n):
+    """The internal fine phase sizes its process count by the CPUs this
+    process may use; pretend there are n so every worker count runs here."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def spiking_coarse(slice_length, spike_slice):
+    """Exact flow whose step across spike_slice multiplies the velocities by
+    1e4, so the internal fine lane starting after it breaks the velocity cap."""
+    spike = np.array([1e4, 1e4, 1.0, 1.0, 1.0])[:, None, None] * 0.9
+
+    def fn(state, n, k):
+        factor = spike if n == spike_slice else 0.9
+        return ModelState(state.grid, state.data * factor, state.time + slice_length)
+
+    return fn
+
+
+@pytest.mark.parametrize("policy", ["continue_uncorrected", "abort"])
+def test_worker_count_independence_internal_with_failing_lane(monkeypatch, grid8, policy):
+    # internal lanes split across 1, 2 and 4 processes; lane 4 blows up at
+    # k = 1 and sits in a worker's chunk at 2 and 4 processes.  Iterates,
+    # flagged slices and events, or the raised error, must not move a bit,
+    # and no worker outlives the run, whether it returns or raises.
+    pretend_cpus(monkeypatch, 4)
+    u0 = random_state(grid8, np.random.default_rng(5))
+    outcomes = []
+    for workers in (1, 2, 4):
+        cfg = small_cfg(n_slices=6, max_parallel_fine=workers, on_blow_up=policy)
+        coarse = spiking_coarse(cfg.layout.slice_length, spike_slice=3)
+        if policy == "abort":
+            with pytest.raises(BlowUpError) as err:
+                run_parareal(u0, cfg, ModelParams(), coarse_fn=coarse)
+            e = err.value
+            outcomes.append((str(e), e.step, e.report, e.slice_index, e.iteration))
+        else:
+            res = run_parareal(u0, cfg, ModelParams(), coarse_fn=coarse)
+            assert any(e.k == 1 and e.slice_index == 4 and e.phase == "fine" for e in res.blow_ups)
+            outcomes.append(res)
+        assert multiprocessing.active_children() == []
+    if policy == "abort":
+        assert outcomes[0][3:] == (4, 1)
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+        return
+    first = outcomes[0]
+    for res in outcomes[1:]:
+        assert res.blow_ups == first.blow_ups
+        assert [r.blow_up_slices for r in res.records] == [r.blow_up_slices for r in first.records]
+        assert len(res.iterates) == len(first.iterates)
+        for ia, ib in zip(res.iterates, first.iterates):
+            for a, b in zip(ia, ib):
+                assert a.bit_equal(b)
+
+
+def test_fine_phase_chunks_run_on_forked_workers(monkeypatch, tmp_path, grid8, params):
+    # at k = 1 with four processes the six lanes split into contiguous
+    # chunks of 1, 2, 1 and 2; this process takes the first, workers the rest
+    pretend_cpus(monkeypatch, 4)
+    cfg = small_cfg(n_slices=6, max_parallel_fine=4)
+    fine_fn = make_propagator(cfg.fine, params, cfg.layout)
+    u_prev = coarse_init_sweep(random_state(grid8, np.random.default_rng(9)), cfg,
+                               flow(0.9, cfg.layout.slice_length))
+    real = parareal.integrate_batch
+    log = tmp_path / "calls"
+
+    def spy(states, *args):
+        # forked workers inherit this patch and append to the same file
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {' '.join(str(s.time) for s in states)}\n")
+        return real(states, *args)
+
+    monkeypatch.setattr(parareal, "integrate_batch", spy)
+    with ProcessPoolExecutor(3, mp_context=multiprocessing.get_context("fork")) as pool:
+        fine_vals, _, events = fine_parallel_phase(u_prev, list(u_prev), cfg, fine_fn, 1, pool)
+    calls = sorted(
+        ([int(t) for t in line.split()[1:]], int(line.split()[0]))
+        for line in log.read_text().splitlines()
+    )
+    assert [times for times, _ in calls] == [[0], [600, 1200], [1800], [2400, 3000]]
+    assert calls[0][1] == os.getpid()
+    assert all(pid != os.getpid() for _, pid in calls[1:])
+
+    monkeypatch.setattr(parareal, "integrate_batch", real)
+    alone, _, _ = fine_parallel_phase(u_prev, list(u_prev), cfg, fine_fn, 1)
+    assert not events
+    for a, b in zip(fine_vals[1:], alone[1:]):
+        assert a.bit_equal(b)
+
+
+def test_worker_results_are_frozen(monkeypatch, grid8, params):
+    # states pickled back from a worker must be as immutable as any other
+    pretend_cpus(monkeypatch, 2)
+    cfg = small_cfg(n_slices=6, max_parallel_fine=2)
+    u0 = random_state(grid8, np.random.default_rng(11))
+    fine_fn = make_propagator(cfg.fine, params, cfg.layout)
+    u_prev = coarse_init_sweep(u0, cfg, flow(0.9, cfg.layout.slice_length))
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+        fine_vals, _, _ = fine_parallel_phase(u_prev, list(u_prev), cfg, fine_fn, 1, pool)
+    assert all(s.data.flags.writeable is False for s in fine_vals[1:])
+    res = run_parareal(u0, cfg, params, coarse_fn=flow(0.9, cfg.layout.slice_length))
+    assert all(s.data.flags.writeable is False for it in res.iterates for s in it)
 
 
 def test_fine_blow_up_continue_uncorrected(grid8):

@@ -1,5 +1,6 @@
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -239,3 +240,21 @@ def test_external_fault_is_blow_up_with_context(tmp_path, settled_state, params,
     assert err.value.slice_index == 4
     assert err.value.iteration == 1
     assert err.value.log_path == tmp_path / "w" / "run.log"
+
+
+def test_external_default_workdir_removed_after_success(tmp_path, monkeypatch, settled_state, params):
+    # the temporary directory propagate makes for itself is removed once the
+    # output is read, and kept after a failure for the log it holds
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    t_end = settled_state.time + 2400
+    internal = propagate(PropagatorSpec(72), settled_state, t_end, params)
+    spec = PropagatorSpec(72, mode="external", command=SINGLE_SHOT)
+    external = propagate(spec, settled_state, t_end, params)
+    assert external.state.bit_equal(internal.state)
+    assert list(tmp_path.iterdir()) == []
+
+    faulty = PropagatorSpec(72, mode="external", command=faulty_command(tmp_path, "junk"))
+    with pytest.raises(BlowUpError) as err:
+        propagate(faulty, settled_state, t_end, params)
+    assert err.value.log_path.parent.parent == tmp_path
+    assert err.value.log_path.exists()

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,14 @@ def test_state_arrays_frozen(grid8):
     s = constant_state(grid8)
     with pytest.raises(ValueError):
         s.data[0, 0, 0] = 1.0
+
+
+def test_unpickled_state_is_frozen(grid8):
+    # states come back from worker processes through pickle
+    s = constant_state(grid8, u=1.5, time=600)
+    back = pickle.loads(pickle.dumps(s))
+    assert back.bit_equal(s)
+    assert back.data.flags.writeable is False
 
 
 def test_step_history_invariants(grid8):
