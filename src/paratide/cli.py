@@ -35,7 +35,6 @@ from .errors import (
     IOFailureError,
 )
 from .solver import SECONDS_PER_DAY, ModelParams, integrate_history
-from .state import StepHistory
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -132,11 +131,7 @@ def _cmd_single_shot(args) -> int:
     dt = SECONDS_PER_DAY // args.spd
 
     ck = read_checkpoint(args.in_path, grid=grid)
-    if ck.history:
-        h = ck.step_history(dt)
-    else:
-        h = StepHistory(ck.state)
-    h = integrate_history(h, args.t_end, dt, params)
+    h = integrate_history(ck.step_history(dt), args.t_end, dt, params)
     write_checkpoint(
         h.current, h, args.out_path,
         slice_index=ck.slice_index, iteration=ck.iteration,

@@ -38,14 +38,7 @@ from .propagator import (
     restarted_serial_run,
     split_run,
 )
-from .solver import (
-    SECONDS_PER_DAY,
-    ModelParams,
-    StepHistory,
-    ab3_step,
-    integrate,
-    integrate_history,
-)
+from .solver import SECONDS_PER_DAY, ModelParams, integrate
 from .state import Field, FIELD_ORDER, Grid, ModelState
 
 _NOISE_MODES = 3
@@ -632,13 +625,10 @@ def slice_averaged_run(
     state = u0
     means = []
     for _ in range(layout.n_slices):
-        h = StepHistory(state)
         acc = np.zeros_like(state.data)
-        for _ in range(n_steps):
-            h = ab3_step(h, dt, params)
-            acc += h.current.data
+        state = integrate(state, state.time + layout.slice_length, dt, params,
+                          on_step=acc.__iadd__)
         means.append(acc / n_steps)
-        state = h.current
     return SliceAverages(spd=spd, layout=layout, means=tuple(means))
 
 
@@ -655,20 +645,3 @@ def time_averaged_study(
     ]
     return time_averaged_error_series(runs, config.reference_spd, config.monitored_fields)
 
-
-def spin_up_energy_series(
-    config: ExperimentConfig, sample_days: tuple[int, ...]
-) -> dict[int, float]:
-    """Kinetic energy of the spin-up trajectory at the given day marks."""
-    from .solver import kinetic_energy
-
-    dt = SECONDS_PER_DAY // config.spin_up_spd
-    state = initial_state(config.grid, config.params, config.seed)
-    h = StepHistory(state)
-    out = {}
-    if 0 in sample_days:
-        out[0] = kinetic_energy(state)
-    for day in sorted(d for d in sample_days if d > 0):
-        h = integrate_history(h, day * SECONDS_PER_DAY, dt, config.params)
-        out[day] = kinetic_energy(h.current)
-    return out

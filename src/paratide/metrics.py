@@ -122,12 +122,11 @@ class RuntimeRatioResult:
     inner_loops: int              # auto-scaled repetitions per timing
 
 
-def _time_workload(state: ModelState, dt: int, n_steps: int, params: ModelParams,
-                   loops: int) -> float:
-    t_end = state.time + n_steps * dt
+def _time_workload(state: ModelState, spec: PropagatorSpec, slice_seconds: int,
+                   params: ModelParams, loops: int) -> float:
     start = _time.perf_counter()
     for _ in range(loops):
-        integrate(state, t_end, dt, params)
+        integrate(state, state.time + slice_seconds, spec.dt, params)
     return _time.perf_counter() - start
 
 
@@ -152,17 +151,17 @@ def measure_runtime_ratio(
         raise ValueError("need at least 5 repetitions for a stable median")
     if slice_seconds % coarse.dt or slice_seconds % fine.dt:
         raise ValueError("slice must be a multiple of both step sizes")
-    n_coarse = slice_seconds // coarse.dt
-    n_fine = slice_seconds // fine.dt
 
-    once = _time_workload(state, coarse.dt, n_coarse, params, 1)
+    once = _time_workload(state, coarse, slice_seconds, params, 1)
     loops = max(1, int(np.ceil(min_wall / max(once, 1e-9))))
 
     ratios = []
-    for _ in range(repetitions):
-        t_coarse = _time_workload(state, coarse.dt, n_coarse, params, loops)
-        t_fine = _time_workload(state, fine.dt, n_fine, params, loops)
-        ratios.append(t_fine / t_coarse)
+    for rep in range(repetitions):
+        # Alternate which side runs first, so that a change of host speed
+        # between the two timings biases the samples both ways, not all alike.
+        sides = (coarse, fine) if rep % 2 == 0 else (fine, coarse)
+        t = [_time_workload(state, spec, slice_seconds, params, loops) for spec in sides]
+        ratios.append(t[1] / t[0] if rep % 2 == 0 else t[0] / t[1])
     ratios.sort()
     return RuntimeRatioResult(
         m=float(np.median(ratios)),

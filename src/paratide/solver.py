@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import BlowUpError, CFLImpossibleError, NonFiniteError, StepMismatchError
 from .state import (
+    N_FIELDS,
     Field,
     Grid,
     ModelState,
@@ -62,80 +63,203 @@ class ModelParams:
             raise ValueError("forcing_wavenumber must be an integer")
 
 
-@functools.lru_cache(maxsize=32)
-def _zonal_forcing(grid: Grid, amp: float, wavenumber: int) -> np.ndarray:
-    """Steady body force on u: amp * sin(2 pi k y / Ly), constant along x."""
-    j = np.arange(grid.ny, dtype=np.float64)
-    profile = amp * np.sin(2.0 * np.pi * wavenumber * j / grid.ny)
-    fx = np.broadcast_to(profile[:, None], (grid.ny, grid.nx)).copy()
-    fx.setflags(write=False)
-    return fx
+# Stepper buffers keep the fields in slot order: ETA first puts the fields
+# with a gradient (ETA, U, V) and those with a Laplacian (U, V, T, S) each in
+# one run.  _FIELD is the Field index of each slot, _SLOT the slot of each.
+_FIELD = (Field.ETA.value, Field.U.value, Field.V.value, Field.T.value, Field.S.value)
+_SLOT = tuple(_FIELD.index(f) for f in range(N_FIELDS))
 
 
-_U, _V, _ETA, _T, _S = (f.value for f in (Field.U, Field.V, Field.ETA, Field.T, Field.S))
+class _Stepper:
+    """Steps a stack of independent states ("lanes") that share one grid.
 
-
-def _rhs_core(data: np.ndarray, grid: Grid, p: ModelParams) -> np.ndarray:
-    """Tendency arithmetic on a (..., 5, ny, nx) block, no checks.
-
-    Works identically on a single state or on a batch of independent
-    states stacked along a leading axis: every operation is elementwise
-    (or a per-lane shift), so batched results are bit-identical to
-    one-by-one evaluation.  The dynamics are autonomous — nothing here
-    reads the clock — which is what lets lanes at different time stamps
-    share steps.
+    Built per call from the lanes' fields, with buffers of its own; a single
+    state is a batch of one.  A buffer holds zero-initialised, halo-padded
+    (ny+2, nx+2) planes, flat, slot by slot and within a slot lane by lane,
+    so every operation is one numpy call on a contiguous run; each step
+    phase is compiled once into a list of such calls.  The operation order
+    is frozen: it gives every lane the bits of a state stepped alone.  See
+    README, "Time stepping".
     """
-    # One set of stacked periodic shifts serves gradients, Laplacians AND
-    # the tracer fluxes: shifting commutes with elementwise products, so
-    # d/dx(uT) is assembled from shifted u and T without extra rolls.
-    xp = np.roll(data, -1, axis=-1)
-    xm = np.roll(data, 1, axis=-1)
-    yp = np.roll(data, -1, axis=-2)
-    ym = np.roll(data, 1, axis=-2)
 
-    cx = 0.5 / grid.dx
-    cy = 0.5 / grid.dy
-    gx = (xp[..., :3, :, :] - xm[..., :3, :, :]) * cx
-    gy = (yp[..., :3, :, :] - ym[..., :3, :, :]) * cy
-    if grid.dx == grid.dy:
-        lap = xp + xm
-        lap += yp
-        lap += ym
-        lap -= 4.0 * data
-        lap *= 1.0 / grid.dx**2
-    else:
-        lap = (xp + xm - 2.0 * data) * (1.0 / grid.dx**2)
-        lap += (yp + ym - 2.0 * data) * (1.0 / grid.dy**2)
+    def __init__(self, grid: Grid, p: ModelParams, lanes: Sequence[np.ndarray]):
+        self.grid, self.p, self.lanes = grid, p, len(lanes)
+        self.w = w = grid.nx + 2
+        self.size = size = self.lanes * (grid.ny + 2) * w   # one slot of every lane
+        slots = [N_FIELDS] * 10 + [3, 3, 2, 2]   # per buffer, carved from one allocation
+        block, ends = np.zeros(sum(slots) * size), np.cumsum(slots) * size
+        (self.state, self.pred, self.work, self.work2, self.lap, self.a, self.b, *self.ring,
+         self.gx, self.gy, self.fx, self.fy) = (block[e - k * size : e] for k, e in zip(slots, ends))
+        j = np.arange(grid.ny, dtype=np.float64)
+        self.forcing = np.zeros((self.lanes, grid.ny + 2, w))   # zonal body force on u
+        self.forcing[:, 1:-1] = (p.forcing_amp * np.sin(
+            2.0 * np.pi * int(p.forcing_wavenumber) * j / grid.ny))[:, None]
+        # |x| <= limit fails on NaN and inf: one test checks finiteness and the cap.
+        fmax = np.finfo(np.float64).max
+        cap = min(p.velocity_cap, fmax)
+        self.limits = np.array([[fmax], [cap], [cap], [fmax], [fmax]])
+        self.interior = self._planes(self.state)[..., 1:-1, 1:-1]   # (slot, lane, ny, nx)
+        self.programs: dict[tuple[int, int], list] = {}
+        for lane, src in enumerate(lanes):
+            self.interior[:, lane] = src[_FIELD, ...]
+        for fn, args in self._refresh_ops(self.state):
+            fn(*args)
 
-    u = data[..., _U, :, :]
-    v = data[..., _V, :, :]
+    def _planes(self, buf: np.ndarray) -> np.ndarray:
+        return buf.reshape(-1, self.lanes, self.grid.ny + 2, self.w)
 
-    out = np.empty_like(data)
-    out[..., _U, :, :] = (
-        p.f0 * v
-        - (u * gx[..., _U, :, :] + v * gy[..., _U, :, :])
-        - p.g * gx[..., _ETA, :, :]
-        + p.nu_h * lap[..., _U, :, :]
-        + _zonal_forcing(grid, p.forcing_amp, int(p.forcing_wavenumber))
-    )
-    out[..., _V, :, :] = (
-        -p.f0 * u
-        - (u * gx[..., _V, :, :] + v * gy[..., _V, :, :])
-        - p.g * gy[..., _ETA, :, :]
-        + p.nu_h * lap[..., _V, :, :]
-    )
-    out[..., _ETA, :, :] = -p.H * (gx[..., _U, :, :] + gy[..., _V, :, :])
+    def _span(self, buf, first, last, shift=0):
+        """Slots [first, last) of every lane, from the first interior row to
+        the last, moved by shift."""
+        return buf[first * self.size + self.w + shift : last * self.size - self.w + shift]
 
-    # Tracers in flux form: the divergence telescopes over the periodic
-    # grid, so grid means of T and S are conserved to round-off.
-    div = (xp[..., _U : _U + 1, :, :] * xp[..., _T:, :, :]
-           - xm[..., _U : _U + 1, :, :] * xm[..., _T:, :, :]) * cx
-    div += (yp[..., _V : _V + 1, :, :] * yp[..., _T:, :, :]
-            - ym[..., _V : _V + 1, :, :] * ym[..., _T:, :, :]) * cy
-    out[..., _T, :, :] = p.kappa * lap[..., _T, :, :] - div[..., 0, :, :]
-    out[..., _S, :, :] = p.kappa * lap[..., _S, :, :] - div[..., 1, :, :]
+    def _refresh_ops(self, buf) -> list:
+        b, ny, nx = self._planes(buf), self.grid.ny, self.grid.nx
+        # halo columns 0, nx+1 from nx, 1; then whole halo rows 0, ny+1 from ny, 1
+        return [(np.copyto, (b[..., 1:-1, :: nx + 1], b[..., 1:-1, nx : 0 : 1 - nx])),
+                (np.copyto, (b[..., :: ny + 1, :], b[..., ny : 0 : 1 - ny, :]))]
 
-    return out
+    def _rhs_ops(self, s, out) -> list:
+        """The tendency of the padded lanes s into out."""
+        n, w, p, span = self.size, self.w, self.p, self._span
+        gx, gy, lap, a, b, work, fx, fy = (
+            self.gx, self.gy, self.lap, self.a, self.b, self.work, self.fx, self.fy)
+        sub, mul, add = np.subtract, np.multiply, np.add
+        cx, cy = 0.5 / self.grid.dx, 0.5 / self.grid.dy
+
+        # u's part of the momentum run is head(., 1), v's is tail(., 2): a
+        # cross term such as f0 v in the u equation is one call per part.
+        def head(buf, slot):
+            return buf[slot * n + w : (slot + 1) * n]
+
+        def tail(buf, slot):
+            return buf[slot * n : (slot + 1) * n - w]
+
+        g3, y3, l4, w4 = span(gx, 0, 3), span(gy, 0, 3), span(lap, 1, 5), span(work, 1, 5)
+        uv, a2, eta, ts, a_ts, b_ts = (span(out, 1, 3), span(a, 1, 3), span(out, 0, 1),
+                                       span(out, 3, 5), span(a, 3, 5), span(b, 3, 5))
+        ops = [  # d/dx and d/dy of ETA, U, V; Laplacian of U, V, T, S
+            (sub, (span(s, 0, 3, 1), span(s, 0, 3, -1), g3)), (mul, (g3, cx, g3)),
+            (sub, (span(s, 0, 3, w), span(s, 0, 3, -w), y3)), (mul, (y3, cy, y3)),
+            (add, (span(s, 1, 5, 1), span(s, 1, 5, -1), l4))]
+        if self.grid.dx == self.grid.dy:
+            ops += [(add, (l4, span(s, 1, 5, w), l4)), (add, (l4, span(s, 1, 5, -w), l4)),
+                    (mul, (span(s, 1, 5), 4.0, w4)), (sub, (l4, w4, l4)),
+                    (mul, (l4, 1.0 / self.grid.dx**2, l4))]
+        else:
+            y4 = span(self.work2, 1, 5)
+            ops += [(mul, (span(s, 1, 5), 2.0, w4)), (sub, (l4, w4, l4)),
+                    (mul, (l4, 1.0 / self.grid.dx**2, l4)),
+                    (add, (span(s, 1, 5, w), span(s, 1, 5, -w), y4)), (sub, (y4, w4, y4)),
+                    (mul, (y4, 1.0 / self.grid.dy**2, y4)), (add, (l4, y4, l4))]
+        return ops + [
+            # f0 v - (u du/dx + v du/dy) - g deta/dx + nu lap u + F, and
+            # -f0 u - (u dv/dx + v dv/dy) - g deta/dy + nu lap v
+            (mul, (head(s, 2), p.f0, head(out, 1))), (mul, (tail(s, 1), -p.f0, tail(out, 2))),
+            (mul, (head(s, 1), head(gx, 1), head(a, 1))), (mul, (tail(s, 1), tail(gx, 2), tail(a, 2))),
+            (mul, (head(s, 2), head(gy, 1), head(b, 1))), (mul, (tail(s, 2), tail(gy, 2), tail(b, 2))),
+            (add, (a2, span(b, 1, 3), a2)), (sub, (uv, a2, uv)),
+            (mul, (head(gx, 0), p.g, head(a, 1))), (mul, (tail(gy, 0), p.g, tail(a, 2))),
+            (sub, (uv, a2, uv)), (mul, (span(lap, 1, 3), p.nu_h, a2)), (add, (uv, a2, uv)),
+            (add, (head(out, 1), self.forcing.ravel()[w:], head(out, 1))),
+            # -H (du/dx + dv/dy)
+            (add, (span(gx, 1, 2), span(gy, 2, 3), eta)), (mul, (eta, -p.H, eta)),
+            # kappa lap T - (d(uT)/dx + d(vT)/dy), and for S: in flux form the
+            # divergence telescopes over the periodic grid, so the grid means
+            # of T and S are conserved to round-off.  A neighbour's flux is
+            # the product of its values, so uT, uS, vT, vS are formed once.
+            (mul, (s[n : 2 * n], s[3 * n : 4 * n], fx[:n])),
+            (mul, (s[n : 2 * n], s[4 * n :], fx[n:])),
+            (mul, (s[2 * n : 3 * n], s[3 * n : 4 * n], fy[:n])),
+            (mul, (s[2 * n : 3 * n], s[4 * n :], fy[n:])),
+            (sub, (fx[w + 1 : 2 * n - w + 1], fx[w - 1 : 2 * n - w - 1], a_ts)),
+            (mul, (a_ts, cx, a_ts)),
+            (sub, (fy[2 * w :], fy[: 2 * n - 2 * w], b_ts)), (mul, (b_ts, cy, b_ts)),
+            (add, (a_ts, b_ts, a_ts)), (mul, (span(lap, 3, 5), p.kappa, ts)), (sub, (ts, a_ts, ts)),
+        ]
+
+    def _program(self, k: int, order: int, dt: int) -> list:
+        """A step whose fresh tendency goes to ring[k] (step i's tendency is
+        in ring[i % 3]): trapezoid (order 0), AB2 (1) or AB3 (2)."""
+        if (k, order) in self.programs:
+            return self.programs[(k, order)]
+        f_n, f_m1, f_m2 = (self._span(self.ring[(k - j) % 3], 0, 5) for j in range(3))
+        new, work, work2, pred = (self._span(b, 0, 5) for b in (self.state, self.work, self.work2, self.pred))
+        mul, add = np.multiply, np.add
+        ops = self._rhs_ops(self.state, self.ring[k])
+        if order == 0:   # on a cold start f_m2's slot is free for the predictor's tendency
+            ops += [(mul, (f_n, dt, work)), (add, (new, work, pred)), *self._refresh_ops(self.pred),
+                    *self._rhs_ops(self.pred, self.ring[(k - 2) % 3]),
+                    (add, (f_n, f_m2, work)), (mul, (work, 0.5 * dt, work))]
+        elif order == 1:
+            ops += [(mul, (f_n, dt * _AB2[0], work)), (mul, (f_m1, dt * _AB2[1], work2)),
+                    (add, (work, work2, work))]
+        else:
+            ops += [(mul, (f_n, dt * _AB3[0], work)), (mul, (f_m1, dt * _AB3[1], work2)),
+                    (add, (work, work2, work)), (mul, (f_m2, dt * _AB3[2], work2)),
+                    (add, (work, work2, work))]
+        ops += [(add, (new, work, new)), *self._refresh_ops(self.state)]
+        self.programs[(k, order)] = ops
+        return ops
+
+    def tendency(self) -> np.ndarray:
+        """Lane 0's tendency, in Field order."""
+        for fn, args in self._rhs_ops(self.state, self.ring[0]):
+            fn(*args)
+        return self.tendency_of(0)
+
+    def run(self, priors: Sequence[np.ndarray], n_steps: int, dt: int, *,
+            strict: bool = False, on_step=None) -> dict[int, tuple[int, np.ndarray]]:
+        """Advance the loaded lanes n_steps steps of dt, warm from priors:
+        the last two or fewer (L, 5, ny, nx) tendencies, oldest first.
+
+        Returns {lane: (step, fields)} for each lane at its first step that
+        turned non-finite or broke the velocity cap; stepping stops once all
+        lanes have failed.  strict: a non-finite input or trapezoid predictor
+        raises NonFiniteError.  on_step gets lane 0's fields after each step.
+        """
+        for k, prior in zip((1, 2)[2 - len(priors):], priors):
+            self._planes(self.ring[k])[..., 1:-1, 1:-1] = prior.swapaxes(0, 1)[_FIELD, ...]
+        peaks = self.work.reshape(N_FIELDS, self.lanes, -1)
+        failures: dict[int, tuple[int, np.ndarray]] = {}
+        # Failed lanes step on with NaN/inf values (their results are
+        # discarded): np.seterr silences that numpy noise until the run ends.
+        with np.errstate():
+            if not np.isfinite(self.state).all():
+                if strict:
+                    raise NonFiniteError("rhs requires a finite state")
+                np.seterr(over="ignore", invalid="ignore")
+            for i in range(n_steps):
+                order = min(len(priors) + i, 2)
+                for fn, args in self._program(i % 3, order, dt):
+                    fn(*args)
+                if strict and order == 0 and not np.isfinite(self.pred).all():
+                    raise NonFiniteError("rhs requires a finite state")
+                np.abs(self.state, self.work)
+                ok = peaks.max(axis=2) <= self.limits
+                if not ok.all():
+                    for lane in np.flatnonzero(~ok.all(axis=0)):
+                        if lane not in failures:
+                            failures[int(lane)] = (i, self.lane(lane))
+                    np.seterr(over="ignore", invalid="ignore")
+                    if len(failures) == self.lanes:
+                        break
+                if on_step is not None:
+                    on_step(self.lane(0))
+        return failures
+
+    def lane(self, lane: int) -> np.ndarray:
+        """The lane's (5, ny, nx) fields in Field order, copied."""
+        return self.interior[_SLOT, lane]
+
+    def tendency_of(self, step: int) -> np.ndarray:
+        """Lane 0's tendency at one of the last three steps, in Field order."""
+        return self._planes(self.ring[step % 3])[_SLOT, 0, 1:-1, 1:-1]
+
+
+def _blow_up(bad: ModelState, step: int, p: ModelParams) -> BlowUpError:
+    report = validate_state(bad, p.velocity_cap)
+    return BlowUpError(f"step to t={bad.time} diverged: {report}", report, step=step)
 
 
 def rhs(s: ModelState, p: ModelParams) -> Tendency:
@@ -146,88 +270,55 @@ def rhs(s: ModelState, p: ModelParams) -> Tendency:
     """
     if not s.is_finite():
         raise NonFiniteError("rhs requires a finite state")
-    return Tendency(s.grid, _rhs_core(s.data, s.grid, p))
+    return Tendency(s.grid, _Stepper(s.grid, p, [s.data]).tendency())
 
 
-def ab3_step(h: StepHistory, dt: int, p: ModelParams) -> StepHistory:
-    """Advance one step, bootstrapping through trapezoid and AB2.
-
-    With no prior tendencies the step is an explicit trapezoid (Heun)
-    step; with one it is two-step Adams-Bashforth; with two or more it is
-    AB3.  The fresh tendency is appended to the history and the oldest
-    entry beyond three is dropped.
-    """
-    dt = int(dt)
-    if dt <= 0:
-        raise StepMismatchError(f"dt must be a positive integer second count, got {dt}")
-    s = h.current
-    if h.tendencies and h.tendencies[-1][0] != s.time - dt:
-        raise StepMismatchError(
-            f"history was built at a different step size: last tendency at "
-            f"t={h.tendencies[-1][0]}, expected t={s.time - dt}"
-        )
-
-    f_n = rhs(s, p)
-    n_prior = len(h.tendencies)
-    if n_prior == 0:
-        predictor = ModelState(s.grid, s.data + dt * f_n.data, s.time + dt)
-        f_pred = rhs(predictor, p)
-        new_data = s.data + (0.5 * dt) * (f_n.data + f_pred.data)
-    elif n_prior == 1:
-        f_m1 = h.tendencies[-1][1]
-        new_data = f_n.data * (dt * _AB2[0])
-        new_data += f_m1.data * (dt * _AB2[1])
-        new_data += s.data
-    else:
-        f_m1 = h.tendencies[-1][1]
-        f_m2 = h.tendencies[-2][1]
-        new_data = f_n.data * (dt * _AB3[0])
-        scratch = f_m1.data * (dt * _AB3[1])
-        new_data += scratch
-        np.multiply(f_m2.data, dt * _AB3[2], out=scratch)
-        new_data += scratch
-        new_data += s.data
-
-    new_state = ModelState(s.grid, new_data, s.time + dt)
-    report = validate_state(new_state, p.velocity_cap)
-    if report is not None:
-        raise BlowUpError(f"step to t={new_state.time} diverged: {report}", report)
-
-    tendencies = (h.tendencies + ((s.time, f_n),))[-3:]
-    return StepHistory(new_state, tendencies)
-
-
-def _check_window(t_start: int, t_end: int, dt: int) -> int:
+def _check_window(span: int, dt: int) -> int:
     if dt <= 0 or SECONDS_PER_DAY % dt != 0:
         raise StepMismatchError(f"dt={dt} is not an integer divisor of 86400")
-    span = t_end - t_start
-    if span <= 0:
-        raise StepMismatchError(f"t_end={t_end} must be after t_start={t_start}")
-    if span % dt != 0:
-        raise StepMismatchError(f"window of {span}s is not a multiple of dt={dt}")
+    if span <= 0 or span % dt != 0:
+        raise StepMismatchError(f"window of {span}s is not a positive multiple of dt={dt}")
     return span // dt
 
 
-def integrate_history(h: StepHistory, t_end: int, dt: int, p: ModelParams) -> StepHistory:
-    """Step an existing history forward to t_end (warm continuation)."""
-    n_steps = _check_window(h.current.time, int(t_end), int(dt))
-    for i in range(n_steps):
-        try:
-            h = ab3_step(h, dt, p)
-        except BlowUpError as err:
-            err.step = i
-            raise
-    return h
+def integrate_history(
+    h: StepHistory, t_end: int, dt: int, p: ModelParams, on_step=None
+) -> StepHistory:
+    """Step an existing history forward to t_end (warm continuation).
+
+    With no prior tendency a step is an explicit trapezoid (Heun) step, with
+    one AB2, with two or more AB3.  A failing step raises BlowUpError with
+    its index.  on_step, if given, gets a copy of each new state's fields.
+    """
+    s, dt = h.current, int(dt)
+    n_steps = _check_window(int(t_end) - s.time, dt)
+    if h.tendencies and h.tendencies[-1][0] != s.time - dt:
+        raise StepMismatchError(f"history was built at a different step size: last tendency "
+                                f"at t={h.tendencies[-1][0]}, expected t={s.time - dt}")
+    stepper = _Stepper(s.grid, p, [s.data])
+    priors = [t.data[None] for _, t in h.tendencies[-2:]]
+    failures = stepper.run(priors, n_steps, dt, strict=True, on_step=on_step)
+    if failures:
+        step, data = failures[0]
+        raise _blow_up(ModelState(s.grid, data, s.time + (step + 1) * dt), step, p)
+    fresh = tuple((s.time + i * dt, Tendency(s.grid, stepper.tendency_of(i)))
+                  for i in range(max(n_steps - 3, 0), n_steps))
+    return StepHistory(ModelState(s.grid, stepper.lane(0), int(t_end)), (h.tendencies + fresh)[-3:])
 
 
-def integrate(s: ModelState, t_end: int, dt: int, p: ModelParams) -> ModelState:
+def ab3_step(h: StepHistory, dt: int, p: ModelParams) -> StepHistory:
+    """Advance one step (see integrate_history)."""
+    return integrate_history(h, h.current.time + int(dt), dt, p)
+
+
+def integrate(s: ModelState, t_end: int, dt: int, p: ModelParams, on_step=None) -> ModelState:
     """Cold-start integration: the multistep history is rebuilt from scratch.
 
     This mirrors restart-file continuation, where the integrator memory is
     not part of the restart payload; split runs therefore deviate slightly
     from unsplit ones.  Use integrate_history to carry memory across calls.
     """
-    return integrate_history(StepHistory(s), t_end, dt, p).current
+    return integrate_history(StepHistory(s), t_end, dt, p, on_step).current
 
 
 def integrate_batch(
@@ -235,77 +326,27 @@ def integrate_batch(
 ) -> list["ModelState | BlowUpError"]:
     """Cold-start integration of independent states, stacked along a lane axis.
 
-    Bit-identical to calling integrate on each state (the step arithmetic
-    replicates ab3_step operation for operation and everything is
-    elementwise), but one numpy call now serves every lane, which is what
-    makes a wide parallel fine phase cheap in-process.  States may sit at
-    different time stamps; the dynamics are autonomous.
-
-    A lane that blows up is reported as a BlowUpError carrying the failing
-    step index, without disturbing the other lanes.
+    Bit-identical to integrate on each state (the dynamics are autonomous,
+    so time stamps may differ).  A lane that blows up comes back as a
+    BlowUpError with the failing step index; the other lanes go on.
     """
     states = list(states)
     if not states:
         return []
     grid = states[0].grid
-    for s in states:
-        if s.grid != grid:
-            raise StepMismatchError("batch lanes must share one grid")
-    duration = int(duration)
-    dt = int(dt)
-    if dt <= 0 or SECONDS_PER_DAY % dt != 0:
-        raise StepMismatchError(f"dt={dt} is not an integer divisor of 86400")
-    if duration <= 0 or duration % dt != 0:
-        raise StepMismatchError(f"window of {duration}s is not a multiple of dt={dt}")
-    n_steps = duration // dt
-
-    batch = np.stack([s.data for s in states])
-    n_lanes = batch.shape[0]
-    alive = np.ones(n_lanes, dtype=bool)
-    failures: dict[int, tuple[int, np.ndarray]] = {}
-
-    f_m1 = f_m2 = None
-    # Dead lanes keep stepping on NaN/inf values (their results are
-    # discarded); silence the numpy noise that produces.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            f_n = _rhs_core(batch, grid, p)
-            if i == 0:
-                predictor = batch + dt * f_n
-                f_pred = _rhs_core(predictor, grid, p)
-                batch = batch + (0.5 * dt) * (f_n + f_pred)
-            elif i == 1:
-                new = f_n * (dt * _AB2[0])
-                new += f_m1 * (dt * _AB2[1])
-                new += batch
-                batch = new
-            else:
-                new = f_n * (dt * _AB3[0])
-                scratch = f_m1 * (dt * _AB3[1])
-                new += scratch
-                np.multiply(f_m2, dt * _AB3[2], out=scratch)
-                new += scratch
-                new += batch
-                batch = new
-            f_m2, f_m1 = f_m1, f_n
-
-            ok = np.isfinite(batch).all(axis=(1, 2, 3))
-            ok &= np.abs(batch[:, :2]).max(axis=(1, 2, 3)) <= p.velocity_cap
-            for lane in np.nonzero(alive & ~ok)[0]:
-                failures[int(lane)] = (i, batch[lane].copy())
-                alive[lane] = False
-
+    if any(s.grid != grid for s in states):
+        raise StepMismatchError("batch lanes must share one grid")
+    duration, dt = int(duration), int(dt)
+    n_steps = _check_window(duration, dt)
+    stepper = _Stepper(grid, p, [s.data for s in states])
+    failures = stepper.run((), n_steps, dt)
     results: list[ModelState | BlowUpError] = []
     for lane, s in enumerate(states):
         if lane in failures:
             step, data = failures[lane]
-            bad = ModelState(grid, data, s.time + (step + 1) * dt)
-            report = validate_state(bad, p.velocity_cap)
-            results.append(
-                BlowUpError(f"step to t={bad.time} diverged: {report}", report, step=step)
-            )
+            results.append(_blow_up(ModelState(grid, data, s.time + (step + 1) * dt), step, p))
         else:
-            results.append(ModelState(grid, batch[lane].copy(), s.time + duration))
+            results.append(ModelState(grid, stepper.lane(lane), s.time + duration))
     return results
 
 
@@ -345,9 +386,3 @@ def cfl_max_dt(
             break
     return best
 
-
-def kinetic_energy(s: ModelState) -> float:
-    """Grid-mean kinetic energy density 0.5 (u^2 + v^2)."""
-    u = s.field(Field.U)
-    v = s.field(Field.V)
-    return float(0.5 * np.mean(u * u + v * v))

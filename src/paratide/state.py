@@ -131,9 +131,6 @@ class ModelState:
     def with_time(self, time: int) -> "ModelState":
         return ModelState(self.grid, self.data, time)
 
-    def with_data(self, data: np.ndarray) -> "ModelState":
-        return ModelState(self.grid, data, self.time)
-
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.data).all())
 

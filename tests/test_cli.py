@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from paratide import ModelParams, read_checkpoint, write_checkpoint
+from paratide import ModelParams, ModelState, StepHistory, read_checkpoint, write_checkpoint
 from paratide.cli import main
-from paratide.solver import integrate
+from paratide.solver import integrate, integrate_history
 
 from conftest import constant_state, random_state
 
@@ -108,6 +108,38 @@ def test_single_shot_blow_up_exits_3(tmp_path, grid8):
     ])
     assert rc == 3
     assert not (tmp_path / "o.prcp").exists()
+
+
+def test_single_shot_non_finite_input_exits_2(tmp_path, grid8, capsys):
+    # a non-finite input is rejected before any step, not reported as a
+    # blow-up of the integration
+    data = random_state(grid8, np.random.default_rng(3)).data.copy()
+    data[2, 4, 4] = np.nan
+    write_checkpoint(ModelState(grid8, data, 0), None, tmp_path / "in.prcp")
+    rc = main([
+        "single-shot", "--in", str(tmp_path / "in.prcp"), "--out", str(tmp_path / "o.prcp"),
+        "--t-end", "2400", "--spd", "36",
+    ])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "o.prcp").exists()
+
+
+def test_single_shot_warm_history_round_trip(tmp_path, grid8, params):
+    # a checkpoint with tendencies continues warm, bit-identical to the
+    # unsplit run, and writes the last three tendencies back
+    s = random_state(grid8, np.random.default_rng(6))
+    h = integrate_history(StepHistory(s), 2 * 2400, 2400, params)
+    write_checkpoint(h.current, h, tmp_path / "in.prcp")
+    rc = main([
+        "single-shot", "--in", str(tmp_path / "in.prcp"), "--out", str(tmp_path / "o.prcp"),
+        "--t-end", str(4 * 2400), "--spd", "36",
+    ])
+    assert rc == 0
+    whole = integrate_history(StepHistory(s), 4 * 2400, 2400, params)
+    expected = tmp_path / "expected.prcp"
+    write_checkpoint(whole.current, whole, expected)
+    assert (tmp_path / "o.prcp").read_bytes() == expected.read_bytes()
 
 
 def test_single_shot_bad_spd_exits_2(tmp_path, grid8):

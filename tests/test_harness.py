@@ -11,12 +11,10 @@ from paratide.harness import (
     runs_root,
     serial_reference,
     spin_up,
-    spin_up_energy_series,
     time_averaged_study,
 )
 from paratide.metrics import ERROR_CSV_HEADER
 
-from conftest import CONFIG_DIR
 
 SMALL = """
 [config]
@@ -68,16 +66,6 @@ def test_seeded_fields_structure(small_config):
     deta_dy = (np.roll(s.field(Field.ETA), -1, 0) - np.roll(s.field(Field.ETA), 1, 0)) / (2 * s.grid.dy)
     expected_u = -(small_config.params.g / small_config.params.f0) * deta_dy
     assert np.array_equal(s.field(Field.U), expected_u)
-
-
-def test_spin_up_energy_settles(monkeypatch, tmp_path):
-    # 30-day default spin-up: kinetic energy at the end stays within a
-    # factor of ten of its day-20 value
-    monkeypatch.setenv("PARAREAL_RUNS_DIR", str(tmp_path / "runs"))
-    config = parse_config(CONFIG_DIR / "exp1.conf")
-    series = spin_up_energy_series(config, (20, 30))
-    assert series[20] > 0.0
-    assert 0.1 <= series[30] / series[20] <= 10.0
 
 
 def test_serial_reference_cached_bit_exact(small_config):

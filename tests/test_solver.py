@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from paratide import Field, Grid, ModelParams, ModelState, ab3_step, cfl_max_dt, rhs
-from paratide.errors import BlowUpError, CFLImpossibleError, StepMismatchError
+from paratide.errors import BlowUpError, CFLImpossibleError, NonFiniteError, StepMismatchError
 from paratide.solver import (
     StepHistory,
     Tendency,
@@ -10,6 +10,7 @@ from paratide.solver import (
     integrate_batch,
     integrate_history,
 )
+from paratide.state import validate_state
 
 from conftest import constant_state, random_state
 
@@ -306,3 +307,307 @@ def test_history_step_size_guard(grid8, params):
     h = integrate_history(StepHistory(s), 4800, 2400, params)
     with pytest.raises(StepMismatchError):
         ab3_step(h, 1200, params)
+
+
+# --------------------------------------------------------------------------
+# The stepping kernel against the np.roll formulation it replaced.  The
+# oracle below is that formulation, operation for operation: a periodic-shift
+# tendency and a one-step-at-a-time trapezoid -> AB2 -> AB3 chain.  The kernel
+# must reproduce it bit for bit, on any grid, lane count and warm history.
+
+_U, _V, _ETA, _T, _S = range(5)
+_AB3 = (23.0 / 12.0, -16.0 / 12.0, 5.0 / 12.0)
+_AB2 = (1.5, -0.5)
+
+
+def roll_rhs_core(data, grid, p):
+    xp = np.roll(data, -1, axis=-1)
+    xm = np.roll(data, 1, axis=-1)
+    yp = np.roll(data, -1, axis=-2)
+    ym = np.roll(data, 1, axis=-2)
+
+    cx = 0.5 / grid.dx
+    cy = 0.5 / grid.dy
+    gx = (xp[..., :3, :, :] - xm[..., :3, :, :]) * cx
+    gy = (yp[..., :3, :, :] - ym[..., :3, :, :]) * cy
+    if grid.dx == grid.dy:
+        lap = xp + xm
+        lap += yp
+        lap += ym
+        lap -= 4.0 * data
+        lap *= 1.0 / grid.dx**2
+    else:
+        lap = (xp + xm - 2.0 * data) * (1.0 / grid.dx**2)
+        lap += (yp + ym - 2.0 * data) * (1.0 / grid.dy**2)
+
+    u = data[..., _U, :, :]
+    v = data[..., _V, :, :]
+    j = np.arange(grid.ny, dtype=np.float64)
+    profile = p.forcing_amp * np.sin(2.0 * np.pi * int(p.forcing_wavenumber) * j / grid.ny)
+    forcing = np.broadcast_to(profile[:, None], (grid.ny, grid.nx)).copy()
+
+    out = np.empty_like(data)
+    out[..., _U, :, :] = (
+        p.f0 * v
+        - (u * gx[..., _U, :, :] + v * gy[..., _U, :, :])
+        - p.g * gx[..., _ETA, :, :]
+        + p.nu_h * lap[..., _U, :, :]
+        + forcing
+    )
+    out[..., _V, :, :] = (
+        -p.f0 * u
+        - (u * gx[..., _V, :, :] + v * gy[..., _V, :, :])
+        - p.g * gy[..., _ETA, :, :]
+        + p.nu_h * lap[..., _V, :, :]
+    )
+    out[..., _ETA, :, :] = -p.H * (gx[..., _U, :, :] + gy[..., _V, :, :])
+    div = (xp[..., _U : _U + 1, :, :] * xp[..., _T:, :, :]
+           - xm[..., _U : _U + 1, :, :] * xm[..., _T:, :, :]) * cx
+    div += (yp[..., _V : _V + 1, :, :] * yp[..., _T:, :, :]
+            - ym[..., _V : _V + 1, :, :] * ym[..., _T:, :, :]) * cy
+    out[..., _T, :, :] = p.kappa * lap[..., _T, :, :] - div[..., 0, :, :]
+    out[..., _S, :, :] = p.kappa * lap[..., _S, :, :] - div[..., 1, :, :]
+    return out
+
+
+def roll_rhs(s, p):
+    if not s.is_finite():
+        raise NonFiniteError("rhs requires a finite state")
+    return Tendency(s.grid, roll_rhs_core(s.data, s.grid, p))
+
+
+def roll_ab3_step(h, dt, p):
+    s = h.current
+    f_n = roll_rhs(s, p)
+    n_prior = len(h.tendencies)
+    if n_prior == 0:
+        predictor = ModelState(s.grid, s.data + dt * f_n.data, s.time + dt)
+        f_pred = roll_rhs(predictor, p)
+        new_data = s.data + (0.5 * dt) * (f_n.data + f_pred.data)
+    elif n_prior == 1:
+        f_m1 = h.tendencies[-1][1]
+        new_data = f_n.data * (dt * _AB2[0])
+        new_data += f_m1.data * (dt * _AB2[1])
+        new_data += s.data
+    else:
+        f_m1 = h.tendencies[-1][1]
+        f_m2 = h.tendencies[-2][1]
+        new_data = f_n.data * (dt * _AB3[0])
+        scratch = f_m1.data * (dt * _AB3[1])
+        new_data += scratch
+        np.multiply(f_m2.data, dt * _AB3[2], out=scratch)
+        new_data += scratch
+        new_data += s.data
+
+    new_state = ModelState(s.grid, new_data, s.time + dt)
+    report = validate_state(new_state, p.velocity_cap)
+    if report is not None:
+        raise BlowUpError(f"step to t={new_state.time} diverged: {report}", report)
+    return StepHistory(new_state, (h.tendencies + ((s.time, f_n),))[-3:])
+
+
+def roll_integrate_history(h, n_steps, dt, p):
+    for i in range(n_steps):
+        try:
+            h = roll_ab3_step(h, dt, p)
+        except BlowUpError as err:
+            err.step = i
+            raise
+    return h
+
+
+def assert_same_history(a, b):
+    assert a.current.bit_equal(b.current)
+    assert [t for t, _ in a.tendencies] == [t for t, _ in b.tendencies]
+    for (_, x), (_, y) in zip(a.tendencies, b.tendencies):
+        assert x.data.tobytes() == y.data.tobytes()
+
+
+def assert_same_blow_up(a, b):
+    assert (a.step, str(a)) == (b.step, str(b))
+    r, q = a.report, b.report
+    assert (r.field_name, r.index, r.reason) == (q.field_name, q.index, q.reason)
+    assert np.array_equal(r.value, q.value, equal_nan=True)
+
+
+KERNEL_GRIDS = [
+    Grid(8, 8, 50_000.0, 50_000.0),
+    Grid(8, 8, 50_000.0, 30_000.0),
+    Grid(32, 32, 50_000.0, 50_000.0),
+    Grid(32, 32, 40_000.0, 60_000.0),
+    Grid(12, 8, 50_000.0, 50_000.0),
+    Grid(12, 8, 45_000.0, 35_000.0),
+]
+GRID_IDS = [f"{g.nx}x{g.ny}-{'square' if g.dx == g.dy else 'dx!=dy'}" for g in KERNEL_GRIDS]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=GRID_IDS)
+def test_rhs_bit_identical_to_roll_oracle(grid, params):
+    s = random_state(grid, np.random.default_rng(21))
+    assert rhs(s, params).data.tobytes() == roll_rhs(s, params).data.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n_prior", [0, 1, 2, 3])
+@pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=GRID_IDS)
+def test_warm_continuation_bit_identical_to_roll_oracle(grid, n_prior, params):
+    dt = 1200
+    start = roll_integrate_history(StepHistory(random_state(grid, np.random.default_rng(5))), 3, dt, params)
+    h = StepHistory(start.current, start.tendencies[3 - n_prior:])
+    for n_steps in (1, 2, 5):
+        assert_same_history(
+            integrate_history(h, h.current.time + n_steps * dt, dt, params),
+            roll_integrate_history(h, n_steps, dt, params),
+        )
+    assert_same_history(ab3_step(h, dt, params), roll_ab3_step(h, dt, params))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lanes", [1, 2, 6, 12])
+@pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=GRID_IDS)
+def test_lanes_bit_identical_to_roll_oracle(grid, lanes, params):
+    rng = np.random.default_rng(lanes)
+    states = [random_state(grid, rng, time=2400 * i) for i in range(lanes)]
+    outs = integrate_batch(states, 4 * 1200, 1200, params)
+    for s, out in zip(states, outs):
+        assert out.bit_equal(roll_integrate_history(StepHistory(s), 4, 1200, params).current)
+
+
+def test_threads_stepping_at_once_match_sequential_bits(settled_state, params):
+    # Every stepper owns its buffers: states stepped on concurrent threads
+    # come out with the bits of the same states stepped one after another.
+    import sys
+    import threading
+
+    rng = np.random.default_rng(13)
+    starts = [settled_state] + [random_state(settled_state.grid, rng) for _ in range(3)]
+    expected = [integrate(s, s.time + 86400, 1200, params) for s in starts]
+    results: dict[int, list] = {i: [] for i in range(len(starts))}
+    barrier = threading.Barrier(len(starts))
+
+    def work(i):
+        barrier.wait(timeout=60)
+        for _ in range(3):
+            results[i].append(integrate(starts[i], starts[i].time + 86400, 1200, params))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(starts))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for i, exp in enumerate(expected):
+        assert len(results[i]) == 3
+        assert all(out.bit_equal(exp) for out in results[i])
+
+
+# --------------------------------------------------------------------------
+# Failure semantics: the same errors, steps and reports as the oracle
+
+def sloshing_state(grid, seed):
+    """State at rest over a tilted, noisy surface: the flow speeds up for
+    tens of steps."""
+    data = constant_state(grid).data.copy()
+    x = np.arange(grid.nx) / grid.nx
+    data[Field.ETA.value] = 0.01 * np.sin(2.0 * np.pi * x)[None, :]
+    data[Field.ETA.value] += 1e-4 * np.random.default_rng(seed).standard_normal(grid.shape)
+    return ModelState(grid, data, 0)
+
+
+def near_cap_params(state, min_ok):
+    """Params whose velocity cap the flow from state first breaks after at
+    least min_ok clean steps of 1200 s; returns (params, failing step)."""
+    h = StepHistory(state)
+    peaks = []
+    for step in range(40):
+        h = roll_ab3_step(h, 1200, ModelParams())
+        peaks.append(np.abs(h.current.data[:2]).max())
+        if step >= min_ok and peaks[-1] > max(peaks[:-1]):
+            return ModelParams(velocity_cap=float(max(peaks[:-1]))), step
+    raise AssertionError("the flow never reached a new peak")
+
+
+def test_velocity_cap_blow_up_matches_oracle(settled_state, monkeypatch):
+    from paratide import solver
+
+    state = sloshing_state(settled_state.grid, 11)
+    p, step = near_cap_params(state, 3)
+    calls = []
+    real = solver.validate_state
+    monkeypatch.setattr(solver, "validate_state", lambda *a: calls.append(1) or real(*a))
+    stepped = []
+    with pytest.raises(BlowUpError) as new:
+        integrate(state, 40 * 1200, 1200, p, on_step=stepped.append)
+    with pytest.raises(BlowUpError) as old:
+        roll_integrate_history(StepHistory(state), 40, 1200, p)
+    assert new.value.step == step and new.value.report.reason == "velocity_cap"
+    assert_same_blow_up(new.value, old.value)
+    assert len(calls) == 1        # the report is built on failure only
+    assert len(stepped) == step   # and stepping stopped at the failing step
+
+
+def test_non_finite_blow_up_matches_oracle(grid8):
+    # No velocity cap and an absurd surface slope: the flow overflows to
+    # inf/NaN instead, which is reported as non_finite.
+    p = ModelParams(velocity_cap=np.inf)
+    s = random_state(grid8, np.random.default_rng(2))
+    data = s.data.copy()
+    data[Field.ETA.value] *= 1e302
+    s = ModelState(grid8, data, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowUpError) as new:
+            integrate(s, 8 * 2400, 2400, p)
+        with pytest.raises(BlowUpError) as old:
+            roll_integrate_history(StepHistory(s), 8, 2400, p)
+    assert new.value.report.reason == "non_finite"
+    assert_same_blow_up(new.value, old.value)
+
+
+def test_non_finite_input_raises_non_finite_error(grid8, params):
+    data = random_state(grid8, np.random.default_rng(3)).data.copy()
+    data[Field.S.value, 2, 5] = np.nan
+    s = ModelState(grid8, data, 0)
+    with pytest.raises(NonFiniteError):
+        integrate(s, 2400, 2400, params)
+    with pytest.raises(NonFiniteError):
+        rhs(s, params)
+
+
+def test_non_finite_predictor_raises_non_finite_error(grid8, params):
+    # Finite input whose tendency overflows: the trapezoid predictor is not
+    # finite, which the oracle reported as a NonFiniteError, not a blow-up.
+    data = constant_state(grid8).data.copy()
+    data[Field.U.value] = 1e200 * np.random.default_rng(4).standard_normal(grid8.shape)
+    s = ModelState(grid8, data, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError):
+            roll_integrate_history(StepHistory(s), 1, 2400, params)
+        with pytest.raises(NonFiniteError):
+            integrate(s, 2400, 2400, params)
+
+
+def test_failing_lanes_stay_isolated(settled_state):
+    fast = sloshing_state(settled_state.grid, 12)
+    p, step = near_cap_params(fast, 2)
+    calm = fast.data.copy()
+    calm[Field.ETA.value] *= 0.1
+    calm = ModelState(fast.grid, calm, 0)
+    bad = settled_state.data.copy()
+    bad[Field.T.value, 1, 1] = np.inf
+    bad = ModelState(settled_state.grid, bad, settled_state.time)
+    before = np.geterr()
+    outs = integrate_batch([calm, fast, bad, calm], (step + 3) * 1200, 1200, p)
+    assert np.geterr() == before
+    with pytest.raises(BlowUpError) as capped:
+        roll_integrate_history(StepHistory(fast), step + 3, 1200, p)
+    assert_same_blow_up(outs[1], capped.value)
+    assert outs[2].step == 0 and outs[2].report.reason == "non_finite"
+    assert outs[2].report.field_name is Field.T
+    expected = roll_integrate_history(StepHistory(calm), step + 3, 1200, p).current
+    assert outs[0].bit_equal(expected) and outs[3].bit_equal(expected)
