@@ -36,7 +36,6 @@ _EXPORTS = {
         "Grid",
         "ModelState",
         "StepHistory",
-        "Tendency",
         "state_add",
         "state_diff",
         "validate_state",

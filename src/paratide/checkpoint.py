@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CorruptCheckpointError, GridMismatchError, VersionMismatchError
-from .state import Grid, ModelState, N_FIELDS, StepHistory, Tendency
+from .state import Grid, ModelState, N_FIELDS, StepHistory
 
 MAGIC = b"PRCP"
 FORMAT_VERSION = 1
@@ -162,10 +162,11 @@ def crc64(data: bytes | bytearray | memoryview) -> int:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """Decoded checkpoint: state, raw history tendencies, clock record."""
+    """Decoded checkpoint: state, raw history tendencies (frozen arrays laid
+    out like the state's data), clock record."""
 
     state: ModelState
-    history: tuple[Tendency, ...]
+    history: tuple[np.ndarray, ...]
     slice_index: int
     iteration: int
 
@@ -183,7 +184,7 @@ def _field_bytes(data: np.ndarray) -> bytes:
 
 def write_checkpoint(
     state: ModelState,
-    history: StepHistory | Sequence[Tendency] | None,
+    history: StepHistory | Sequence[np.ndarray] | None,
     path: str | Path,
     *,
     slice_index: int = -1,
@@ -191,13 +192,13 @@ def write_checkpoint(
 ) -> None:
     """Serialize a state (and optional history) atomically to path."""
     if isinstance(history, StepHistory):
-        tendencies: tuple[Tendency, ...] = tuple(t for _, t in history.tendencies)
+        tendencies: tuple[np.ndarray, ...] = tuple(t for _, t in history.tendencies)
     elif history is None:
         tendencies = ()
     else:
         tendencies = tuple(history)
     for t in tendencies:
-        if t.grid != state.grid:
+        if t.shape != state.data.shape:
             raise GridMismatchError("history tendencies must share the state grid")
 
     grid = state.grid
@@ -214,7 +215,7 @@ def write_checkpoint(
         ),
         _field_bytes(state.data),
     ]
-    parts.extend(_field_bytes(t.data) for t in tendencies)
+    parts.extend(_field_bytes(t) for t in tendencies)
     body = b"".join(parts)
     blob = body + _TRAILER.pack(crc64(body))
 
@@ -274,8 +275,10 @@ def read_checkpoint(path: str | Path, grid: Grid | None = None) -> Checkpoint:
     def _block(i: int) -> np.ndarray:
         off = _HEADER.size + i * block
         arr = np.frombuffer(blob, dtype="<f8", count=N_FIELDS * nx * ny, offset=off)
-        return arr.reshape(N_FIELDS, ny, nx).astype(np.float64, copy=False)
+        arr = arr.reshape(N_FIELDS, ny, nx).astype(np.float64, copy=False)
+        arr.setflags(write=False)
+        return arr
 
     state = ModelState(grid, _block(0), int(time))
-    history = tuple(Tendency(grid, _block(1 + i)) for i in range(n_hist))
+    history = tuple(_block(1 + i) for i in range(n_hist))
     return Checkpoint(state, history, int(slice_index), int(iteration))

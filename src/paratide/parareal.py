@@ -2,13 +2,13 @@
 
 The driver operates on propagator callables ``fn(state, slice_index,
 iteration) -> state`` so that closed-form test propagators can stand in for
-the real ones; ``run_parareal`` wires the callables up from PropagatorSpec
-values.  All state arithmetic between propagations goes through the exact
-state algebra (state_add / state_diff), with one shortcut: when the freshly
-computed coarse value is bit-identical to the retained one, the correction
-G + (F - G) is replaced by F itself — the exact-arithmetic value — so the
-standard exactness-propagation invariant holds bit-for-bit instead of up to
-rounding.
+the real ones; ``run_parareal`` binds PropagatorSpec values into
+Propagator objects, which are such callables.  All state arithmetic between
+propagations goes through the exact state algebra (state_add / state_diff),
+with one shortcut: when the freshly computed coarse value is bit-identical
+to the retained one, the correction G + (F - G) is replaced by F itself —
+the exact-arithmetic value — so the standard exactness-propagation
+invariant holds bit-for-bit instead of up to rounding.
 
 A fine propagation that fails (divergence, killed external run, missing
 output) leaves its correction undefined; in continue mode the sweep then
@@ -18,7 +18,6 @@ mode the run stops.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import time as _time
@@ -54,12 +53,9 @@ class PararealConfig:
     on_blow_up: str = CONTINUE_UNCORRECTED
     max_parallel_fine: int = 4
     monitored_fields: tuple[Field, ...] = DEFAULT_MONITORED
-    allow_equal_spd: bool = False              # degenerate G == F test setups only
 
     def __post_init__(self):
-        if self.fine.spd < self.coarse.spd or (
-            self.fine.spd == self.coarse.spd and not self.allow_equal_spd
-        ):
+        if self.fine.spd <= self.coarse.spd:
             raise ValueError(
                 f"fine spd {self.fine.spd} must exceed coarse spd {self.coarse.spd}"
             )
@@ -127,62 +123,80 @@ class PararealResult:
         return self.iterates[-1][-1]
 
 
-def make_propagator(
-    spec: PropagatorSpec,
-    params: ModelParams,
-    layout: SliceLayout,
-    run_dir: str | Path | None = None,
-    role: str = "propagator",
-    timeout: float | None = None,
-) -> PropagatorFn:
-    """Bind a spec to a callable mapping (state, slice, iteration) -> state.
+@dataclass(frozen=True)
+class Propagator:
+    """A spec bound to one run: maps (state, slice, iteration) -> state.
 
-    Internal propagators also expose a vectorized ``batch`` entry point for
-    the fine phase: ``batch(states)`` integrates the states across one slice
-    as lanes of one numpy computation and returns, lane by lane, the new
-    state or the BlowUpError of a lane that diverged.  It is picklable, so
-    the fine phase hands whole chunks of lanes to forked workers with it.
-    Every other propagator runs on the fine phase's thread pool: external
-    ones block in the child process, where threads do help.
+    A plain value, so a forked worker receives it by pickling.  An external
+    propagator with a run_dir works under
+    run_dir/k<iteration>/slice<n>/<role>/ (serial/ for iteration -1).
     """
 
-    def fn(state: ModelState, slice_index: int, iteration: int) -> ModelState:
+    spec: PropagatorSpec
+    params: ModelParams
+    layout: SliceLayout
+    run_dir: str | Path | None = None
+    role: str = "propagator"
+    timeout: float | None = None
+
+    def __call__(self, state: ModelState, slice_index: int, iteration: int) -> ModelState:
         workdir = None
-        if spec.mode == "external" and run_dir is not None:
+        if self.spec.mode == "external" and self.run_dir is not None:
             prefix = f"k{iteration}" if iteration >= 0 else "serial"
-            workdir = Path(run_dir) / prefix / f"slice{slice_index}" / role
+            workdir = Path(self.run_dir) / prefix / f"slice{slice_index}" / self.role
         return propagate(
-            spec,
+            self.spec,
             state,
-            state.time + layout.slice_length,
-            params,
+            state.time + self.layout.slice_length,
+            self.params,
             slice_index=slice_index,
             iteration=iteration,
             workdir=workdir,
-            timeout=timeout,
+            timeout=self.timeout,
         ).state
 
-    if spec.mode == "internal":
-        fn.batch = functools.partial(_integrate_lanes, layout.slice_length, spec.dt, params)
-    return fn
+
+def _in_process(fn: PropagatorFn) -> bool:
+    return isinstance(fn, Propagator) and fn.spec.mode == "internal"
 
 
-def _integrate_lanes(
-    duration: int, dt: int, params: ModelParams, states: Sequence[ModelState]
+def _run_lanes(
+    fn: PropagatorFn, k: int, slices: Sequence[int], states: Sequence[ModelState]
 ) -> list[ModelState | BlowUpError]:
-    # Module level, so a worker process receives it by import path; it
-    # looks integrate_batch up at call time.
-    return integrate_batch(states, duration, dt, params)
+    """One chunk of a fine phase: the outcome of each slice, in order.
 
-
-def _fine_processes(cfg: PararealConfig, lanes: int) -> int:
-    """Processes an internal fine phase of this many lanes runs on.
-
-    Platforms without os.sched_getaffinity (macOS; Windows, which cannot
-    fork) keep the whole phase in this process.
+    An in-process Propagator integrates the chunk as lanes of one
+    integrate_batch call, looked up at call time; any other propagator runs
+    slice by slice.  A slice that fails yields its BlowUpError, and the
+    other slices go on.  Module level, so a worker process receives it by
+    import path.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return min(cfg.max_parallel_fine, cpus, lanes)
+    if _in_process(fn):
+        outcomes = integrate_batch(states, fn.layout.slice_length, fn.spec.dt, fn.params)
+        for n, out in zip(slices, outcomes):
+            if isinstance(out, BlowUpError):
+                out.slice_index, out.iteration = n, k
+        return outcomes
+    outcomes = []
+    for n, state in zip(slices, states):
+        try:
+            outcomes.append(fn(state, n, k))
+        except BlowUpError as err:
+            outcomes.append(err)
+    return outcomes
+
+
+def _fine_chunks(cfg: PararealConfig, fine_fn: PropagatorFn, lanes: int) -> int:
+    """Chunks a fine phase of this many lanes is cut into.
+
+    At most max_parallel_fine; in-process lanes also at most the usable
+    CPUs.  Platforms without os.sched_getaffinity (macOS; Windows, which
+    cannot fork) keep in-process lanes in this process.
+    """
+    w = min(cfg.max_parallel_fine, lanes)
+    if _in_process(fine_fn):
+        w = min(w, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
+    return w
 
 
 def coarse_init_sweep(
@@ -203,91 +217,65 @@ def coarse_init_sweep(
 
 def fine_parallel_phase(
     u_prev: Sequence[ModelState],
-    g_prev: Sequence[ModelState | None],
+    g_prev: Sequence[ModelState],
     cfg: PararealConfig,
     fine_fn: PropagatorFn,
     k: int,
     pool: Executor | None = None,
-) -> tuple[list[ModelState | None], list[ModelState | None], list[BlowUpEvent]]:
+) -> tuple[list[ModelState | None], list[BlowUpEvent]]:
     """Concurrent fine propagation for slices n = k-1 .. N_t-1.
 
-    An internal propagator's lanes are cut into
-    w = min(max_parallel_fine, usable CPUs, lanes) contiguous chunks when a
-    process pool is given, into one chunk otherwise.  This process
-    integrates the first chunk with the propagator's ``batch`` entry and
-    the pool's w - 1 workers the others.  Any other propagator runs slice
-    by slice on a thread pool of max_parallel_fine threads.
+    The lanes are cut into w contiguous chunks (see _fine_chunks; w = 1
+    without a pool).  This process runs the first chunk and the pool the
+    others, each through _run_lanes.  g_prev is not read here: the
+    correction sweep forms F - G itself.
 
-    Returns (fine values, corrections, blow-up events), each indexed by
-    target slice n+1 over the full 0..N_t range (entries below the loop
-    start stay None: those slices are already exact and skipped).
-    Results are gathered by slice index, so worker count cannot change
-    the outcome bits.
+    Returns (fine values, blow-up events), the values indexed by target
+    slice n+1 over the full 0..N_t range (None below the loop start, where
+    slices are already exact, and for a failed slice).  Outcomes are
+    gathered by slice index, so the worker count cannot change a bit.
     """
-    n_slices = cfg.layout.n_slices
-    fine_vals: list[ModelState | None] = [None] * (n_slices + 1)
-    deltas: list[ModelState | None] = [None] * (n_slices + 1)
+    indices = list(range(k - 1, cfg.layout.n_slices))
+    w = _fine_chunks(cfg, fine_fn, len(indices)) if pool is not None else 1
+    chunks = [indices[i * len(indices) // w:(i + 1) * len(indices) // w] for i in range(w)]
+    futures = [pool.submit(_run_lanes, fine_fn, k, c, [u_prev[n] for n in c]) for c in chunks[1:]]
+    outcomes = _run_lanes(fine_fn, k, chunks[0], [u_prev[n] for n in chunks[0]])
+    for future in futures:
+        outcomes += future.result()
+
+    fine_vals: list[ModelState | None] = [None] * (cfg.layout.n_slices + 1)
     events: list[BlowUpEvent] = []
-
-    indices = list(range(k - 1, n_slices))
-    outcomes: dict[int, ModelState | BlowUpError] = {}
-    batch = getattr(fine_fn, "batch", None)
-    if batch is not None:
-        w = _fine_processes(cfg, len(indices)) if pool is not None else 1
-        chunks = [indices[i * len(indices) // w:(i + 1) * len(indices) // w] for i in range(w)]
-        futures = [pool.submit(batch, [u_prev[n] for n in c]) for c in chunks[1:]]
-        results = [batch([u_prev[n] for n in chunks[0]])] + [f.result() for f in futures]
-        for chunk, outs in zip(chunks, results):
-            for n, out in zip(chunk, outs):
-                if isinstance(out, BlowUpError):
-                    out.slice_index = n
-                    out.iteration = k
-                outcomes[n] = out
-    else:
-        workers = min(cfg.max_parallel_fine, len(indices)) or 1
-        with ThreadPoolExecutor(max_workers=workers) as threads:
-            futures = {n: threads.submit(fine_fn, u_prev[n], n, k) for n in indices}
-            for n in indices:
-                try:
-                    outcomes[n] = futures[n].result()
-                except BlowUpError as err:
-                    outcomes[n] = err
-
-    for n in indices:
-        outcome = outcomes[n]
+    for n, outcome in zip(indices, outcomes):
         if isinstance(outcome, BlowUpError):
             if cfg.on_blow_up == ABORT:
                 raise outcome
             events.append(BlowUpEvent(k, n, "fine", str(outcome)))
-            continue
-        fine_vals[n + 1] = outcome
-        deltas[n + 1] = state_diff(outcome, g_prev[n + 1])
-    return fine_vals, deltas, events
+        else:
+            fine_vals[n + 1] = outcome
+    return fine_vals, events
 
 
 def correction_sweep(
     u_prev: Sequence[ModelState],
     fine_vals: Sequence[ModelState | None],
-    deltas: Sequence[ModelState | None],
-    g_prev: Sequence[ModelState | None],
+    g_prev: Sequence[ModelState],
     cfg: PararealConfig,
     coarse_fn: PropagatorFn,
     k: int,
-) -> tuple[list[ModelState], list[ModelState | None], list[BlowUpEvent]]:
+) -> tuple[list[ModelState], list[ModelState], list[BlowUpEvent]]:
     """Sequential coarse sweep with corrections for n = k-1 .. N_t-1.
 
     Slices below the loop start carry over unchanged (they are already
-    exact).  A missing correction (failed fine run) keeps the unedited
+    exact).  A missing fine value (failed fine run) keeps the unedited
     coarse value for that slice.  Returns (next iterate, retained coarse
     values, events); a coarse blow-up truncates the sweep and is reported
     by a terminal event — the caller decides whether that aborts the run.
     """
-    n_slices = cfg.layout.n_slices
     u_next: list[ModelState] = list(u_prev)
-    g_next: list[ModelState | None] = list(g_prev)
+    g_next: list[ModelState] = list(g_prev)
     events: list[BlowUpEvent] = []
 
-    for n in range(k - 1, n_slices):
+    for n in range(k - 1, cfg.layout.n_slices):
         try:
             g_new = coarse_fn(u_next[n], n, k)
         except BlowUpError as err:
@@ -296,14 +284,14 @@ def correction_sweep(
                 raise
             return u_next, g_next, events
         g_next[n + 1] = g_new
-        delta = deltas[n + 1]
-        if delta is None:
+        fine = fine_vals[n + 1]
+        if fine is None:
             u_next[n + 1] = g_new
-        elif g_prev[n + 1] is not None and g_new.bit_equal(g_prev[n + 1]):
+        elif g_new.bit_equal(g_prev[n + 1]):
             # G terms cancel exactly, so the exact-arithmetic update is F.
-            u_next[n + 1] = fine_vals[n + 1]
+            u_next[n + 1] = fine
         else:
-            u_next[n + 1] = state_add(g_new, delta)
+            u_next[n + 1] = state_add(g_new, state_diff(fine, g_prev[n + 1]))
     return u_next, g_next, events
 
 
@@ -352,9 +340,9 @@ def run_parareal(
             timeout=timeout,
         )
     if coarse_fn is None:
-        coarse_fn = make_propagator(cfg.coarse, params, cfg.layout, run_dir, "coarse", timeout)
+        coarse_fn = Propagator(cfg.coarse, params, cfg.layout, run_dir, "coarse", timeout)
     if fine_fn is None:
-        fine_fn = make_propagator(cfg.fine, params, cfg.layout, run_dir, "fine", timeout)
+        fine_fn = Propagator(cfg.fine, params, cfg.layout, run_dir, "fine", timeout)
     ref_final = reference[-1] if reference is not None else None
 
     def record_for(k, states, wall_coarse, wall_fine, flagged):
@@ -374,7 +362,7 @@ def run_parareal(
     t0 = _time.perf_counter()
     u_curr = coarse_init_sweep(u0, cfg, coarse_fn)
     init_wall = _time.perf_counter() - t0
-    g_curr: list[ModelState | None] = list(u_curr)
+    g_curr = list(u_curr)
 
     iterates = [tuple(u_curr)]
     records = [record_for(0, u_curr, init_wall, 0.0, ())]
@@ -386,33 +374,34 @@ def run_parareal(
     if run_dir is not None:
         _write_iterate_checkpoints(run_dir, 0, u_curr)
 
-    # Workers for an internal fine phase, sized for its widest iteration
-    # (k = 1).  The executor forks them all at its first submit, before it
-    # starts a thread of its own, so a run that stops at k = 0 starts none.
+    # One executor for every fine phase, sized for the widest (k = 1); it
+    # starts its workers at the first submit, so a run that stops at k = 0
+    # starts none.  In-process lanes compute in Python, so they get forked
+    # processes; other propagators wait on a child process, so threads do.
     # Forked, not spawned: a worker inherits the loaded numpy and paratide
-    # instead of importing them afresh in every run, and this driver
-    # starts no thread that a fork could catch holding a lock.  Imported
-    # here, so that a run without workers does not load multiprocessing.
+    # instead of importing them afresh, and the driver has started no thread
+    # that a fork could catch holding a lock.  Imported here, so that a run
+    # without processes does not load multiprocessing.
     pool = None
-    workers = _fine_processes(cfg, cfg.layout.n_slices) - 1 if hasattr(fine_fn, "batch") else 0
-    if workers:
+    workers = _fine_chunks(cfg, fine_fn, cfg.layout.n_slices) - 1
+    if workers and _in_process(fine_fn):
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    elif workers:
+        pool = ThreadPoolExecutor(workers)
     try:
         k = 0
         while not stopped and k < cfg.iterations:
             k += 1
             t0 = _time.perf_counter()
-            fine_vals, deltas, fine_events = fine_parallel_phase(
-                u_curr, g_curr, cfg, fine_fn, k, pool
-            )
+            fine_vals, fine_events = fine_parallel_phase(u_curr, g_curr, cfg, fine_fn, k, pool)
             fine_wall = _time.perf_counter() - t0
 
             t0 = _time.perf_counter()
             u_next, g_next, sweep_events = correction_sweep(
-                u_curr, fine_vals, deltas, g_curr, cfg, coarse_fn, k
+                u_curr, fine_vals, g_curr, cfg, coarse_fn, k
             )
             corr_wall = _time.perf_counter() - t0
 

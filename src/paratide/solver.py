@@ -24,7 +24,6 @@ from .state import (
     Grid,
     ModelState,
     StepHistory,
-    Tendency,
     validate_state,
 )
 
@@ -86,10 +85,10 @@ class _Stepper:
         self.grid, self.p, self.lanes = grid, p, len(lanes)
         self.w = w = grid.nx + 2
         self.size = size = self.lanes * (grid.ny + 2) * w   # one slot of every lane
-        slots = [N_FIELDS] * 10 + [3, 3, 2, 2]   # per buffer, carved from one allocation
+        slots = [N_FIELDS] * 8 + [3, 3]   # per buffer, carved from one allocation
         block, ends = np.zeros(sum(slots) * size), np.cumsum(slots) * size
-        (self.state, self.pred, self.work, self.work2, self.lap, self.a, self.b, *self.ring,
-         self.gx, self.gy, self.fx, self.fy) = (block[e - k * size : e] for k, e in zip(slots, ends))
+        (self.state, self.pred, self.work, self.work2, self.lap, *self.ring,
+         self.gx, self.gy) = (block[e - k * size : e] for k, e in zip(slots, ends))
         j = np.arange(grid.ny, dtype=np.float64)
         self.forcing = np.zeros((self.lanes, grid.ny + 2, w))   # zonal body force on u
         self.forcing[:, 1:-1] = (p.forcing_amp * np.sin(
@@ -122,8 +121,11 @@ class _Stepper:
     def _rhs_ops(self, s, out) -> list:
         """The tendency of the padded lanes s into out."""
         n, w, p, span = self.size, self.w, self.p, self._span
-        gx, gy, lap, a, b, work, fx, fy = (
-            self.gx, self.gy, self.lap, self.a, self.b, self.work, self.fx, self.fy)
+        # The momentum terms a, b reuse work, work2 once the Laplacian is
+        # formed; the tracer fluxes fx, fy reuse the first two slots of gx,
+        # gy once the momentum and ETA terms have read them.
+        gx, gy, lap, work = self.gx, self.gy, self.lap, self.work
+        a, b, fx, fy = work, self.work2, gx[: 2 * n], gy[: 2 * n]
         sub, mul, add = np.subtract, np.multiply, np.add
         cx, cy = 0.5 / self.grid.dx, 0.5 / self.grid.dy
 
@@ -262,15 +264,18 @@ def _blow_up(bad: ModelState, step: int, p: ModelParams) -> BlowUpError:
     return BlowUpError(f"step to t={bad.time} diverged: {report}", report, step=step)
 
 
-def rhs(s: ModelState, p: ModelParams) -> Tendency:
-    """Assemble the tendency of every field from the current state.
+def rhs(s: ModelState, p: ModelParams) -> np.ndarray:
+    """Assemble the tendency of every field from the current state: a
+    frozen array laid out like ModelState.data.
 
     Deterministic: identical input bits always produce identical output
     bits (pure numpy elementwise arithmetic, fixed evaluation order).
     """
     if not s.is_finite():
         raise NonFiniteError("rhs requires a finite state")
-    return Tendency(s.grid, _Stepper(s.grid, p, [s.data]).tendency())
+    out = _Stepper(s.grid, p, [s.data]).tendency()
+    out.setflags(write=False)
+    return out
 
 
 def _check_window(span: int, dt: int) -> int:
@@ -296,12 +301,12 @@ def integrate_history(
         raise StepMismatchError(f"history was built at a different step size: last tendency "
                                 f"at t={h.tendencies[-1][0]}, expected t={s.time - dt}")
     stepper = _Stepper(s.grid, p, [s.data])
-    priors = [t.data[None] for _, t in h.tendencies[-2:]]
+    priors = [t[None] for _, t in h.tendencies[-2:]]
     failures = stepper.run(priors, n_steps, dt, strict=True, on_step=on_step)
     if failures:
         step, data = failures[0]
         raise _blow_up(ModelState(s.grid, data, s.time + (step + 1) * dt), step, p)
-    fresh = tuple((s.time + i * dt, Tendency(s.grid, stepper.tendency_of(i)))
+    fresh = tuple((s.time + i * dt, stepper.tendency_of(i))
                   for i in range(max(n_steps - 3, 0), n_steps))
     return StepHistory(ModelState(s.grid, stepper.lane(0), int(t_end)), (h.tendencies + fresh)[-3:])
 

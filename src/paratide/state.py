@@ -144,39 +144,28 @@ class ModelState:
 
 
 @dataclass(frozen=True)
-class Tendency:
-    """Time derivatives of all five fields, same layout as ModelState."""
-
-    grid: Grid
-    data: np.ndarray          # (5, ny, nx) float64, frozen
-
-    def __post_init__(self):
-        if self.data.shape != (N_FIELDS, self.grid.ny, self.grid.nx):
-            raise ValueError(
-                f"tendency shape {self.data.shape} does not match grid {self.grid.shape}"
-            )
-        _freeze(self.data)
-
-    def field(self, f: Field) -> np.ndarray:
-        return self.data[f.value]
-
-
-@dataclass(frozen=True)
 class StepHistory:
     """Current state plus up to three prior tendency evaluations.
 
-    Each entry is (time stamp, tendency); stamps are strictly increasing,
+    Each entry is (time stamp, tendency), the tendency a frozen array laid
+    out like ModelState.data; stamps are strictly increasing,
     uniformly spaced by the active step size, and the most recent entry was
     evaluated exactly one step before ``current.time``.  This is precisely
     the multistep memory a warm restart preserves and a cold restart drops.
     """
 
     current: ModelState
-    tendencies: tuple[tuple[int, Tendency], ...] = field(default=())
+    tendencies: tuple[tuple[int, np.ndarray], ...] = field(default=())
 
     def __post_init__(self):
         if len(self.tendencies) > 3:
             raise ValueError("history holds at most 3 tendencies")
+        for _, data in self.tendencies:
+            if data.shape != self.current.data.shape:
+                raise ValueError(
+                    f"tendency shape {data.shape} does not match grid {self.current.grid.shape}"
+                )
+            _freeze(data)
         stamps = [t for t, _ in self.tendencies]
         if any(b <= a for a, b in zip(stamps, stamps[1:])):
             raise ValueError("history time stamps must be strictly increasing")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import multiprocessing
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,18 @@ from paratide.solver import integrate
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = REPO_ROOT / "configs"
+
+
+@pytest.fixture(autouse=True)
+def no_leftover_workers():
+    """Fail a test that leaves a multiprocessing child or a thread of its
+    own running: every executor must be shut down before its run returns
+    or raises."""
+    before = set(threading.enumerate())
+    yield
+    children = multiprocessing.active_children()
+    threads = [t for t in threading.enumerate() if t not in before]
+    assert not children and not threads, f"left running: {children + threads}"
 
 
 @pytest.fixture(scope="session")

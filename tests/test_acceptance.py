@@ -37,7 +37,6 @@ from paratide.harness import (
     spin_up,
 )
 from paratide.metrics import measure_runtime_ratio
-from paratide.parareal import make_propagator
 from paratide.solver import StepHistory, ab3_step, integrate, rhs
 from paratide.state import FIELD_ORDER
 
@@ -171,7 +170,7 @@ def test_criterion_4_state_algebra_checkpoint(tmp_path, grid8, params, capsys):
     assert ck.state.bit_equal(h.current)
     rebuilt = ck.step_history(2400)
     for (ta, t1), (tb, t2) in zip(h.tendencies, rebuilt.tendencies):
-        assert ta == tb and t1.data.tobytes() == t2.data.tobytes()
+        assert ta == tb and t1.tobytes() == t2.tobytes()
 
     blob = bytearray(path.read_bytes())
     blob[50] ^= 0xFF
@@ -213,7 +212,7 @@ def test_criterion_5_solver_correctness(grid8, params, settled_state, capsys):
     expected = oracle_rhs(s, params)
     for f in Field:
         scale = max(np.abs(expected[f]).max(), 1e-30)
-        assert np.abs(t.field(f) - expected[f]).max() <= 1e-13 * scale
+        assert np.abs(t[f.value] - expected[f]).max() <= 1e-13 * scale
     with capsys.disabled():
         _passed(5, f"conservation <=1e-10/step; AB3 order {min(orders):.2f}; rhs matches oracle")
 

@@ -44,7 +44,7 @@ def test_round_trip_with_history_and_clock(tmp_path, grid8, sample):
     assert len(rebuilt.tendencies) == len(sample.tendencies)
     for (t_a, a), (t_b, b) in zip(sample.tendencies, rebuilt.tendencies):
         assert t_a == t_b
-        assert a.data.tobytes() == b.data.tobytes()
+        assert a.tobytes() == b.tobytes()
 
 
 def test_clock_passthrough_one_day(tmp_path, grid8):
@@ -165,7 +165,7 @@ def reference_checkpoint_bytes(state, tendencies, slice_index, iteration) -> byt
         "<4sIIIQiiB", b"PRCP", 1, grid.nx, grid.ny, state.time,
         slice_index, iteration, len(tendencies),
     )
-    for block in [state.data] + [t.data for t in tendencies]:
+    for block in [state.data, *tendencies]:
         body += np.asarray(block, dtype="<f8").tobytes(order="C")
     return body + struct.pack("<Q", reference_crc64(body))
 

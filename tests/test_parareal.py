@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -20,7 +21,7 @@ from paratide.parareal import (
     coarse_init_sweep,
     correction_sweep,
     fine_parallel_phase,
-    make_propagator,
+    Propagator,
 )
 from paratide.propagator import restarted_serial_run
 from paratide.solver import integrate
@@ -55,11 +56,6 @@ def test_config_validation():
         PararealConfig(layout=layout, coarse=PropagatorSpec(72), fine=PropagatorSpec(36))
     with pytest.raises(ValueError):
         PararealConfig(layout=layout, coarse=PropagatorSpec(36), fine=PropagatorSpec(36))
-    # degenerate G == F setups are explicitly opt-in
-    PararealConfig(
-        layout=layout, coarse=PropagatorSpec(36), fine=PropagatorSpec(36),
-        allow_equal_spd=True,
-    )
     with pytest.raises(ValueError):
         PararealConfig(
             layout=layout, coarse=PropagatorSpec(36), fine=PropagatorSpec(72),
@@ -95,7 +91,7 @@ def test_init_sweep_matches_sequential_integration(settled_state, params):
     cfg = PararealConfig(
         layout=layout, coarse=PropagatorSpec(36), fine=PropagatorSpec(72), epsilon=0.0
     )
-    coarse_fn = make_propagator(cfg.coarse, params, layout)
+    coarse_fn = Propagator(cfg.coarse, params, layout)
     states = coarse_init_sweep(settled_state, cfg, coarse_fn)
     expected = settled_state
     for n in range(12):
@@ -147,13 +143,15 @@ def test_scalar_exponential_parareal_recurrence(grid8):
 
 
 def test_g_equals_f_converges_at_first_iteration(settled_state, params):
+    # the fine propagator stands in for the coarse one
     layout = SliceLayout(t0=0, slice_length=2400, n_slices=4)
     cfg = PararealConfig(
-        layout=layout, coarse=PropagatorSpec(72), fine=PropagatorSpec(72),
-        epsilon=0.0, allow_equal_spd=True, max_iterations=1,
+        layout=layout, coarse=PropagatorSpec(72), fine=PropagatorSpec(144),
+        epsilon=0.0, max_iterations=1,
     )
     reference = restarted_serial_run(cfg.fine, settled_state, layout, params)
-    result = run_parareal(settled_state, cfg, params)
+    fine = Propagator(cfg.fine, params, layout)
+    result = run_parareal(settled_state, cfg, params, coarse_fn=fine)
     for n in range(5):
         assert result.iterates[1][n].bit_equal(reference[n])
 
@@ -174,17 +172,18 @@ def test_fine_phase_loop_bounds(grid8):
 
 
 def test_zero_corrections_reduce_to_coarse_sweep(grid8):
+    # fine values equal to retained coarse values that the fresh coarse
+    # values differ from: every correction F - G is formed, and is zero
     cfg = small_cfg(n_slices=4)
     coarse_fn = flow(0.8, cfg.layout.slice_length)
     u0 = constant_state(grid8, u=1.0, v=2.0, eta=0.5, temp=3.0, salt=4.0)
     u_prev = coarse_init_sweep(u0, cfg, coarse_fn)
-    zero = [None] + [
-        ModelState(grid8, np.zeros_like(u0.data), u_prev[n + 1].time)
+    retained = [u0] + [
+        ModelState(grid8, np.full_like(u0.data, 7.0), u_prev[n + 1].time)
         for n in range(cfg.layout.n_slices)
     ]
-    fine_vals = [None] + [u_prev[n + 1] for n in range(cfg.layout.n_slices)]
     u_next, _, events = correction_sweep(
-        u_prev, fine_vals, zero, list(u_prev), cfg, coarse_fn, k=1
+        u_prev, retained, retained, cfg, coarse_fn, k=1
     )
     assert not events
     expected = coarse_init_sweep(u0, cfg, coarse_fn)
@@ -192,26 +191,80 @@ def test_zero_corrections_reduce_to_coarse_sweep(grid8):
         assert got.bit_equal(want)
 
 
-def test_scheduling_independence_with_thread_pool(grid8):
-    # arbitrary callables run through the worker pool; the outcome must
-    # not depend on the worker count
+@pytest.mark.parametrize("policy", [None, "continue_uncorrected", "abort"],
+                         ids=["no_failure", "continue_uncorrected", "abort"])
+def test_scheduling_independence_with_thread_pool(grid8, policy):
+    # arbitrary callables run in chunks on the run's thread pool; the
+    # outcome must not depend on the worker count.  With a policy, slices
+    # 1 and 4 fail at k = 1 (in different chunks at 2 and 6 workers): both
+    # are flagged, or the run raises the earlier one.
     import time as _t
 
     def slow_fine(state, n, k):
         _t.sleep(0.002 * ((n * 7) % 3))
+        if policy is not None and k == 1 and n in (1, 4):
+            raise BlowUpError(f"slice {n} killed", slice_index=n, iteration=k)
         return ModelState(state.grid, state.data * 0.97, state.time + 600)
 
     u0 = random_state(grid8, np.random.default_rng(31))
     results = []
-    for workers in (1, 6):
-        cfg = small_cfg(n_slices=6, max_parallel_fine=workers)
+    for workers in (1, 2, 6):
+        kw = {} if policy is None else {"on_blow_up": policy}
+        cfg = small_cfg(n_slices=6, max_parallel_fine=workers, **kw)
+        if policy == "abort":
+            with pytest.raises(BlowUpError) as err:
+                run_parareal(u0, cfg, ModelParams(), coarse_fn=flow(0.9, 600), fine_fn=slow_fine)
+            results.append((str(err.value), err.value.slice_index, err.value.iteration))
+            continue
         res = run_parareal(
             u0, cfg, ModelParams(), coarse_fn=flow(0.9, 600), fine_fn=slow_fine
         )
         results.append(res)
-    for ia, ib in zip(results[0].iterates, results[1].iterates):
-        for a, b in zip(ia, ib):
-            assert a.bit_equal(b)
+    if policy == "abort":
+        assert results[0] == ("slice 1 killed", 1, 1)
+        assert results[1] == results[0] and results[2] == results[0]
+        return
+    if policy is not None:
+        assert [(e.k, e.slice_index, e.phase) for e in results[0].blow_ups] == [
+            (1, 1, "fine"), (1, 4, "fine")]
+    for res in results[1:]:
+        assert res.blow_ups == results[0].blow_ups
+        assert len(res.iterates) == len(results[0].iterates)
+        for ia, ib in zip(results[0].iterates, res.iterates):
+            for a, b in zip(ia, ib):
+                assert a.bit_equal(b)
+
+
+def test_propagator_is_a_picklable_value(tmp_path, params):
+    layout = SliceLayout(t0=0, slice_length=600, n_slices=6)
+    for spec in (PropagatorSpec(288), PropagatorSpec(288, mode="external", command=("model",))):
+        prop = Propagator(spec, params, layout, tmp_path, "fine", 5.0)
+        back = pickle.loads(pickle.dumps(prop))
+        assert back == prop and hash(back) == hash(prop)
+
+
+def test_external_fine_phase_runs_on_threads(monkeypatch, tmp_path, grid8, params):
+    # an external fine propagator blocks in its child, so its lanes go to
+    # threads: the run never creates a process pool, yet matches the
+    # in-process run bit for bit
+    import concurrent.futures
+    import sys
+
+    def no_process_pool(*args, **kwargs):
+        raise AssertionError("a process pool was created for an external fine phase")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_process_pool)
+    command = (sys.executable, "-m", "paratide", "single-shot")
+    cfg = small_cfg(n_slices=2, max_iterations=1, max_parallel_fine=2,
+                    fine=PropagatorSpec(288, mode="external", command=command))
+    u0 = random_state(grid8, np.random.default_rng(13))
+    res = run_parareal(u0, cfg, params, run_dir=tmp_path / "run")
+    internal = run_parareal(u0, small_cfg(n_slices=2, max_iterations=1, max_parallel_fine=1),
+                            params)
+    assert not res.blow_ups
+    assert (tmp_path / "run" / "k1" / "slice1" / "fine" / "out.prcp").exists()
+    for a, b in zip(res.iterates[-1], internal.iterates[-1]):
+        assert a.bit_equal(b)
 
 
 def pretend_cpus(monkeypatch, n):
@@ -273,7 +326,7 @@ def test_fine_phase_chunks_run_on_forked_workers(monkeypatch, tmp_path, grid8, p
     # chunks of 1, 2, 1 and 2; this process takes the first, workers the rest
     pretend_cpus(monkeypatch, 4)
     cfg = small_cfg(n_slices=6, max_parallel_fine=4)
-    fine_fn = make_propagator(cfg.fine, params, cfg.layout)
+    fine_fn = Propagator(cfg.fine, params, cfg.layout)
     u_prev = coarse_init_sweep(random_state(grid8, np.random.default_rng(9)), cfg,
                                flow(0.9, cfg.layout.slice_length))
     real = parareal.integrate_batch
@@ -287,7 +340,7 @@ def test_fine_phase_chunks_run_on_forked_workers(monkeypatch, tmp_path, grid8, p
 
     monkeypatch.setattr(parareal, "integrate_batch", spy)
     with ProcessPoolExecutor(3, mp_context=multiprocessing.get_context("fork")) as pool:
-        fine_vals, _, events = fine_parallel_phase(u_prev, list(u_prev), cfg, fine_fn, 1, pool)
+        fine_vals, events = fine_parallel_phase(u_prev, list(u_prev), cfg, fine_fn, 1, pool)
     calls = sorted(
         ([int(t) for t in line.split()[1:]], int(line.split()[0]))
         for line in log.read_text().splitlines()
@@ -297,7 +350,7 @@ def test_fine_phase_chunks_run_on_forked_workers(monkeypatch, tmp_path, grid8, p
     assert all(pid != os.getpid() for _, pid in calls[1:])
 
     monkeypatch.setattr(parareal, "integrate_batch", real)
-    alone, _, _ = fine_parallel_phase(u_prev, list(u_prev), cfg, fine_fn, 1)
+    alone, _ = fine_parallel_phase(u_prev, list(u_prev), cfg, fine_fn, 1)
     assert not events
     for a, b in zip(fine_vals[1:], alone[1:]):
         assert a.bit_equal(b)
@@ -308,10 +361,10 @@ def test_worker_results_are_frozen(monkeypatch, grid8, params):
     pretend_cpus(monkeypatch, 2)
     cfg = small_cfg(n_slices=6, max_parallel_fine=2)
     u0 = random_state(grid8, np.random.default_rng(11))
-    fine_fn = make_propagator(cfg.fine, params, cfg.layout)
+    fine_fn = Propagator(cfg.fine, params, cfg.layout)
     u_prev = coarse_init_sweep(u0, cfg, flow(0.9, cfg.layout.slice_length))
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
-        fine_vals, _, _ = fine_parallel_phase(u_prev, list(u_prev), cfg, fine_fn, 1, pool)
+        fine_vals, _ = fine_parallel_phase(u_prev, list(u_prev), cfg, fine_fn, 1, pool)
     assert all(s.data.flags.writeable is False for s in fine_vals[1:])
     res = run_parareal(u0, cfg, params, coarse_fn=flow(0.9, cfg.layout.slice_length))
     assert all(s.data.flags.writeable is False for it in res.iterates for s in it)
@@ -470,7 +523,7 @@ def test_external_fine_kill_continues_uncorrected(tmp_path, settled_state, param
     )
     res = run_parareal(settled_state, cfg, params, run_dir=tmp_path / "run")
     assert any(e.k == 1 and e.slice_index == 1 and e.phase == "fine" for e in res.blow_ups)
-    coarse_fn = make_propagator(cfg.coarse, params, layout)
+    coarse_fn = Propagator(cfg.coarse, params, layout)
     assert res.iterates[1][2].bit_equal(coarse_fn(res.iterates[1][1], 1, 1))
     assert (tmp_path / "run" / "k1" / "slice1" / "fine" / "run.log").exists()
 
@@ -499,6 +552,6 @@ def test_external_fine_faults_follow_on_blow_up(tmp_path, settled_state, params,
     res = run_parareal(settled_state, cfg, params, run_dir=tmp_path / "run", timeout=timeout)
     assert not res.aborted and res.iterations_run == 1
     assert sorted(e.slice_index for e in res.blow_ups if e.phase == "fine") == [0, 1]
-    coarse_fn = make_propagator(cfg.coarse, params, layout)
+    coarse_fn = Propagator(cfg.coarse, params, layout)
     for n in range(2):
         assert res.iterates[1][n + 1].bit_equal(coarse_fn(res.iterates[1][n], n, 1))

@@ -163,7 +163,10 @@ def test_step_history_invariants(grid8):
     from paratide.solver import rhs
     from paratide import ModelParams
     t = rhs(s, ModelParams())
+    assert t.flags.writeable is False
     StepHistory(s, ((0, t), (2400, t)))
+    with pytest.raises(ValueError):
+        StepHistory(s, ((2400, t[:, :4]),))  # not the state's grid
     with pytest.raises(ValueError):
         StepHistory(s, ((0, t), (2400, t), (3600, t)))  # uneven spacing
     with pytest.raises(ValueError):
