@@ -1,19 +1,32 @@
-"""Parareal driver: coarse init sweep, parallel fine phase, correction sweep.
+"""Parareal driver: coarse init sweep, fine propagation, correction sweep.
 
 The driver operates on propagator callables ``fn(state, slice_index,
 iteration) -> state`` so that closed-form test propagators can stand in for
 the real ones; ``run_parareal`` binds PropagatorSpec values into
-Propagator objects, which are such callables.  All state arithmetic between
-propagations goes through the exact state algebra (state_add / state_diff),
-with one shortcut: when the freshly computed coarse value is bit-identical
-to the retained one, the correction G + (F - G) is replaced by F itself —
-the exact-arithmetic value — so the standard exactness-propagation
-invariant holds bit-for-bit instead of up to rounding.
+Propagator objects, which are such callables.  A propagator's output
+depends on (state, slice) only: ``iteration`` only names its work
+directory.  Sweep k therefore does not propagate U^k_{k-1} = U^{k-1}_{k-1}
+again, but reuses the coarse value that sweep k-1 kept for it.
+
+All state arithmetic between propagations goes through the exact state
+algebra (state_add / state_diff), with one shortcut: when the freshly
+computed coarse value is bit-identical to the retained one, the correction
+G + (F - G) is replaced by F itself — the exact-arithmetic value — so the
+standard exactness-propagation invariant holds bit-for-bit instead of up to
+rounding.
+
+Two schedules give the same bits, and the fine propagator picks one.
+In-process fine lanes, batched into integrate_batch calls on forked
+workers, run on the iteration barrier: init sweep, then per iteration a
+fine phase and a correction sweep.  Every other propagator runs slice by
+slice on threads, each slice starting as soon as its input is known, so
+the fine slices of iteration k+1 run beside the coarse chain of k.
 
 A fine propagation that fails (divergence, killed external run, missing
 output) leaves its correction undefined; in continue mode the sweep then
 keeps the uncorrected coarse value for that slice and flags it, in abort
-mode the run stops.
+mode the run stops.  Both schedules meet failures in barrier order: per
+iteration the fine slices by slice index, then the coarse sweep.
 """
 
 from __future__ import annotations
@@ -21,7 +34,7 @@ from __future__ import annotations
 import json
 import os
 import time as _time
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Executor, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -92,7 +105,14 @@ class BlowUpEvent:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Per-iteration bookkeeping for the run report."""
+    """Per-iteration bookkeeping for the run report.
+
+    wall_coarse_s and wall_fine_s span from the first start to the last end
+    of the iteration's coarse and fine work.  On the barrier schedule they
+    are the correction sweep and the fine phase (the init sweep and 0 at
+    k = 0); on the pipelined schedule iterations overlap, so they do not
+    add up to the run's wall.
+    """
 
     k: int
     wall_coarse_s: float
@@ -177,13 +197,20 @@ def _run_lanes(
             if isinstance(out, BlowUpError):
                 out.slice_index, out.iteration = n, k
         return outcomes
-    outcomes = []
-    for n, state in zip(slices, states):
-        try:
-            outcomes.append(fn(state, n, k))
-        except BlowUpError as err:
-            outcomes.append(err)
-    return outcomes
+    return [_outcome(fn, k, n, state) for n, state in zip(slices, states)]
+
+
+def _outcome(fn: PropagatorFn, k: int, n: int, state: ModelState) -> ModelState | BlowUpError:
+    try:
+        return fn(state, n, k)
+    except BlowUpError as err:
+        return err
+
+
+def _timed_outcome(fn: PropagatorFn, k: int, n: int, state: ModelState):
+    """One task of the pipelined schedule: (outcome, start, end)."""
+    start = _time.perf_counter()
+    return _outcome(fn, k, n, state), start, _time.perf_counter()
 
 
 def _fine_chunks(cfg: PararealConfig, fine_fn: PropagatorFn, lanes: int) -> int:
@@ -207,8 +234,6 @@ def coarse_init_sweep(
     The coarse values double as the retained G^0 for the first correction.
     A blow-up here is fatal: there is nothing to fall back on yet.
     """
-    if u0.time != cfg.layout.t0:
-        raise ValueError(f"u0 at t={u0.time}, layout starts at t={cfg.layout.t0}")
     states = [u0]
     for n in range(cfg.layout.n_slices):
         states.append(coarse_fn(states[n], n, 0))
@@ -266,16 +291,19 @@ def correction_sweep(
     """Sequential coarse sweep with corrections for n = k-1 .. N_t-1.
 
     Slices below the loop start carry over unchanged (they are already
-    exact).  A missing fine value (failed fine run) keeps the unedited
-    coarse value for that slice.  Returns (next iterate, retained coarse
-    values, events); a coarse blow-up truncates the sweep and is reported
-    by a terminal event — the caller decides whether that aborts the run.
+    exact).  At n = k-1 the retained coarse value g_prev[k] stands in for a
+    fresh one (see the module docstring).  A missing fine value (failed
+    fine run) keeps the unedited coarse value for that slice.  Returns
+    (next iterate, retained coarse values, events); a coarse blow-up
+    truncates the sweep and is reported by a terminal event — the caller
+    decides whether that aborts the run.
     """
     u_next: list[ModelState] = list(u_prev)
     g_next: list[ModelState] = list(g_prev)
     events: list[BlowUpEvent] = []
 
-    for n in range(k - 1, cfg.layout.n_slices):
+    u_next[k] = _corrected(g_prev[k], fine_vals[k], g_prev[k])
+    for n in range(k, cfg.layout.n_slices):
         try:
             g_new = coarse_fn(u_next[n], n, k)
         except BlowUpError as err:
@@ -284,15 +312,139 @@ def correction_sweep(
                 raise
             return u_next, g_next, events
         g_next[n + 1] = g_new
-        fine = fine_vals[n + 1]
-        if fine is None:
-            u_next[n + 1] = g_new
-        elif g_new.bit_equal(g_prev[n + 1]):
-            # G terms cancel exactly, so the exact-arithmetic update is F.
-            u_next[n + 1] = fine
-        else:
-            u_next[n + 1] = state_add(g_new, state_diff(fine, g_prev[n + 1]))
+        u_next[n + 1] = _corrected(g_new, fine_vals[n + 1], g_prev[n + 1])
     return u_next, g_next, events
+
+
+def _corrected(
+    g_new: ModelState, fine: ModelState | BlowUpError | None, g_old: ModelState
+) -> ModelState:
+    """U^k_{n+1} from G^k_{n+1}, F^k_{n+1} and the retained G^{k-1}_{n+1}.
+
+    A failed fine run (None or its error) keeps the coarse value.
+    """
+    if fine is None or isinstance(fine, BlowUpError):
+        return g_new
+    if g_new.bit_equal(g_old):
+        # G terms cancel exactly, so the exact-arithmetic update is F.
+        return fine
+    return state_add(g_new, state_diff(fine, g_old))
+
+
+def _barrier_schedule(u0, cfg, coarse_fn, fine_fn, pool):
+    """Iterates 0, 1, ... on the iteration barrier, each as (states,
+    events, coarse wall, fine wall)."""
+    t0 = _time.perf_counter()
+    u = coarse_init_sweep(u0, cfg, coarse_fn)
+    yield u, [], _time.perf_counter() - t0, 0.0
+    g = list(u)
+    for k in range(1, cfg.iterations + 1):
+        t0 = _time.perf_counter()
+        fine_vals, fine_events = fine_parallel_phase(u, g, cfg, fine_fn, k, pool)
+        t1 = _time.perf_counter()
+        u, g, sweep_events = correction_sweep(u, fine_vals, g, cfg, coarse_fn, k)
+        yield u, fine_events + sweep_events, _time.perf_counter() - t1, t1 - t0
+
+
+def _pipelined_schedule(u0, cfg, coarse_fn, fine_fn, pool, w):
+    """Iterates 0, 1, ... of the dependency-driven schedule, as
+    _barrier_schedule yields them.
+
+    coarse(k, n) needs U^k_n, fine(k, n) needs U^{k-1}_n, and U^k_{n+1} is
+    formed once G^k_{n+1}, F^k_{n+1} and G^{k-1}_{n+1} are in.  A task
+    (k, phase, n) is fine(k, n) for phase 0 and coarse(k, n) for phase 1,
+    so tasks sort in barrier order.  At most w are in flight: ready coarse
+    tasks first, then the lowest (k, n).  A failure bars what the barrier
+    would not reach after it: in abort mode every later task, in continue
+    mode, for a coarse failure, the later iterations.  Iterate k is yielded
+    once U^k_N is formed or, when a failure blocks it, once nothing is in
+    flight; tasks still running at a stop are left to the executor's
+    shutdown.
+    """
+    n_slices, last_k = cfg.layout.n_slices, cfg.iterations
+    abort = cfg.on_blow_up == ABORT
+    u, g, fine = {}, {}, {}     # (k, n) -> U^k_n (n >= k), G^k_n, F^k_n or its error
+    coarse_failure = {}         # k -> (n, BlowUpError)
+    spans = {}                  # (k, phase) -> (first start, last end)
+    formed = {k: k for k in range(1, last_k + 1)}   # next n to form U^k_n
+    ready, in_flight = set(), {}
+    bar = (last_k + 1,)
+
+    def land(k, n, state):
+        u[k, n] = state
+        if n < n_slices:
+            ready.add((k, 1, n))
+            if k < last_k:
+                ready.add((k + 1, 0, n))
+
+    def dispatch():
+        while len(in_flight) < w:
+            todo = [t for t in ready if t < bar]
+            if not todo:
+                return
+            task = min(todo, key=lambda t: (-t[1], t))
+            ready.remove(task)
+            k, phase, n = task
+            fn, state = (coarse_fn, u[k, n]) if phase else (fine_fn, u[k - 1, n])
+            in_flight[pool.submit(_timed_outcome, fn, k, n, state)] = task
+
+    def harvest(future):
+        nonlocal bar
+        task = k, phase, n = in_flight.pop(future)
+        out, start, end = future.result()
+        first, last = spans.get((k, phase), (start, end))
+        spans[k, phase] = (min(first, start), max(last, end))
+        failed = isinstance(out, BlowUpError)
+        if phase == 0:
+            fine[k, n + 1] = out
+        elif failed:
+            coarse_failure[k] = (n, out)
+        else:
+            g[k, n + 1] = out
+            if k == 0:
+                land(0, n + 1, out)
+        if failed and (abort or phase == 1):
+            bar = min(bar, task if abort else (k + 1,))
+
+    def form():
+        for k, m in formed.items():
+            # G^k_k is G^{k-1}_k: U^k_{k-1} = U^{k-1}_{k-1}
+            while (k, m) in fine and (k - 1, m) in g and (m == k or (k, m) in g):
+                g_old = g[k - 1, m]
+                land(k, m, _corrected(g_old if m == k else g[k, m], fine[k, m], g_old))
+                m += 1
+            formed[k] = m
+
+    def wall(k, phase):
+        first, last = spans.get((k, phase), (0.0, 0.0))
+        return last - first
+
+    land(0, 0, u0)
+    states = [u0] * (n_slices + 1)
+    for k in range(last_k + 1):
+        while (k, n_slices) not in u:
+            dispatch()
+            if not in_flight:
+                break   # a failure in iteration k blocks it
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            for future in done:
+                harvest(future)
+            form()
+        failures = [(m - 1, f) for m in range(k, n_slices + 1)
+                    if isinstance(f := fine.get((k, m)), BlowUpError)]
+        if failures and abort:
+            raise failures[0][1]
+        events = [BlowUpEvent(k, n, "fine", str(err)) for n, err in failures]
+        if k in coarse_failure:
+            n, err = coarse_failure[k]
+            if abort or k == 0:
+                raise err
+            events.append(BlowUpEvent(k, n, "correction", str(err)))
+        states = [u.get((k, n), states[n]) for n in range(n_slices + 1)]
+        for n in range(n_slices + 1):   # later iterations need neither
+            g.pop((k - 1, n), None)
+            fine.pop((k, n), None)
+        yield states, events, wall(k, 1), wall(k, 0)
 
 
 def _write_iterate_checkpoints(
@@ -329,6 +481,8 @@ def run_parareal(
     with external work directories under run_dir/serial/slice<n>/; a
     caller's own fine_fn must then come with its reference.
     """
+    if u0.time != cfg.layout.t0:
+        raise ValueError(f"u0 at t={u0.time}, layout starts at t={cfg.layout.t0}")
     run_dir = Path(run_dir) if run_dir is not None else None
     monitoring = cfg.epsilon > 0
     if monitoring and reference is None:
@@ -345,12 +499,6 @@ def run_parareal(
         fine_fn = Propagator(cfg.fine, params, cfg.layout, run_dir, "fine", timeout)
     ref_final = reference[-1] if reference is not None else None
 
-    def record_for(k, states, wall_coarse, wall_fine, flagged):
-        errors = None
-        if ref_final is not None:
-            errors = errors_at_final(states[-1], ref_final, cfg.monitored_fields)
-        return IterationRecord(k, wall_coarse, wall_fine, errors, tuple(flagged))
-
     def converged(errors) -> bool:
         # undefined errors (zero reference field) never count as converged;
         # that is a degenerate experiment to flag
@@ -359,68 +507,53 @@ def run_parareal(
             for f in cfg.monitored_fields
         )
 
-    t0 = _time.perf_counter()
-    u_curr = coarse_init_sweep(u0, cfg, coarse_fn)
-    init_wall = _time.perf_counter() - t0
-    g_curr = list(u_curr)
-
-    iterates = [tuple(u_curr)]
-    records = [record_for(0, u_curr, init_wall, 0.0, ())]
-    all_events: list[BlowUpEvent] = []
-    stopped = monitoring and converged(records[0].errors)
-    aborted = False
-    abort_reason = ""
-
-    if run_dir is not None:
-        _write_iterate_checkpoints(run_dir, 0, u_curr)
-
-    # One executor for every fine phase, sized for the widest (k = 1); it
-    # starts its workers at the first submit, so a run that stops at k = 0
-    # starts none.  In-process lanes compute in Python, so they get forked
-    # processes; other propagators wait on a child process, so threads do.
-    # Forked, not spawned: a worker inherits the loaded numpy and paratide
-    # instead of importing them afresh, and the driver has started no thread
-    # that a fork could catch holding a lock.  Imported here, so that a run
-    # without processes does not load multiprocessing.
+    # One executor per run, started at its first submit.  In-process lanes
+    # compute in Python, holding the GIL, and an integrate_batch call needs
+    # the inputs of all its lanes: they get forked processes and the
+    # barrier.  Other propagators wait on a child process slice by slice:
+    # threads, pipelined.  Forked, not spawned: a worker inherits the loaded
+    # numpy and paratide instead of importing them afresh, and the driver
+    # has started no thread that a fork could catch holding a lock.
+    # Imported here, so that a run without processes does not load
+    # multiprocessing.
     pool = None
-    workers = _fine_chunks(cfg, fine_fn, cfg.layout.n_slices) - 1
-    if workers and _in_process(fine_fn):
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    if _in_process(fine_fn):
+        workers = _fine_chunks(cfg, fine_fn, cfg.layout.n_slices) - 1
+        if workers:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    elif workers:
-        pool = ThreadPoolExecutor(workers)
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        schedule = _barrier_schedule(u0, cfg, coarse_fn, fine_fn, pool)
+    else:
+        w = min(cfg.max_parallel_fine, cfg.layout.n_slices)
+        pool = ThreadPoolExecutor(w)
+        schedule = _pipelined_schedule(u0, cfg, coarse_fn, fine_fn, pool, w)
+
+    iterates: list[tuple[ModelState, ...]] = []
+    records: list[IterationRecord] = []
+    all_events: list[BlowUpEvent] = []
+    stopped = aborted = False
+    abort_reason = ""
     try:
-        k = 0
-        while not stopped and k < cfg.iterations:
-            k += 1
-            t0 = _time.perf_counter()
-            fine_vals, fine_events = fine_parallel_phase(u_curr, g_curr, cfg, fine_fn, k, pool)
-            fine_wall = _time.perf_counter() - t0
-
-            t0 = _time.perf_counter()
-            u_next, g_next, sweep_events = correction_sweep(
-                u_curr, fine_vals, g_curr, cfg, coarse_fn, k
-            )
-            corr_wall = _time.perf_counter() - t0
-
-            all_events.extend(fine_events)
-            all_events.extend(sweep_events)
-            if sweep_events:
-                # The sequential chain broke: nothing meaningful follows.
-                aborted = True
-                abort_reason = sweep_events[-1].message
-
-            u_curr, g_curr = u_next, g_next
-            iterates.append(tuple(u_curr))
-            flagged = [e.slice_index for e in fine_events + sweep_events]
-            records.append(record_for(k, u_curr, corr_wall, fine_wall, flagged))
+        for k, (states, events, wall_coarse, wall_fine) in enumerate(schedule):
+            iterates.append(tuple(states))
+            errors = None
+            if ref_final is not None:
+                errors = errors_at_final(states[-1], ref_final, cfg.monitored_fields)
+            records.append(IterationRecord(k, wall_coarse, wall_fine, errors,
+                                           tuple(e.slice_index for e in events)))
+            all_events.extend(events)
             if run_dir is not None:
-                _write_iterate_checkpoints(run_dir, k, u_curr)
-            if aborted:
+                _write_iterate_checkpoints(run_dir, k, states)
+            broken = [e for e in events if e.phase == "correction"]
+            if broken:
+                # The sequential chain broke: nothing meaningful follows.
+                aborted, abort_reason = True, broken[-1].message
                 break
             stopped = monitoring and converged(records[-1].errors)
+            if stopped:
+                break
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

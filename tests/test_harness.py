@@ -219,7 +219,9 @@ def test_time_averaged_study_orders_by_spd(small_config):
 
 def test_report_marks_blow_up_and_skipped_cells(grid8, tmp_path):
     # a coarse-sweep failure mid-run: iterations beyond the break must be
-    # emitted as skipped, and the blow-up lands in the CSV flags column
+    # emitted as skipped, and the blow-up lands in the CSV flags column.
+    # It fails at slice 2 of sweep 2: slice 1 takes its coarse value from
+    # sweep 1, where the same state propagated fine.
     from paratide import ModelParams, ModelState, PararealConfig, PropagatorSpec, SliceLayout, run_parareal
     from paratide.errors import BlowUpError
     from paratide.harness import FineRunReport, RunReport, _error_cells
@@ -237,7 +239,7 @@ def test_report_marks_blow_up_and_skipped_cells(grid8, tmp_path):
         return fn
 
     def failing_coarse(state, n, k):
-        if k == 2 and n == 1:
+        if k == 2 and n == 2:
             raise BlowUpError("diverged", slice_index=n, iteration=k)
         return flow(0.8)(state, n, k)
 
@@ -280,9 +282,9 @@ def test_report_marks_blow_up_and_skipped_cells(grid8, tmp_path):
     skipped = [r for r in rows if r[1] == "3"]
     assert skipped and all(r[3] == "skipped" and r[4] == "skipped" for r in skipped)
     flagged = [r for r in rows if r[1] == "2"]
-    assert all("slice1" in r[7] for r in flagged)
+    assert all("slice2" in r[7] for r in flagged)
     text_path = emit_report(report, "text-table", tmp_path)
-    assert "blow-up: k=2 slice=1 phase=correction" in text_path.read_text()
+    assert "blow-up: k=2 slice=2 phase=correction" in text_path.read_text()
 
 
 def test_single_slice_experiment_is_trivially_exact(tmp_path, monkeypatch):

@@ -173,14 +173,16 @@ def test_fine_phase_loop_bounds(grid8):
 
 def test_zero_corrections_reduce_to_coarse_sweep(grid8):
     # fine values equal to retained coarse values that the fresh coarse
-    # values differ from: every correction F - G is formed, and is zero
+    # values differ from: every correction F - G is formed, and is zero.
+    # Slice 1 keeps its true coarse value, which the sweep reuses as the
+    # fresh one there.
     cfg = small_cfg(n_slices=4)
     coarse_fn = flow(0.8, cfg.layout.slice_length)
     u0 = constant_state(grid8, u=1.0, v=2.0, eta=0.5, temp=3.0, salt=4.0)
     u_prev = coarse_init_sweep(u0, cfg, coarse_fn)
-    retained = [u0] + [
+    retained = u_prev[:2] + [
         ModelState(grid8, np.full_like(u0.data, 7.0), u_prev[n + 1].time)
-        for n in range(cfg.layout.n_slices)
+        for n in range(1, cfg.layout.n_slices)
     ]
     u_next, _, events = correction_sweep(
         u_prev, retained, retained, cfg, coarse_fn, k=1
@@ -191,20 +193,35 @@ def test_zero_corrections_reduce_to_coarse_sweep(grid8):
         assert got.bit_equal(want)
 
 
-@pytest.mark.parametrize("policy", [None, "continue_uncorrected", "abort"],
-                         ids=["no_failure", "continue_uncorrected", "abort"])
-def test_scheduling_independence_with_thread_pool(grid8, policy):
-    # arbitrary callables run in chunks on the run's thread pool; the
-    # outcome must not depend on the worker count.  With a policy, slices
-    # 1 and 4 fail at k = 1 (in different chunks at 2 and 6 workers): both
-    # are flagged, or the run raises the earlier one.
+@pytest.mark.parametrize("policy, coarse_fails", [
+    pytest.param(None, None, id="no_failure"),
+    pytest.param("continue_uncorrected", None, id="continue_uncorrected"),
+    pytest.param("abort", None, id="abort"),
+    pytest.param("continue_uncorrected", 2, id="continue_coarse_below_fine"),
+    pytest.param("abort", 2, id="abort_coarse_below_fine"),
+])
+def test_scheduling_independence_with_thread_pool(grid8, policy, coarse_fails):
+    # arbitrary callables run slice by slice on the run's thread pool; the
+    # outcome must not depend on the worker count.  With a policy, fine
+    # slices 1 and 4 fail at k = 1: both are flagged, or the run raises the
+    # earlier one.  With coarse_fails, only fine slice 4 fails, late, and
+    # the coarse sweep of k = 1 fails at slice 2 before it: the run flags
+    # both in barrier order (fine, then correction) and keeps iterate 0's
+    # values past the break, or raises the fine failure, as the barrier does.
     import time as _t
 
+    fine_fails = () if policy is None else (4,) if coarse_fails else (1, 4)
+
     def slow_fine(state, n, k):
-        _t.sleep(0.002 * ((n * 7) % 3))
-        if policy is not None and k == 1 and n in (1, 4):
+        _t.sleep(0.002 * ((n * 7) % 3) + (0.05 if coarse_fails and n == 4 else 0.0))
+        if k == 1 and n in fine_fails:
             raise BlowUpError(f"slice {n} killed", slice_index=n, iteration=k)
         return ModelState(state.grid, state.data * 0.97, state.time + 600)
+
+    def coarse(state, n, k):
+        if k == 1 and n == coarse_fails:
+            raise BlowUpError(f"coarse slice {n} diverged", slice_index=n, iteration=k)
+        return flow(0.9, 600)(state, n, k)
 
     u0 = random_state(grid8, np.random.default_rng(31))
     results = []
@@ -213,26 +230,114 @@ def test_scheduling_independence_with_thread_pool(grid8, policy):
         cfg = small_cfg(n_slices=6, max_parallel_fine=workers, **kw)
         if policy == "abort":
             with pytest.raises(BlowUpError) as err:
-                run_parareal(u0, cfg, ModelParams(), coarse_fn=flow(0.9, 600), fine_fn=slow_fine)
+                run_parareal(u0, cfg, ModelParams(), coarse_fn=coarse, fine_fn=slow_fine)
             results.append((str(err.value), err.value.slice_index, err.value.iteration))
             continue
         res = run_parareal(
-            u0, cfg, ModelParams(), coarse_fn=flow(0.9, 600), fine_fn=slow_fine
+            u0, cfg, ModelParams(), coarse_fn=coarse, fine_fn=slow_fine
         )
         results.append(res)
     if policy == "abort":
-        assert results[0] == ("slice 1 killed", 1, 1)
+        first = fine_fails[0]
+        assert results[0] == (f"slice {first} killed", first, 1)
         assert results[1] == results[0] and results[2] == results[0]
         return
     if policy is not None:
-        assert [(e.k, e.slice_index, e.phase) for e in results[0].blow_ups] == [
-            (1, 1, "fine"), (1, 4, "fine")]
+        expected = [(1, n, "fine") for n in fine_fails]
+        if coarse_fails:
+            expected.append((1, coarse_fails, "correction"))
+        assert [(e.k, e.slice_index, e.phase) for e in results[0].blow_ups] == expected
+        assert results[0].records[1].blow_up_slices == tuple(n for _, n, _ in expected)
+    if coarse_fails:
+        res = results[0]
+        assert res.aborted and res.abort_reason == "coarse slice 2 diverged"
+        assert res.iterations_run == 1 and not res.stopped_at_epsilon
+        for n in range(coarse_fails + 1, 7):
+            assert res.iterates[1][n].bit_equal(res.iterates[0][n])
     for res in results[1:]:
         assert res.blow_ups == results[0].blow_ups
+        assert [r.blow_up_slices for r in res.records] == [
+            r.blow_up_slices for r in results[0].records]
+        assert (res.aborted, res.abort_reason) == (results[0].aborted, results[0].abort_reason)
         assert len(res.iterates) == len(results[0].iterates)
         for ia, ib in zip(results[0].iterates, res.iterates):
             for a, b in zip(ia, ib):
                 assert a.bit_equal(b)
+
+
+@pytest.mark.parametrize("fine", ["in_process", "callable"])
+def test_each_sweep_reuses_its_first_coarse_value(grid8, params, fine):
+    # U^k_{k-1} = U^{k-1}_{k-1}, so sweep k takes G^k_k from sweep k-1: a run
+    # of all N_t iterations makes N_t + sum_k (N_t - k) coarse calls, on the
+    # barrier schedule (in-process fine lanes) and the pipelined one alike
+    n_slices = 4
+    cfg = small_cfg(n_slices=n_slices, max_parallel_fine=2)
+    calls = []
+
+    def coarse(state, n, k):
+        calls.append((k, n))
+        return flow(0.9, cfg.layout.slice_length)(state, n, k)
+
+    fine_fn = None if fine == "in_process" else flow(0.95, cfg.layout.slice_length)
+    u0 = random_state(grid8, np.random.default_rng(17))
+    res = run_parareal(u0, cfg, params, coarse_fn=coarse, fine_fn=fine_fn)
+    assert res.iterations_run == n_slices
+    assert len(calls) == n_slices + sum(n_slices - k for k in range(1, n_slices + 1))
+    assert sorted(calls) == [(0, n) for n in range(n_slices)] + [
+        (k, n) for k in range(1, n_slices + 1) for n in range(k, n_slices)]
+
+
+def test_pipelined_schedule_overlaps_iterations_and_stops_clean(tmp_path, grid8):
+    # thread-path stand-ins log each call's start and end.  Iteration 1's
+    # fine slices start while the init sweep still runs.  The run stops at
+    # epsilon after k = 1 while iteration 2's fine slices run beside the
+    # last coarse slice of k = 1: that work is awaited and discarded, so
+    # the result, the manifest and the run directory hold no iterate 2 (and
+    # the autouse fixture finds no thread left running).
+    import json
+    import time as _t
+
+    n_slices, length = 6, 600
+    log = []
+
+    def logged(role, factor, delay):
+        def fn(state, n, k):
+            start = _t.perf_counter()
+            _t.sleep(delay(n, k))
+            out = flow(factor, length)(state, n, k)
+            log.append((role, k, n, start, _t.perf_counter()))
+            return out
+        return fn
+
+    coarse = logged("coarse", 0.9, lambda n, k: 0.2 if (k, n) == (1, n_slices - 1) else 0.01)
+    fine = logged("fine", 0.91, lambda n, k: 0.002)
+    u0 = constant_state(grid8, u=1.0, v=1.0, eta=1.0, temp=1.0, salt=1.0)
+    reference = [u0]
+    for n in range(n_slices):
+        reference.append(flow(0.91, length)(reference[-1], n, -1))
+    probe = run_parareal(u0, small_cfg(n_slices=n_slices), ModelParams(),
+                         coarse_fn=flow(0.9, length), fine_fn=flow(0.91, length),
+                         reference=reference)
+    worst = [max(max(e) for e in r.errors.values()) for r in probe.records]
+    assert worst[1] < worst[0]
+
+    log.clear()
+    cfg = small_cfg(n_slices=n_slices, max_parallel_fine=2, epsilon=worst[1])
+    res = run_parareal(u0, cfg, ModelParams(), coarse_fn=coarse, fine_fn=fine,
+                       reference=reference, run_dir=tmp_path / "run")
+    init_end = max(end for role, k, n, _, end in log if role == "coarse" and k == 0)
+    assert any(start < init_end for role, k, _, start, _ in log if role == "fine" and k == 1)
+    assert any(k == 2 for _, k, *_ in log)
+
+    assert res.stopped_at_epsilon and res.iterations_run == 1
+    assert [r.k for r in res.records] == [0, 1]
+    for ia, ib in zip(res.iterates, probe.iterates[:2]):
+        for a, b in zip(ia, ib):
+            assert a.bit_equal(b)
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["iterations_run"] == 1
+    assert [it["k"] for it in manifest["iterations"]] == [0, 1]
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["k0", "k1", "manifest.json"]
 
 
 def test_propagator_is_a_picklable_value(tmp_path, params):
