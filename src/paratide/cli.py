@@ -90,14 +90,14 @@ def _cmd_run(args) -> int:
     config = parse_config(args.config)
     report, run_dir = harness.run_experiment(config, run_id=args.run_id)
     print(f"report written to {run_dir}")
-    for fr in report.fine_runs:
+    for fr in report["fine_runs"]:
         crossing = ", ".join(
-            f"{name}={'-' if k is None else k}" for name, k in sorted(fr.first_crossing.items())
+            f"{name}={'-' if k is None else k}" for name, k in sorted(fr["first_crossing"].items())
         )
         print(
-            f"  nf{fr.fine_spd}: iterations={fr.iterations_run} "
-            f"first-crossing[{crossing}] profitable K<={fr.max_profitable_k}"
-            f"{' ABORTED' if fr.aborted else ''}"
+            f"  nf{fr['fine_spd']}: iterations={fr['iterations_run']} "
+            f"first-crossing[{crossing}] profitable K<={fr['max_profitable_k']}"
+            f"{' ABORTED' if fr['aborted'] else ''}"
         )
     return EXIT_OK
 
@@ -184,9 +184,8 @@ def _cmd_emit(args) -> int:
     path = Path(args.report)
     if not path.exists():
         raise IOFailureError(f"{path}: no such report")
-    report = harness.RunReport.from_dict(json.loads(path.read_text()))
     out_dir = Path(args.out_dir) if args.out_dir else path.parent
-    written = harness.emit_report(report, args.format, out_dir)
+    written = harness.emit_report(json.loads(path.read_text()), args.format, out_dir)
     print(f"wrote {written}")
     return EXIT_OK
 

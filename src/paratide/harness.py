@@ -1,18 +1,21 @@
 """Experiment harness: spin-up, reference management, studies, reports.
 
 A run starts from a seeded, spun-up state, executes the parallel-in-time
-loop once per fine step-count, evaluates both error norms per iteration
-against a cached restarted serial fine reference, and emits a CSV, a text
-table and a JSON report.  Reference trajectories and the spun-up state are
-cached by a hash of everything they depend on, so repeated experiments
-skip the serial recomputation.
+loop once per fine step-count and evaluates both error norms per iteration
+against a cached restarted serial fine reference.  Its record is one
+document, report.json: run_experiment builds it as a plain dict of JSON
+values, and the error CSV and the text table are rendered from that dict,
+so a report read back from report.json (``paratide emit``) renders the
+same bytes.  Reference trajectories and the spun-up state are cached by a
+hash of everything they depend on, so repeated experiments skip the serial
+recomputation.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -166,123 +169,9 @@ def serial_reference(
 # --------------------------------------------------------------------------
 # Run report
 
-@dataclass(frozen=True)
-class ErrorCell:
-    k: int
-    field_name: str
-    e_inf: float | None
-    e_2: float | None
-    status: str                     # "ok" | "undefined" | "skipped"
-
-
-@dataclass(frozen=True)
-class FineRunReport:
-    fine_spd: int
-    run_id: str
-    iterations_run: int
-    aborted: bool
-    errors: tuple[ErrorCell, ...]
-    wall: dict[int, tuple[float, float]]          # k -> (coarse s, fine s)
-    blow_ups: tuple[dict, ...]
-    first_crossing: dict[str, int | None]
-    exact_at_last: dict[str, float] | None        # per field, rel max at k = N_t
-    m_nominal: float
-    max_profitable_k: int
-    speedup_rows: tuple[tuple[int, float, float], ...]   # (k, estimate, bound)
-
-
-@dataclass(frozen=True)
-class RunReport:
-    run_id: str
-    config_path: str
-    config_hash: str
-    epsilon: float
-    n_slices: int
-    slice_length: int
-    coarse_spd: int
-    monitored: tuple[str, ...]
-    fine_runs: tuple[FineRunReport, ...]
-    flags: dict[str, bool] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "config_path": self.config_path,
-            "config_hash": self.config_hash,
-            "epsilon": self.epsilon,
-            "n_slices": self.n_slices,
-            "slice_length": self.slice_length,
-            "coarse_spd": self.coarse_spd,
-            "monitored": list(self.monitored),
-            "flags": dict(sorted(self.flags.items())),
-            "fine_runs": [
-                {
-                    "fine_spd": fr.fine_spd,
-                    "run_id": fr.run_id,
-                    "iterations_run": fr.iterations_run,
-                    "aborted": fr.aborted,
-                    "m_nominal": fr.m_nominal,
-                    "max_profitable_k": fr.max_profitable_k,
-                    "first_crossing": fr.first_crossing,
-                    "exact_at_last": fr.exact_at_last,
-                    "blow_ups": list(fr.blow_ups),
-                    "errors": [
-                        {
-                            "k": c.k, "field": c.field_name, "status": c.status,
-                            "E_inf": c.e_inf, "E_2": c.e_2,
-                        }
-                        for c in fr.errors
-                    ],
-                    "wall": {str(k): list(v) for k, v in sorted(fr.wall.items())},
-                    "speedup": [
-                        {"k": k, "estimate": est, "bound": bnd}
-                        for k, est, bnd in fr.speedup_rows
-                    ],
-                }
-                for fr in self.fine_runs
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RunReport":
-        """Inverse of to_dict (as read back from report.json)."""
-        fine_runs = tuple(
-            FineRunReport(
-                fine_spd=fr["fine_spd"],
-                run_id=fr["run_id"],
-                iterations_run=fr["iterations_run"],
-                aborted=fr["aborted"],
-                errors=tuple(
-                    ErrorCell(c["k"], c["field"], c["E_inf"], c["E_2"], c["status"])
-                    for c in fr["errors"]
-                ),
-                wall={int(k): tuple(v) for k, v in fr["wall"].items()},
-                blow_ups=tuple(fr["blow_ups"]),
-                first_crossing=fr["first_crossing"],
-                exact_at_last=fr["exact_at_last"],
-                m_nominal=fr["m_nominal"],
-                max_profitable_k=fr["max_profitable_k"],
-                speedup_rows=tuple((r["k"], r["estimate"], r["bound"]) for r in fr["speedup"]),
-            )
-            for fr in payload["fine_runs"]
-        )
-        return cls(
-            run_id=payload["run_id"],
-            config_path=payload["config_path"],
-            config_hash=payload["config_hash"],
-            epsilon=payload["epsilon"],
-            n_slices=payload["n_slices"],
-            slice_length=payload["slice_length"],
-            coarse_spd=payload["coarse_spd"],
-            monitored=tuple(payload["monitored"]),
-            fine_runs=fine_runs,
-            flags=payload["flags"],
-        )
-
-
 def _error_cells(
     result: PararealResult, monitored: tuple[Field, ...], n_slices: int
-) -> tuple[ErrorCell, ...]:
+) -> list[dict]:
     """One cell per (k, field) for k = 0 .. N_t - 1, read from the norms
     the run recorded against its reference.
 
@@ -293,12 +182,60 @@ def _error_cells(
     for k in range(n_slices):
         for f in monitored:
             if k > result.iterations_run:
-                cells.append(ErrorCell(k, f.name, None, None, "skipped"))
+                status, pair = "skipped", (None, None)
             elif result.records[k].errors[f] is None:
-                cells.append(ErrorCell(k, f.name, None, None, "undefined"))
+                status, pair = "undefined", (None, None)
             else:
-                cells.append(ErrorCell(k, f.name, *result.records[k].errors[f], "ok"))
-    return tuple(cells)
+                status, pair = "ok", result.records[k].errors[f]
+            cells.append({"k": k, "field": f.name, "status": status,
+                          "E_inf": pair[0], "E_2": pair[1]})
+    return cells
+
+
+def _fine_run(
+    result: PararealResult, cfg: PararealConfig, epsilon: float, run_id: str,
+    ref_final: ModelState,
+) -> dict:
+    """The report of one fine step-count: its entry in fine_runs.
+
+    epsilon is the report's threshold for first crossings; the run itself
+    goes through every iteration.
+    """
+    n_slices = cfg.layout.n_slices
+    # k = N_t reproduces the reference outright, so it never counts
+    crossing = {
+        f.name: first_crossing_iteration(
+            {r.k: r.errors[f] for r in result.records[:n_slices]}, epsilon
+        )
+        for f in cfg.monitored_fields
+    }
+    exact = None
+    if result.iterations_run == n_slices and not result.aborted:
+        exact = {f.name: rel_max_norm(result.final.field(f), ref_final.field(f))
+                 for f in FIELD_ORDER}
+    m_nominal = cfg.fine.spd / cfg.coarse.spd
+    return {
+        "fine_spd": cfg.fine.spd,
+        "run_id": run_id,
+        "iterations_run": result.iterations_run,
+        "aborted": result.aborted,
+        "m_nominal": m_nominal,
+        "max_profitable_k": max_profitable_iterations(m_nominal, n_slices),
+        "first_crossing": crossing,
+        "exact_at_last": exact,     # per field, rel max at k = N_t
+        "blow_ups": [
+            {"k": e.k, "slice": e.slice_index, "phase": e.phase, "message": e.message}
+            for e in result.blow_ups
+        ],
+        "errors": _error_cells(result, cfg.monitored_fields, n_slices),
+        # k -> [coarse s, fine s]; JSON object keys are strings
+        "wall": {str(r.k): [r.wall_coarse_s, r.wall_fine_s] for r in result.records},
+        "speedup": [
+            {"k": k, "estimate": speedup_estimate(k, n_slices, m_nominal),
+             "bound": speedup_bound(k, n_slices, m_nominal)}
+            for k in range(1, n_slices + 1)
+        ],
+    }
 
 
 def run_experiment(
@@ -306,19 +243,19 @@ def run_experiment(
     run_id: str | None = None,
     *,
     keep_iterate_checkpoints: bool = True,
-) -> tuple[RunReport, Path]:
+) -> tuple[dict, Path]:
     """Run the configured experiment and emit all report artifacts.
 
-    Returns the report plus the directory they were written to.  Blow-ups
-    under the continue policy are recorded, not raised; abort-mode blow-ups
-    propagate.
+    Returns the report (the report.json document) plus the directory the
+    artifacts were written to.  Blow-ups under the continue policy are
+    recorded, not raised; abort-mode blow-ups propagate.
     """
     run_id = run_id or config.run_name()
     root = runs_root(config)
     run_dir = root / run_id
     u0 = spin_up(config)
 
-    fine_reports = []
+    fine_runs = []
     for nf in config.fine_spds:
         reference = serial_reference(config, nf, u0)
         sub_id = f"{run_id}-nf{nf}"
@@ -327,7 +264,7 @@ def run_experiment(
             coarse=PropagatorSpec(config.coarse_spd, restart_policy=config.restart_policy),
             fine=PropagatorSpec(nf, restart_policy=config.restart_policy),
             max_iterations=config.max_iterations,
-            epsilon=0.0,        # run every iteration; crossings are derived below
+            epsilon=0.0,        # run every iteration; crossings are derived in _fine_run
             on_blow_up=config.on_blow_up,
             max_parallel_fine=config.max_parallel_fine,
             monitored_fields=config.monitored_fields,
@@ -338,87 +275,40 @@ def run_experiment(
             run_dir=(run_dir / f"nf{nf}" if keep_iterate_checkpoints else None),
             run_id=sub_id,
         )
-        n_slices = config.layout.n_slices
-        cells = _error_cells(result, config.monitored_fields, n_slices)
-        # k = N_t reproduces the reference outright, so it never counts
-        crossing = {
-            f.name: first_crossing_iteration(
-                {r.k: r.errors[f] for r in result.records[:n_slices]}, config.epsilon
-            )
-            for f in config.monitored_fields
-        }
+        fine_runs.append(_fine_run(result, cfg, config.epsilon, sub_id, reference[-1]))
 
-        exact = None
-        if result.iterations_run == config.layout.n_slices and not result.aborted:
-            exact = {
-                f.name: rel_max_norm(result.final.field(f), reference[-1].field(f))
-                for f in FIELD_ORDER
-            }
-
-        m_nominal = nf / config.coarse_spd
-        fine_reports.append(
-            FineRunReport(
-                fine_spd=nf,
-                run_id=sub_id,
-                iterations_run=result.iterations_run,
-                aborted=result.aborted,
-                errors=cells,
-                wall={r.k: (r.wall_coarse_s, r.wall_fine_s) for r in result.records},
-                blow_ups=tuple(
-                    {"k": e.k, "slice": e.slice_index, "phase": e.phase, "message": e.message}
-                    for e in result.blow_ups
-                ),
-                first_crossing=crossing,
-                exact_at_last=exact,
-                m_nominal=m_nominal,
-                max_profitable_k=max_profitable_iterations(m_nominal, config.layout.n_slices),
-                speedup_rows=tuple(
-                    (k, speedup_estimate(k, config.layout.n_slices, m_nominal),
-                     speedup_bound(k, config.layout.n_slices, m_nominal))
-                    for k in range(1, config.layout.n_slices + 1)
-                ),
-            )
-        )
-
-    flags = {"tracer_crossing_anomaly": _tracer_anomaly(fine_reports)}
-    report = RunReport(
-        run_id=run_id,
-        config_path=config.source_path,
-        config_hash=config.hash(),
-        epsilon=config.epsilon,
-        n_slices=config.layout.n_slices,
-        slice_length=config.layout.slice_length,
-        coarse_spd=config.coarse_spd,
-        monitored=tuple(f.name for f in config.monitored_fields),
-        fine_runs=tuple(fine_reports),
-        flags=flags,
-    )
+    report = {
+        "run_id": run_id,
+        "config_path": config.source_path,
+        "config_hash": config.hash(),
+        "epsilon": config.epsilon,
+        "n_slices": config.layout.n_slices,
+        "slice_length": config.layout.slice_length,
+        "coarse_spd": config.coarse_spd,
+        "monitored": [f.name for f in config.monitored_fields],
+        "flags": {"tracer_crossing_anomaly": _tracer_anomaly(fine_runs)},
+        "fine_runs": fine_runs,
+    }
     emit_report(report, "csv", run_dir)
     emit_report(report, "text-table", run_dir)
-    _write_json(run_dir / "report.json", report.to_dict())
+    _write_json(run_dir / "report.json", report)
     return report, run_dir
 
 
-def _tracer_anomaly(fine_reports: list[FineRunReport]) -> bool:
+def _tracer_anomaly(fine_runs: list[dict]) -> bool:
     """True when a tracer needed more iterations than the zonal velocity.
 
     Crossings that never happen count as infinity, so a stagnating
     velocity never flags the tracers.
     """
     inf = float("inf")
-    for fr in fine_reports:
-        if fr.aborted:
+    for fr in fine_runs:
+        if fr["aborted"]:
             continue
-        u_cross = fr.first_crossing.get("U")
-        u_val = inf if u_cross is None else u_cross
-        for tracer in ("T", "S"):
-            t_cross = fr.first_crossing.get(tracer)
-            if t_cross is None:
-                t_val = inf
-            else:
-                t_val = t_cross
-            if t_val > u_val:
-                return True
+        crossing = {name: inf if k is None else k for name, k in fr["first_crossing"].items()}
+        u_val = crossing.get("U", inf)
+        if any(crossing.get(tracer, inf) > u_val for tracer in ("T", "S")):
+            return True
     return False
 
 
@@ -435,34 +325,35 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def emit_report(report: RunReport, fmt: str, out_dir: str | Path) -> Path:
-    """Write the error CSV or the text table; bytes are deterministic for
-    identical reports apart from the timing columns in the CSV."""
+def emit_report(report: dict, fmt: str, out_dir: str | Path) -> Path:
+    """Write the error CSV or the text table of a report.json document;
+    bytes are deterministic for identical reports apart from the timing
+    columns in the CSV."""
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         if fmt == "csv":
             path = out_dir / "errors.csv"
             lines = [",".join(ERROR_CSV_HEADER)]
-            for fr in report.fine_runs:
+            for fr in report["fine_runs"]:
                 blow_by_k: dict[int, list[str]] = {}
-                for b in fr.blow_ups:
+                for b in fr["blow_ups"]:
                     blow_by_k.setdefault(b["k"], []).append(f"slice{b['slice']}")
-                for cell in fr.errors:
-                    wall = fr.wall.get(cell.k, (0.0, 0.0))
-                    if cell.status == "ok":
-                        e_inf, e_2 = _fmt(cell.e_inf), _fmt(cell.e_2)
+                for cell in fr["errors"]:
+                    wall = fr["wall"].get(str(cell["k"]), (0.0, 0.0))
+                    if cell["status"] == "ok":
+                        e_inf, e_2 = _fmt(cell["E_inf"]), _fmt(cell["E_2"])
                     else:
-                        e_inf = e_2 = cell.status
+                        e_inf = e_2 = cell["status"]
                     lines.append(",".join([
-                        fr.run_id,
-                        str(cell.k),
-                        cell.field_name,
+                        fr["run_id"],
+                        str(cell["k"]),
+                        cell["field"],
                         e_inf,
                         e_2,
                         _fmt(wall[0]),
                         _fmt(wall[1]),
-                        ";".join(blow_by_k.get(cell.k, [])),
+                        ";".join(blow_by_k.get(cell["k"], [])),
                     ]))
             path.write_text("\n".join(lines) + "\n")
             return path
@@ -475,39 +366,40 @@ def emit_report(report: RunReport, fmt: str, out_dir: str | Path) -> Path:
     raise ValueError(f"unknown report format {fmt!r}")
 
 
-def _text_table(report: RunReport) -> str:
+def _text_table(report: dict) -> str:
     lines = []
-    lines.append(f"run {report.run_id}  (config {report.config_path})")
+    lines.append(f"run {report['run_id']}  (config {report['config_path']})")
     lines.append("")
     lines.append("settings")
     lines.append("  dT(s)    T(s)      N_F          N_G  N_t")
-    total = report.n_slices * report.slice_length
-    nf_list = ",".join(str(fr.fine_spd) for fr in report.fine_runs)
+    total = report["n_slices"] * report["slice_length"]
+    nf_list = ",".join(str(fr["fine_spd"]) for fr in report["fine_runs"])
     lines.append(
-        f"  {report.slice_length:<8d} {total:<9d} {nf_list:<12s} {report.coarse_spd:<4d} {report.n_slices}"
+        f"  {report['slice_length']:<8d} {total:<9d} {nf_list:<12s} "
+        f"{report['coarse_spd']:<4d} {report['n_slices']}"
     )
     lines.append("")
-    for fr in report.fine_runs:
+    for fr in report["fine_runs"]:
         lines.append(
-            f"fine spd {fr.fine_spd} (m={fr.m_nominal:g}, profitable K<={fr.max_profitable_k}, "
-            f"iterations run {fr.iterations_run}{', ABORTED' if fr.aborted else ''})"
+            f"fine spd {fr['fine_spd']} (m={fr['m_nominal']:g}, "
+            f"profitable K<={fr['max_profitable_k']}, "
+            f"iterations run {fr['iterations_run']}{', ABORTED' if fr['aborted'] else ''})"
         )
         crossing = ", ".join(
             f"{name}: {'-' if k is None else k}"
-            for name, k in sorted(fr.first_crossing.items())
+            for name, k in sorted(fr["first_crossing"].items())
         )
-        lines.append(f"  first k with both norms <= {report.epsilon:g}: {crossing}")
-        if fr.exact_at_last is not None:
-            worst = max(fr.exact_at_last.values())
+        lines.append(f"  first k with both norms <= {report['epsilon']:g}: {crossing}")
+        if fr["exact_at_last"] is not None:
+            worst = max(fr["exact_at_last"].values())
             lines.append(f"  exact at k=N_t: worst field rel max-norm {worst:.3e}")
-        if fr.blow_ups:
-            for b in fr.blow_ups:
-                lines.append(f"  blow-up: k={b['k']} slice={b['slice']} phase={b['phase']}")
+        for b in fr["blow_ups"]:
+            lines.append(f"  blow-up: k={b['k']} slice={b['slice']} phase={b['phase']}")
         lines.append("  k  S_estimate  S_bound")
-        for k, est, bnd in fr.speedup_rows:
-            lines.append(f"  {k:<2d} {est:>10.6f}  {bnd:>8.6f}")
+        for row in fr["speedup"]:
+            lines.append(f"  {row['k']:<2d} {row['estimate']:>10.6f}  {row['bound']:>8.6f}")
         lines.append("")
-    for name, value in sorted(report.flags.items()):
+    for name, value in sorted(report["flags"].items()):
         lines.append(f"flag {name}: {'yes' if value else 'no'}")
     lines.append("")
     return "\n".join(lines)

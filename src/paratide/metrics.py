@@ -228,16 +228,20 @@ def time_averaged_error_series(
     return series
 
 
-def first_crossing_iteration(
-    errors_by_k: Mapping[int, tuple[float, float] | None], epsilon: float
-) -> int | None:
-    """Smallest k at which both norms are <= epsilon, or None if never.
+def converged(pair: tuple[float, float] | None, epsilon: float) -> bool:
+    """Both norms of an (E_inf, E_2) pair are <= epsilon.
 
     An undefined pair (None: identically zero reference field) never
     counts as converged.
     """
+    return pair is not None and pair[0] <= epsilon and pair[1] <= epsilon
+
+
+def first_crossing_iteration(
+    errors_by_k: Mapping[int, tuple[float, float] | None], epsilon: float
+) -> int | None:
+    """Smallest k at which the norms have converged, or None if never."""
     for k in sorted(errors_by_k):
-        pair = errors_by_k[k]
-        if pair is not None and pair[0] <= epsilon and pair[1] <= epsilon:
+        if converged(errors_by_k[k], epsilon):
             return k
     return None

@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 from .checkpoint import write_checkpoint
 from .errors import BlowUpError
-from .metrics import errors_at_final, first_crossing_iteration
+from .metrics import converged, errors_at_final, first_crossing_iteration
 from .propagator import PropagatorSpec, SliceLayout, propagate, restarted_serial_run
 from .solver import ModelParams, integrate_batch
 from .state import Field, ModelState, state_add, state_diff
@@ -148,8 +148,7 @@ class Propagator:
     """A spec bound to one run: maps (state, slice, iteration) -> state.
 
     A plain value, so a forked worker receives it by pickling.  An external
-    propagator with a run_dir works under
-    run_dir/k<iteration>/slice<n>/<role>/ (serial/ for iteration -1).
+    propagator with a run_dir works under run_dir/k<iteration>/slice<n>/<role>/.
     """
 
     spec: PropagatorSpec
@@ -162,8 +161,7 @@ class Propagator:
     def __call__(self, state: ModelState, slice_index: int, iteration: int) -> ModelState:
         workdir = None
         if self.spec.mode == "external" and self.run_dir is not None:
-            prefix = f"k{iteration}" if iteration >= 0 else "serial"
-            workdir = Path(self.run_dir) / prefix / f"slice{slice_index}" / self.role
+            workdir = Path(self.run_dir) / f"k{iteration}" / f"slice{slice_index}" / self.role
         return propagate(
             self.spec,
             state,
@@ -181,49 +179,42 @@ def _in_process(fn: PropagatorFn) -> bool:
 
 
 def _run_lanes(
-    fn: PropagatorFn, k: int, slices: Sequence[int], states: Sequence[ModelState]
+    fn: Propagator, k: int, slices: Sequence[int], states: Sequence[ModelState]
 ) -> list[ModelState | BlowUpError]:
     """One chunk of a fine phase: the outcome of each slice, in order.
 
-    An in-process Propagator integrates the chunk as lanes of one
-    integrate_batch call, looked up at call time; any other propagator runs
-    slice by slice.  A slice that fails yields its BlowUpError, and the
-    other slices go on.  Module level, so a worker process receives it by
-    import path.
+    The chunk is integrated as the lanes of one integrate_batch call,
+    looked up at call time.  A slice that fails yields its BlowUpError, and
+    the other slices go on.  Module level, so a worker process receives it
+    by import path.
     """
-    if _in_process(fn):
-        outcomes = integrate_batch(states, fn.layout.slice_length, fn.spec.dt, fn.params)
-        for n, out in zip(slices, outcomes):
-            if isinstance(out, BlowUpError):
-                out.slice_index, out.iteration = n, k
-        return outcomes
-    return [_outcome(fn, k, n, state) for n, state in zip(slices, states)]
-
-
-def _outcome(fn: PropagatorFn, k: int, n: int, state: ModelState) -> ModelState | BlowUpError:
-    try:
-        return fn(state, n, k)
-    except BlowUpError as err:
-        return err
+    outcomes = integrate_batch(states, fn.layout.slice_length, fn.spec.dt, fn.params)
+    for n, out in zip(slices, outcomes):
+        if isinstance(out, BlowUpError):
+            out.slice_index, out.iteration = n, k
+    return outcomes
 
 
 def _timed_outcome(fn: PropagatorFn, k: int, n: int, state: ModelState):
-    """One task of the pipelined schedule: (outcome, start, end)."""
+    """One task of the pipelined schedule: (outcome, start, end), the
+    outcome being the propagated state or the BlowUpError it raised."""
     start = _time.perf_counter()
-    return _outcome(fn, k, n, state), start, _time.perf_counter()
+    try:
+        out = fn(state, n, k)
+    except BlowUpError as err:
+        out = err
+    return out, start, _time.perf_counter()
 
 
-def _fine_chunks(cfg: PararealConfig, fine_fn: PropagatorFn, lanes: int) -> int:
-    """Chunks a fine phase of this many lanes is cut into.
+def _fine_chunks(cfg: PararealConfig, lanes: int) -> int:
+    """Chunks an in-process fine phase of this many lanes is cut into.
 
-    At most max_parallel_fine; in-process lanes also at most the usable
-    CPUs.  Platforms without os.sched_getaffinity (macOS; Windows, which
-    cannot fork) keep in-process lanes in this process.
+    At most max_parallel_fine and the usable CPUs.  Platforms without
+    os.sched_getaffinity (macOS; Windows, which cannot fork) keep the lanes
+    in this process.
     """
-    w = min(cfg.max_parallel_fine, lanes)
-    if _in_process(fine_fn):
-        w = min(w, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
-    return w
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return min(cfg.max_parallel_fine, lanes, cpus)
 
 
 def coarse_init_sweep(
@@ -244,11 +235,12 @@ def fine_parallel_phase(
     u_prev: Sequence[ModelState],
     g_prev: Sequence[ModelState],
     cfg: PararealConfig,
-    fine_fn: PropagatorFn,
+    fine_fn: Propagator,
     k: int,
     pool: Executor | None = None,
 ) -> tuple[list[ModelState | None], list[BlowUpEvent]]:
-    """Concurrent fine propagation for slices n = k-1 .. N_t-1.
+    """Concurrent fine propagation for slices n = k-1 .. N_t-1 by an
+    in-process Propagator.
 
     The lanes are cut into w contiguous chunks (see _fine_chunks; w = 1
     without a pool).  This process runs the first chunk and the pool the
@@ -261,7 +253,7 @@ def fine_parallel_phase(
     gathered by slice index, so the worker count cannot change a bit.
     """
     indices = list(range(k - 1, cfg.layout.n_slices))
-    w = _fine_chunks(cfg, fine_fn, len(indices)) if pool is not None else 1
+    w = _fine_chunks(cfg, len(indices)) if pool is not None else 1
     chunks = [indices[i * len(indices) // w:(i + 1) * len(indices) // w] for i in range(w)]
     futures = [pool.submit(_run_lanes, fine_fn, k, c, [u_prev[n] for n in c]) for c in chunks[1:]]
     outcomes = _run_lanes(fine_fn, k, chunks[0], [u_prev[n] for n in chunks[0]])
@@ -499,14 +491,6 @@ def run_parareal(
         fine_fn = Propagator(cfg.fine, params, cfg.layout, run_dir, "fine", timeout)
     ref_final = reference[-1] if reference is not None else None
 
-    def converged(errors) -> bool:
-        # undefined errors (zero reference field) never count as converged;
-        # that is a degenerate experiment to flag
-        return all(
-            errors[f] is not None and errors[f][0] <= cfg.epsilon and errors[f][1] <= cfg.epsilon
-            for f in cfg.monitored_fields
-        )
-
     # One executor per run, started at its first submit.  In-process lanes
     # compute in Python, holding the GIL, and an integrate_batch call needs
     # the inputs of all its lanes: they get forked processes and the
@@ -518,7 +502,7 @@ def run_parareal(
     # multiprocessing.
     pool = None
     if _in_process(fine_fn):
-        workers = _fine_chunks(cfg, fine_fn, cfg.layout.n_slices) - 1
+        workers = _fine_chunks(cfg, cfg.layout.n_slices) - 1
         if workers:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
@@ -551,7 +535,9 @@ def run_parareal(
                 # The sequential chain broke: nothing meaningful follows.
                 aborted, abort_reason = True, broken[-1].message
                 break
-            stopped = monitoring and converged(records[-1].errors)
+            stopped = monitoring and all(
+                converged(errors[f], cfg.epsilon) for f in cfg.monitored_fields
+            )
             if stopped:
                 break
     finally:

@@ -6,6 +6,8 @@ trajectories are computed once and reused across criteria.
 """
 
 import dataclasses
+import hashlib
+import json
 import os
 import sys
 
@@ -142,6 +144,33 @@ def test_golden_iterate_digest_exp1_nf72(exp1_config, exp1_u0):
     assert digests == GOLDEN_EXP1_NF72
 
 
+# SHA-256 of exp1's report files as `paratide run` writes them, pinned from
+# the code before the report became one report.json document.  What depends
+# on the machine or the clock is left out: the first line of report.txt
+# (the config path), the CSV timing columns, and config_path and the
+# per-iteration walls in report.json (compared as its canonical dump).
+GOLDEN_EXP1_REPORT = (
+    "f0e06ebe78df72ece55b3c1ef9ff03b4e1a3e9be49f4bab961ad81f59e6bd943",  # report.txt
+    "5b6566f93772160fc603c1ecaee338815dcece54ec40aabb9aa771be7a7605c7",  # errors.csv
+    "68b4b39f1274259f05a6b70c4675006971dd37618572e54bb904c8a92d2c1982",  # report.json
+)
+
+
+def test_golden_report_digest_exp1(exp1_config):
+    _, run_dir = run_experiment(exp1_config)
+    text = (run_dir / "report.txt").read_text().split("\n", 1)[1]
+    rows = [line.split(",") for line in (run_dir / "errors.csv").read_text().splitlines()]
+    timing = {rows[0].index("wall_coarse_s"), rows[0].index("wall_fine_s")}
+    csv = "".join(",".join(c for i, c in enumerate(r) if i not in timing) + "\n" for r in rows)
+    doc = json.loads((run_dir / "report.json").read_text())
+    del doc["config_path"]
+    for fr in doc["fine_runs"]:
+        del fr["wall"]
+    canonical = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    digests = tuple(hashlib.sha256(x.encode()).hexdigest() for x in (text, csv, canonical))
+    assert digests == GOLDEN_EXP1_REPORT
+
+
 def test_criterion_3_restart_pathology(exp1_config, exp1_u0, capsys):
     study = restart_consistency_study(exp1_config, slice_counts=(2,), total_days=1.0)
     row = study.rows[0]
@@ -239,24 +268,24 @@ def test_criterion_7_qualitative_convergence(exp1_config, exp3_config, capsys):
         reports[label] = report
         # complete per-iteration data: every (k, field) cell for every
         # configured fine step count is present and resolved
-        for fr in report.fine_runs:
-            assert not fr.aborted
-            cells = {(c.k, c.field_name): c.status for c in fr.errors}
+        for fr in report["fine_runs"]:
+            assert not fr["aborted"]
+            cells = {(c["k"], c["field"]): c["status"] for c in fr["errors"]}
             for k in range(config.layout.n_slices):
                 for f in config.monitored_fields:
                     assert cells.get((k, f.name)) in ("ok", "undefined"), (label, k, f)
-            assert fr.exact_at_last is not None
+            assert fr["exact_at_last"] is not None
 
     inf = float("inf")
 
     def crossing(report, nf, field):
-        fr = {r.fine_spd: r for r in report.fine_runs}[nf]
-        value = fr.first_crossing.get(field)
+        fr = {r["fine_spd"]: r for r in report["fine_runs"]}[nf]
+        value = fr["first_crossing"].get(field)
         return inf if value is None else value
 
     flags = []
     for report in reports.values():
-        flags.append(("tracer_crossing_anomaly", report.flags["tracer_crossing_anomaly"]))
+        flags.append(("tracer_crossing_anomaly", report["flags"]["tracer_crossing_anomaly"]))
     for nf in exp1_config.fine_spds:
         slower_with_longer_slices = crossing(reports["exp3"], nf, "U") >= crossing(
             reports["exp1"], nf, "U"

@@ -156,19 +156,22 @@ def test_g_equals_f_converges_at_first_iteration(settled_state, params):
         assert result.iterates[1][n].bit_equal(reference[n])
 
 
-def test_fine_phase_loop_bounds(grid8):
-    # at k = N_t exactly one fine propagation remains
+def test_fine_phase_loop_bounds(monkeypatch, grid8, params):
+    # at k = N_t exactly one fine lane remains, for slice N_t - 1
     cfg = small_cfg(n_slices=4)
+    real = parareal.integrate_batch
     calls = []
 
-    def fine(state, n, k):
-        calls.append(n)
-        return flow(0.9, cfg.layout.slice_length)(state, n, k)
+    def spy(states, *args):
+        calls.append([s.time // cfg.layout.slice_length for s in states])
+        return real(states, *args)
 
+    monkeypatch.setattr(parareal, "integrate_batch", spy)
     u0 = constant_state(grid8, u=1.0)
     u_prev = coarse_init_sweep(u0, cfg, flow(0.8, cfg.layout.slice_length))
-    fine_parallel_phase(u_prev, list(u_prev), cfg, fine, k=cfg.layout.n_slices)
-    assert calls == [3]
+    fine_fn = Propagator(cfg.fine, params, cfg.layout)
+    fine_parallel_phase(u_prev, list(u_prev), cfg, fine_fn, k=cfg.layout.n_slices)
+    assert calls == [[3]]
 
 
 def test_zero_corrections_reduce_to_coarse_sweep(grid8):
