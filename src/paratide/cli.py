@@ -34,7 +34,8 @@ from .errors import (
     EngineError,
     IOFailureError,
 )
-from .solver import SECONDS_PER_DAY, ModelParams, integrate_history
+from .propagator import PropagatorSpec
+from .solver import ModelParams, integrate_history
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -84,6 +85,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _spd_step(spd: int) -> int:
+    """The step of --spd, checked by PropagatorSpec before any work."""
+    try:
+        return PropagatorSpec(spd).dt
+    except ValueError as err:
+        raise ConfigError(f"--spd: {err}") from err
+
+
 def _cmd_run(args) -> int:
     from . import harness
 
@@ -105,14 +114,12 @@ def _cmd_run(args) -> int:
 def _cmd_serial(args) -> int:
     from . import harness
 
+    _spd_step(args.spd)          # before the spin-up
     config = parse_config(args.config)
-    spd = args.spd
-    if SECONDS_PER_DAY % spd != 0:
-        raise ConfigError(f"--spd {spd} does not divide 86400")
     u0 = harness.spin_up(config)
-    states = harness.serial_reference(config, spd, u0)
+    states = harness.serial_reference(config, args.spd, u0)
     final = states[-1]
-    print(f"serial reference at {spd} spd: {len(states) - 1} slices, final t={final.time}s")
+    print(f"serial reference at {args.spd} spd: {len(states) - 1} slices, final t={final.time}s")
     if args.out:
         write_checkpoint(final, None, args.out)
         print(f"final state written to {args.out}")
@@ -120,15 +127,13 @@ def _cmd_serial(args) -> int:
 
 
 def _cmd_single_shot(args) -> int:
+    dt = _spd_step(args.spd)
     if args.config:
         config = parse_config(args.config, model_only=True)
         grid, params = config.grid, config.params
     else:
         # shape comes from the file header, spacing from the defaults
         grid, params = None, ModelParams()
-    if SECONDS_PER_DAY % args.spd != 0:
-        raise ConfigError(f"--spd {args.spd} does not divide 86400")
-    dt = SECONDS_PER_DAY // args.spd
 
     ck = read_checkpoint(args.in_path, grid=grid)
     h = integrate_history(ck.step_history(dt), args.t_end, dt, params)
@@ -143,11 +148,14 @@ def _cmd_speedup(args) -> int:
     from .metrics import max_profitable_iterations, speedup_bound, speedup_estimate
 
     ks = [args.k] if args.k is not None else list(range(1, args.nt + 1))
+    try:
+        rows = [f"{k} {speedup_estimate(k, args.nt, args.m):.6f} "
+                f"{speedup_bound(k, args.nt, args.m):.6f}" for k in ks]
+        best = max_profitable_iterations(args.m, args.nt)
+    except ValueError as err:
+        raise ConfigError(f"speedup: {err}") from err
     print(f"speedup model: N_t={args.nt} m={args.m:g}")
-    print("k estimate bound")
-    for k in ks:
-        print(f"{k} {speedup_estimate(k, args.nt, args.m):.6f} {speedup_bound(k, args.nt, args.m):.6f}")
-    print(f"max profitable K: {max_profitable_iterations(args.m, args.nt)}")
+    print("\n".join(["k estimate bound", *rows, f"max profitable K: {best}"]))
     return EXIT_OK
 
 

@@ -59,10 +59,6 @@ class SpawnFailureError(EngineError):
 class ExternalTimeoutError(EngineError):
     """An external run exceeded its wall-clock limit and was killed."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class ZeroReferenceError(EngineError):
     """Relative error norm is undefined because the reference norm is zero."""

@@ -26,6 +26,7 @@ from .errors import IOFailureError, ValidationError
 from .metrics import (
     ERROR_CSV_HEADER,
     SliceAverages,
+    errors_at_final,
     first_crossing_iteration,
     max_profitable_iterations,
     rel_max_norm,
@@ -37,7 +38,7 @@ from .parareal import PararealConfig, PararealResult, run_parareal
 from .propagator import (
     PropagatorSpec,
     SliceLayout,
-    consecutive_run,
+    propagate,
     restarted_serial_run,
     split_run,
 )
@@ -211,8 +212,8 @@ def _fine_run(
     }
     exact = None
     if result.iterations_run == n_slices and not result.aborted:
-        exact = {f.name: rel_max_norm(result.final.field(f), ref_final.field(f))
-                 for f in FIELD_ORDER}
+        exact = {f.name: None if pair is None else pair[0]
+                 for f, pair in errors_at_final(result.final, ref_final, FIELD_ORDER).items()}
     m_nominal = cfg.fine.spd / cfg.coarse.spd
     return {
         "fine_spd": cfg.fine.spd,
@@ -222,7 +223,7 @@ def _fine_run(
         "m_nominal": m_nominal,
         "max_profitable_k": max_profitable_iterations(m_nominal, n_slices),
         "first_crossing": crossing,
-        "exact_at_last": exact,     # per field, rel max at k = N_t
+        "exact_at_last": exact,     # per field, rel max at k = N_t; None where undefined
         "blow_ups": [
             {"k": e.k, "slice": e.slice_index, "phase": e.phase, "message": e.message}
             for e in result.blow_ups
@@ -238,12 +239,7 @@ def _fine_run(
     }
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    run_id: str | None = None,
-    *,
-    keep_iterate_checkpoints: bool = True,
-) -> tuple[dict, Path]:
+def run_experiment(config: ExperimentConfig, run_id: str | None = None) -> tuple[dict, Path]:
     """Run the configured experiment and emit all report artifacts.
 
     Returns the report (the report.json document) plus the directory the
@@ -272,7 +268,7 @@ def run_experiment(
         result = run_parareal(
             u0, cfg, config.params,
             reference=reference,
-            run_dir=(run_dir / f"nf{nf}" if keep_iterate_checkpoints else None),
+            run_dir=run_dir / f"nf{nf}",
             run_id=sub_id,
         )
         fine_runs.append(_fine_run(result, cfg, config.epsilon, sub_id, reference[-1]))
@@ -340,7 +336,7 @@ def emit_report(report: dict, fmt: str, out_dir: str | Path) -> Path:
                 for b in fr["blow_ups"]:
                     blow_by_k.setdefault(b["k"], []).append(f"slice{b['slice']}")
                 for cell in fr["errors"]:
-                    wall = fr["wall"].get(str(cell["k"]), (0.0, 0.0))
+                    wall = fr["wall"].get(str(cell["k"]), (None, None))   # None: not run
                     if cell["status"] == "ok":
                         e_inf, e_2 = _fmt(cell["E_inf"]), _fmt(cell["E_2"])
                     else:
@@ -390,9 +386,9 @@ def _text_table(report: dict) -> str:
             for name, k in sorted(fr["first_crossing"].items())
         )
         lines.append(f"  first k with both norms <= {report['epsilon']:g}: {crossing}")
-        if fr["exact_at_last"] is not None:
-            worst = max(fr["exact_at_last"].values())
-            lines.append(f"  exact at k=N_t: worst field rel max-norm {worst:.3e}")
+        defined = [e for e in (fr["exact_at_last"] or {}).values() if e is not None]
+        if defined:
+            lines.append(f"  exact at k=N_t: worst field rel max-norm {max(defined):.3e}")
         for b in fr["blow_ups"]:
             lines.append(f"  blow-up: k={b['k']} slice={b['slice']} phase={b['phase']}")
         lines.append("  k  S_estimate  S_bound")
@@ -459,9 +455,9 @@ def restart_consistency_study(
     dt = SECONDS_PER_DAY // spd
     u0 = spin_up(config)
 
-    consecutive = consecutive_run(
+    consecutive = propagate(
         PropagatorSpec(spd, restart_policy="cold"), u0, u0.time + total, config.params
-    )
+    ).state
 
     rows = []
     for n in slice_counts:

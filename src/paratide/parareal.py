@@ -35,13 +35,13 @@ import json
 import os
 import time as _time
 from concurrent.futures import FIRST_COMPLETED, Executor, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .checkpoint import write_checkpoint
 from .errors import BlowUpError
-from .metrics import converged, errors_at_final, first_crossing_iteration
+from .metrics import converged, errors_at_final
 from .propagator import PropagatorSpec, SliceLayout, propagate, restarted_serial_run
 from .solver import ModelParams, integrate_batch
 from .state import Field, ModelState, state_add, state_diff
@@ -99,7 +99,7 @@ class PararealConfig:
 class BlowUpEvent:
     k: int
     slice_index: int
-    phase: str           # "init" | "fine" | "correction"
+    phase: str           # "fine" | "correction"
     message: str
 
 
@@ -125,14 +125,12 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class PararealResult:
-    layout: SliceLayout
     iterates: tuple[tuple[ModelState, ...], ...]      # [k][n], n = 0..n_slices
     records: tuple[IterationRecord, ...]
     blow_ups: tuple[BlowUpEvent, ...]
     stopped_at_epsilon: bool
     aborted: bool = False
     abort_reason: str = ""
-    first_crossing: dict[Field, int | None] = field(default_factory=dict)
 
     @property
     def iterations_run(self) -> int:
@@ -544,22 +542,13 @@ def run_parareal(
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
-    first_crossing: dict[Field, int | None] = {}
-    if monitoring:
-        first_crossing = {
-            f: first_crossing_iteration({r.k: r.errors[f] for r in records}, cfg.epsilon)
-            for f in cfg.monitored_fields
-        }
-
     result = PararealResult(
-        layout=cfg.layout,
         iterates=tuple(iterates),
         records=tuple(records),
         blow_ups=tuple(all_events),
         stopped_at_epsilon=stopped,
         aborted=aborted,
         abort_reason=abort_reason,
-        first_crossing=first_crossing,
     )
     if run_dir is not None:
         _write_manifest(run_dir, run_id, cfg, result)

@@ -31,7 +31,6 @@ import os
 import shutil
 import subprocess
 import tempfile
-import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -101,27 +100,11 @@ class SliceLayout:
             raise ValueError("n_slices must be >= 1")
 
     @property
-    def t_end(self) -> int:
-        return self.t0 + self.n_slices * self.slice_length
-
-    @property
     def total_seconds(self) -> int:
         return self.n_slices * self.slice_length
 
-    def boundaries(self) -> tuple[int, ...]:
-        return tuple(self.t0 + n * self.slice_length for n in range(self.n_slices + 1))
-
     def compatible_with(self, spec: PropagatorSpec) -> bool:
         return self.slice_length % spec.dt == 0
-
-
-@dataclass(frozen=True)
-class ExitReport:
-    """Outcome of one external run; nonzero exits are reported, not raised."""
-
-    returncode: int
-    wall_seconds: float
-    log_path: Path
 
 
 @dataclass(frozen=True)
@@ -154,8 +137,8 @@ def run_external(
     workdir: str | Path,
     env: Mapping[str, str] | None = None,
     timeout: float | None = None,
-) -> ExitReport:
-    """Launch a child in its own directory with captured output.
+) -> int:
+    """Run a child in its own directory and return its exit code.
 
     stdout and stderr both go to run.log inside the working directory.
     The child gets env (default: this process's environment) with its
@@ -163,18 +146,15 @@ def run_external(
     A relative command[0] that contains a path separator (./model, bin/model)
     is anchored to the parent's current directory as well; a bare name is
     looked up on PATH and the other arguments are passed verbatim.
-    A timeout kills the child and raises; a plain nonzero exit is returned
-    in the report for the caller to interpret.
+    A timeout kills the child and raises; a nonzero exit is returned.
     """
     command = list(command)
     if os.path.dirname(command[0]) and not os.path.isabs(command[0]):
         command[0] = os.path.abspath(command[0])
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    log_path = workdir / LOG_FILE
-    start = _time.perf_counter()
     try:
-        with open(log_path, "wb") as log:
+        with open(workdir / LOG_FILE, "wb") as log:
             proc = subprocess.run(
                 command,
                 cwd=workdir,
@@ -186,16 +166,8 @@ def run_external(
     except (FileNotFoundError, PermissionError) as err:
         raise SpawnFailureError(f"cannot launch {command[0]!r}: {err}") from err
     except subprocess.TimeoutExpired as err:
-        wall = _time.perf_counter() - start
-        raise ExternalTimeoutError(
-            f"{command[0]!r} exceeded {timeout}s and was killed",
-            report=ExitReport(returncode=-1, wall_seconds=wall, log_path=log_path),
-        ) from err
-    return ExitReport(
-        returncode=proc.returncode,
-        wall_seconds=_time.perf_counter() - start,
-        log_path=log_path,
-    )
+        raise ExternalTimeoutError(f"{command[0]!r} exceeded {timeout}s and was killed") from err
+    return proc.returncode
 
 
 def propagate(
@@ -279,11 +251,11 @@ def propagate(
         )
 
     try:
-        report = run_external(cmd, wd, timeout=timeout)
+        returncode = run_external(cmd, wd, timeout=timeout)
     except ExternalTimeoutError as err:
         raise failed(f"external propagator timed out: {err}") from err
-    if report.returncode != 0:
-        raise failed(f"external propagator exited {report.returncode} (log: {report.log_path})")
+    if returncode != 0:
+        raise failed(f"external propagator exited {returncode} (log: {wd / LOG_FILE})")
     if not out_path.exists():
         raise failed(f"external propagator left no output file {out_path}")
     try:
@@ -355,10 +327,3 @@ def split_run(
         )
         state, history = result.state, result.history
     return state
-
-
-def consecutive_run(
-    spec: PropagatorSpec, u0: ModelState, t_end: int, params: ModelParams
-) -> ModelState:
-    """Single unsplit propagation over the whole window."""
-    return propagate(spec, u0, t_end, params).state

@@ -121,10 +121,6 @@ class ModelState:
     def zeros(cls, grid: Grid, time: int = 0) -> "ModelState":
         return cls(grid, np.zeros((N_FIELDS, grid.ny, grid.nx)), time)
 
-    @property
-    def fields(self) -> dict[Field, np.ndarray]:
-        return {f: self.data[f.value] for f in FIELD_ORDER}
-
     def field(self, f: Field) -> np.ndarray:
         return self.data[f.value]
 
@@ -172,9 +168,6 @@ class StepHistory:
         gaps = {b - a for a, b in zip(stamps, stamps[1:])}
         if len(gaps) > 1:
             raise ValueError(f"history time stamps must be uniformly spaced, gaps {sorted(gaps)}")
-
-    def __len__(self) -> int:
-        return len(self.tendencies)
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,12 @@ elif mode == "wrong-grid":
     state = ModelState(grid, np.zeros((5, 8, 8)), int(args["--t-end"]))
     write_checkpoint(state, None, args["--out"])
     sys.exit(0)
+elif mode == "wrong-time":
+    from paratide import read_checkpoint, write_checkpoint
+    state = read_checkpoint(args["--in"]).state
+    step = 86400 // int(args["--spd"])
+    write_checkpoint(state.with_time(int(args["--t-end"]) - step), None, args["--out"])
+    sys.exit(0)
 open(args["--out"], "wb").write(out)
 """
 

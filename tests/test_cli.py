@@ -152,6 +152,25 @@ def test_single_shot_bad_spd_exits_2(tmp_path, grid8):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["speedup", "--m", "0", "--nt", "5"],
+    ["speedup", "--m", "2", "--nt", "0"],
+    ["speedup", "--m", "2", "--nt", "5", "--k", "0"],
+    ["serial", "{conf}", "--spd", "0"],
+    ["serial", "{conf}", "--spd", "-5"],       # 86400 % -5 == 0
+    ["single-shot", "--in", "{in}", "--out", "{out}", "--t-end", "2400", "--spd", "0"],
+], ids=["speedup-m", "speedup-nt", "speedup-k", "serial-spd0", "serial-spd-neg", "single-shot-spd0"])
+def test_bad_argument_exits_2_before_any_work(argv, small_conf, tmp_path, grid8, capsys):
+    write_checkpoint(constant_state(grid8), None, tmp_path / "in.prcp")
+    paths = {"{conf}": str(small_conf), "{in}": str(tmp_path / "in.prcp"),
+             "{out}": str(tmp_path / "o.prcp")}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    # no spin-up, no reference, no output
+    assert not (tmp_path / "runs").exists() and not (tmp_path / "o.prcp").exists()
+
+
 def test_invalid_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.conf"
     bad.write_text("[config]\nslice_length = 2400\nn_slices = 4\ncoarse_spd = 36\nfine_spd = 36\n")

@@ -25,7 +25,7 @@ def test_experiment1_preset_parses():
     cfg = parse_config(CONFIG_DIR / "exp1.conf")
     assert cfg.layout.slice_length == 2400
     assert cfg.layout.n_slices == 12
-    assert cfg.layout.t_end == 28800          # 8 hours
+    assert cfg.layout.t0 + cfg.layout.total_seconds == 28800   # 8 hours
     assert cfg.coarse_spd == 36
     assert cfg.fine_spds == (72, 144, 288)
     assert cfg.epsilon == 1e-2

@@ -265,10 +265,47 @@ def test_report_marks_blow_up_and_skipped_cells(grid8, tmp_path):
     rows = [r.split(",") for r in csv_path.read_text().splitlines()[1:]]
     skipped = [r for r in rows if r[1] == "3"]
     assert skipped and all(r[3] == "skipped" and r[4] == "skipped" for r in skipped)
+    # k = 3 never ran, so it has no wall times (k = 0 has a fine wall of 0.0)
+    assert all(r[5] == "" and r[6] == "" for r in skipped)
     flagged = [r for r in rows if r[1] == "2"]
     assert all("slice2" in r[7] for r in flagged)
     text_path = emit_report(report, "text-table", tmp_path)
     assert "blow-up: k=2 slice=2 phase=correction" in text_path.read_text()
+
+
+def test_exact_at_last_undefined_on_zero_reference_field(grid8, tmp_path):
+    # V and ETA are identically zero in the reference: their exact-at-last
+    # value is undefined, as their error cells would be, and the text
+    # table's worst field is taken over the defined ones
+    from paratide import ModelParams, ModelState, PararealConfig, PropagatorSpec, SliceLayout, run_parareal
+    from paratide.harness import _fine_run
+    from conftest import constant_state
+
+    layout = SliceLayout(t0=0, slice_length=600, n_slices=4)
+    cfg = PararealConfig(
+        layout=layout, coarse=PropagatorSpec(144), fine=PropagatorSpec(288), epsilon=0.0
+    )
+
+    def flow(state, n, k):
+        return ModelState(state.grid, state.data * 0.9, state.time + 600)
+
+    u0 = constant_state(grid8, u=1.0)
+    reference = [u0]
+    for n in range(4):
+        reference.append(flow(reference[-1], n, -1))
+    res = run_parareal(u0, cfg, ModelParams(), coarse_fn=flow, fine_fn=flow, reference=reference)
+    assert res.iterations_run == 4 and not res.aborted
+
+    fr = _fine_run(res, cfg, 1e-2, "zero-nf288", reference[-1])
+    assert fr["exact_at_last"] == {"U": 0.0, "V": None, "ETA": None, "T": 0.0, "S": 0.0}
+    report = {
+        "run_id": "zero", "config_path": "", "config_hash": "x" * 12, "epsilon": 1e-2,
+        "n_slices": 4, "slice_length": 600, "coarse_spd": 144,
+        "monitored": [f.name for f in cfg.monitored_fields],
+        "flags": {}, "fine_runs": [fr],
+    }
+    text = emit_report(report, "text-table", tmp_path).read_text()
+    assert "exact at k=N_t: worst field rel max-norm 0.000e+00" in text
 
 
 def test_single_slice_experiment_is_trivially_exact(tmp_path, monkeypatch):

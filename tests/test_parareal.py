@@ -23,6 +23,7 @@ from paratide.parareal import (
     fine_parallel_phase,
     Propagator,
 )
+from paratide.metrics import first_crossing_iteration
 from paratide.propagator import restarted_serial_run
 from paratide.solver import integrate
 
@@ -540,7 +541,9 @@ def test_steady_state_converges_immediately(grid8):
     res = run_parareal(u0, cfg, p)
     assert res.stopped_at_epsilon
     assert res.iterations_run <= 1
-    assert all(v is not None and v <= 1 for v in res.first_crossing.values())
+    for f in cfg.monitored_fields:
+        k = first_crossing_iteration({r.k: r.errors[f] for r in res.records}, cfg.epsilon)
+        assert k is not None and k <= 1
 
 
 def test_custom_fine_fn_with_epsilon_needs_reference(grid8):
@@ -637,7 +640,7 @@ def test_external_fine_kill_continues_uncorrected(tmp_path, settled_state, param
 
 
 @pytest.mark.parametrize("policy", ["continue_uncorrected", "abort"])
-@pytest.mark.parametrize("mode", ["junk", "truncated", "sleep"])
+@pytest.mark.parametrize("mode", ["junk", "truncated", "wrong-time", "sleep"])
 def test_external_fine_faults_follow_on_blow_up(tmp_path, settled_state, params, mode, policy):
     # every fine child fails: unreadable output or a timeout is a slice
     # failure like any other, flagged in continue mode and fatal in abort

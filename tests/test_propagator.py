@@ -19,8 +19,9 @@ from paratide.errors import (
     SpawnFailureError,
     StepMismatchError,
 )
-from paratide.propagator import consecutive_run, restarted_serial_run, split_run
+from paratide.propagator import restarted_serial_run, split_run
 from paratide.solver import integrate
+from paratide.state import FIELD_ORDER
 
 from conftest import faulty_command
 
@@ -41,8 +42,7 @@ def test_spec_validation():
 
 def test_layout_helpers():
     layout = SliceLayout(t0=0, slice_length=2400, n_slices=12)
-    assert layout.t_end == 28800
-    assert layout.boundaries()[:3] == (0, 2400, 4800)
+    assert layout.total_seconds == 28800
     assert layout.compatible_with(PropagatorSpec(36))
     assert not layout.compatible_with(PropagatorSpec(24))  # 3600 s step
 
@@ -64,7 +64,7 @@ def test_zero_length_slice_rejected(settled_state, params):
 def test_warm_split_is_bit_exact(settled_state, params):
     spec = PropagatorSpec(36, restart_policy="warm")
     layout = SliceLayout(t0=settled_state.time, slice_length=43200, n_slices=2)
-    whole = consecutive_run(spec, settled_state, settled_state.time + 86400, params)
+    whole = propagate(spec, settled_state, settled_state.time + 86400, params).state
     chained = split_run(spec, settled_state, layout, params)
     assert chained.bit_equal(whole)
 
@@ -74,10 +74,10 @@ def test_cold_split_deviates_but_stays_small(settled_state, params):
     # but over one day the deviation stays below the pinned 1e-3 bound.
     spec = PropagatorSpec(36, restart_policy="cold")
     layout = SliceLayout(t0=settled_state.time, slice_length=43200, n_slices=2)
-    whole = consecutive_run(spec, settled_state, settled_state.time + 86400, params)
+    whole = propagate(spec, settled_state, settled_state.time + 86400, params).state
     chained = split_run(spec, settled_state, layout, params)
     assert not chained.bit_equal(whole)
-    worst = max(rel_max_norm(chained.field(f), whole.field(f)) for f in chained.fields)
+    worst = max(rel_max_norm(chained.field(f), whole.field(f)) for f in FIELD_ORDER)
     assert 0.0 < worst < 1e-3
 
 
@@ -85,7 +85,7 @@ def test_restarted_serial_run_boundaries(settled_state, params):
     layout = SliceLayout(t0=settled_state.time, slice_length=4800, n_slices=3)
     states = restarted_serial_run(PropagatorSpec(36), settled_state, layout, params)
     assert len(states) == 4
-    assert [s.time for s in states] == list(layout.boundaries())
+    assert [s.time for s in states] == [settled_state.time + n * 4800 for n in range(4)]
     # each hop is an independent cold integration
     hop = integrate(states[1], states[1].time + 4800, 2400, params)
     assert states[2].bit_equal(hop)
@@ -95,14 +95,12 @@ def test_restarted_serial_run_boundaries(settled_state, params):
 # run_external
 
 def test_run_external_success(tmp_path):
-    report = run_external([sys.executable, "-c", "print('ok')"], tmp_path / "w")
-    assert report.returncode == 0
-    assert "ok" in report.log_path.read_text()
+    assert run_external([sys.executable, "-c", "print('ok')"], tmp_path / "w") == 0
+    assert "ok" in (tmp_path / "w" / "run.log").read_text()
 
 
 def test_run_external_nonzero_exit_reported_not_raised(tmp_path):
-    report = run_external([sys.executable, "-c", "raise SystemExit(9)"], tmp_path / "w")
-    assert report.returncode == 9
+    assert run_external([sys.executable, "-c", "raise SystemExit(9)"], tmp_path / "w") == 9
 
 
 def test_run_external_spawn_failure(tmp_path):
@@ -127,13 +125,12 @@ def test_run_external_child_pythonpath_is_absolute(tmp_path, monkeypatch):
     cwd = os.getcwd()
     monkeypatch.setenv("PYTHONPATH", os.pathsep.join(["rel", ""]))
     show = [sys.executable, "-c", "import os; print(os.environ['PYTHONPATH'])"]
-    report = run_external(show, "w")
-    assert report.returncode == 0
+    assert run_external(show, "w") == 0
     expected = os.pathsep.join([os.path.join(cwd, "rel"), cwd])
-    assert report.log_path.read_text().strip() == expected
+    assert (tmp_path / "w" / "run.log").read_text().strip() == expected
     # an explicit env is rewritten the same way
-    report = run_external(show, "w", env={**os.environ, "PYTHONPATH": "other"})
-    assert report.log_path.read_text().strip() == os.path.join(cwd, "other")
+    assert run_external(show, "w", env={**os.environ, "PYTHONPATH": "other"}) == 0
+    assert (tmp_path / "w" / "run.log").read_text().strip() == os.path.join(cwd, "other")
 
 
 def test_run_external_concurrent_logs_are_complete(tmp_path):
@@ -145,9 +142,9 @@ def test_run_external_concurrent_logs_are_complete(tmp_path):
         futures = [
             pool.submit(run_external, [sys.executable, "-c", script], d) for d in dirs
         ]
-        reports = [f.result() for f in futures]
-    for report in reports:
-        lines = report.log_path.read_text().splitlines()
+        assert [f.result() for f in futures] == [0, 0]
+    for d in dirs:
+        lines = (d / "run.log").read_text().splitlines()
         assert lines == [f"line{i}" for i in range(200)]
 
 
@@ -171,10 +168,10 @@ def test_external_warm_split_matches_consecutive(settled_state, params):
     spec = PropagatorSpec(36, mode="external", command=SINGLE_SHOT, restart_policy="warm")
     layout = SliceLayout(t0=settled_state.time, slice_length=7200, n_slices=2)
     chained = split_run(spec, settled_state, layout, params)
-    whole = consecutive_run(
+    whole = propagate(
         PropagatorSpec(36, restart_policy="warm"), settled_state,
         settled_state.time + 14400, params,
-    )
+    ).state
     assert chained.bit_equal(whole)
 
 
@@ -223,12 +220,11 @@ def test_run_external_relative_executable(tmp_path, monkeypatch):
     script = tmp_path / "x.sh"
     script.write_text("#!/bin/sh\necho ran \"$1\"\n")
     script.chmod(0o755)
-    report = run_external(["./x.sh", "arg"], "w")
-    assert report.returncode == 0
-    assert report.log_path.read_text().strip() == "ran arg"
+    assert run_external(["./x.sh", "arg"], "w") == 0
+    assert (tmp_path / "w" / "run.log").read_text().strip() == "ran arg"
 
 
-@pytest.mark.parametrize("mode", ["junk", "truncated", "wrong-grid", "sleep"])
+@pytest.mark.parametrize("mode", ["junk", "truncated", "wrong-grid", "wrong-time", "sleep"])
 def test_external_fault_is_blow_up_with_context(tmp_path, settled_state, params, mode):
     spec = PropagatorSpec(36, mode="external", command=faulty_command(tmp_path, mode))
     with pytest.raises(BlowUpError) as err:
