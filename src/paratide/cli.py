@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from .checkpoint import read_checkpoint, write_checkpoint
-from .config import parse_config
+from .config import int_list, parse_config
 from .errors import (
     BlowUpError,
     ConfigError,
@@ -91,6 +91,13 @@ def _spd_step(spd: int) -> int:
         return PropagatorSpec(spd).dt
     except ValueError as err:
         raise ConfigError(f"--spd: {err}") from err
+
+
+def _int_list(flag: str, text: str) -> tuple[int, ...]:
+    try:
+        return int_list(text)
+    except ValueError as err:
+        raise ConfigError(f"{flag}: cannot parse {text!r} ({err})") from err
 
 
 def _cmd_run(args) -> int:
@@ -162,8 +169,8 @@ def _cmd_speedup(args) -> int:
 def _cmd_restart_study(args) -> int:
     from . import harness
 
+    counts = _int_list("--slices", args.slices)
     config = parse_config(args.config)
-    counts = tuple(int(x) for x in args.slices.split(",") if x.strip())
     report = harness.restart_consistency_study(config, counts, args.days)
     print(report.to_text(), end="")
     return EXIT_OK
@@ -172,10 +179,8 @@ def _cmd_restart_study(args) -> int:
 def _cmd_avg_error(args) -> int:
     from . import harness
 
+    spd_list = _int_list("--spd-list", args.spd_list) if args.spd_list else None
     config = parse_config(args.config)
-    spd_list = None
-    if args.spd_list:
-        spd_list = tuple(int(x) for x in args.spd_list.split(",") if x.strip())
     series = harness.time_averaged_study(config, spd_list)
     print(f"time-averaged errors vs {config.reference_spd} spd reference")
     print("spd,slice,field,E_inf")

@@ -6,36 +6,57 @@ Three sections mirror the usual model/run/output split:
     [model]    grid and physical parameters
     [io]       output locations
 
-Unknown sections or keys, missing required keys, and every arithmetic
-constraint (divisor-of-86400 discipline, slice divisibility, CFL floor)
-are reported with the offending line or key named.
+Unknown sections or keys and missing required keys are reported with the
+offending line or key named.  A key left out takes the default of what it
+sets (ModelParams, ExperimentConfig; checkpoint.DEFAULT_SPACING for dx and
+dy).  parse_config builds the objects the engine runs on -- SliceLayout, a
+PropagatorSpec per step count, a PararealConfig per fine step count -- and
+reports their verdict on the step rules under the key at fault.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .checkpoint import DEFAULT_SPACING
 from .errors import ParseError, ValidationError
-from .propagator import SliceLayout
+from .propagator import PropagatorSpec, SliceLayout
 from .solver import SECONDS_PER_DAY, ModelParams, cfl_max_dt
 from .state import Field, Grid, ModelState
 
 _FIELD_NAMES = {f.name: f for f in Field}
 
+
+def int_list(text: str) -> tuple[int, ...]:
+    """A comma list of integers; empty items are skipped."""
+    return tuple(int(x) for x in text.split(",") if x.strip())
+
+
+def _field_list(text: str) -> tuple[Field, ...]:
+    names = [x.strip().upper() for x in text.split(",") if x.strip()]
+    for name in names:
+        if name not in _FIELD_NAMES:
+            raise ValueError(f"unknown field {name!r}; choose from {sorted(_FIELD_NAMES)}")
+    return tuple(_FIELD_NAMES[name] for name in names)
+
+
+# The optional keys of each section with the type of their value; a key
+# left out keeps the default of the dataclass field it sets.  ModelParams'
+# keys take the type they are annotated with.
+_PARAM_KEYS = {f.name: {"float": float, "int": int}[f.type] for f in fields(ModelParams)}
 _CONFIG_KEYS = {
-    "t0", "slice_length", "n_slices", "coarse_spd", "fine_spd",
-    "epsilon", "max_iterations", "monitored_fields", "restart_policy",
-    "on_blow_up", "max_parallel_fine", "seed", "spin_up_days",
-    "spin_up_spd", "reference_spd",
+    "epsilon": float, "max_iterations": int, "monitored_fields": _field_list,
+    "restart_policy": str, "on_blow_up": str, "max_parallel_fine": int,
+    "seed": int, "spin_up_days": float, "spin_up_spd": int, "reference_spd": int,
 }
-_MODEL_KEYS = {
-    "nx", "ny", "dx", "dy", "f0", "g", "H", "nu_h", "kappa",
-    "forcing_amp", "forcing_wavenumber", "velocity_cap",
+_IO_KEYS = {"output_dir": str}
+_SECTIONS = {
+    "config": {"t0", "slice_length", "n_slices", "coarse_spd", "fine_spd", *_CONFIG_KEYS},
+    "model": {"nx", "ny", "dx", "dy", *_PARAM_KEYS},
+    "io": set(_IO_KEYS),
 }
-_IO_KEYS = {"output_dir"}
-_SECTIONS = {"config": _CONFIG_KEYS, "model": _MODEL_KEYS, "io": _IO_KEYS}
 
 
 @dataclass(frozen=True)
@@ -94,6 +115,23 @@ class ExperimentConfig:
         stem = Path(self.source_path).stem if self.source_path else "experiment"
         return f"{stem}-{self.hash()}"
 
+    def parareal_config(self, fine_spd: int):
+        """The driver's settings for one fine step count.  Its epsilon is
+        0, so the run goes through every iteration: first crossings at this
+        config's epsilon are the report's to derive."""
+        from .parareal import PararealConfig   # single-shot children never load the driver
+
+        return PararealConfig(
+            layout=self.layout,
+            coarse=PropagatorSpec(self.coarse_spd, restart_policy=self.restart_policy),
+            fine=PropagatorSpec(fine_spd, restart_policy=self.restart_policy),
+            max_iterations=self.max_iterations,
+            epsilon=0.0,
+            on_blow_up=self.on_blow_up,
+            max_parallel_fine=self.max_parallel_fine,
+            monitored_fields=self.monitored_fields,
+        )
+
 
 def _digest(payload: dict) -> str:
     import hashlib  # loads OpenSSL; single-shot children parse configs but hash none
@@ -128,12 +166,15 @@ def _parse_sections(path: Path) -> dict[str, dict[str, str]]:
     return sections
 
 
+_REQUIRED = object()
+
+
 class _Section:
     def __init__(self, name: str, values: dict[str, str]):
         self.name = name
         self.values = values
 
-    def _convert(self, key: str, conv, default):
+    def get(self, key: str, conv, default=_REQUIRED):
         if key not in self.values:
             if default is _REQUIRED:
                 raise ValidationError(f"[{self.name}] {key}: required key is missing")
@@ -144,30 +185,18 @@ class _Section:
         except (TypeError, ValueError) as err:
             raise ValidationError(f"[{self.name}] {key}: cannot parse {raw!r} ({err})") from err
 
-    def get_int(self, key, default=None):
-        return self._convert(key, int, default)
-
-    def get_float(self, key, default=None):
-        return self._convert(key, float, default)
-
-    def get_str(self, key, default=None):
-        return self._convert(key, str, default)
-
-    def get_int_list(self, key, default=None):
-        return self._convert(key, lambda v: tuple(int(x.strip()) for x in v.split(",") if x.strip()), default)
-
-    def get_str_list(self, key, default=None):
-        return self._convert(key, lambda v: tuple(x.strip() for x in v.split(",") if x.strip()), default)
+    def given(self, convs: dict) -> dict:
+        """The keys of convs that this section sets, converted."""
+        return {key: self.get(key, conv) for key, conv in convs.items() if key in self.values}
 
 
-_REQUIRED = object()
-
-
-def _require_spd(key: str, spd: int) -> None:
-    if spd < 1 or SECONDS_PER_DAY % spd != 0:
-        raise ValidationError(
-            f"[config] {key}: {spd} steps per day does not divide 86400"
-        )
+def _build(prefix: str, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError reported as a ValidationError
+    after prefix."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as err:
+        raise ValidationError(f"{prefix}{err}") from err
 
 
 def parse_config(path: str | Path, model_only: bool = False) -> ExperimentConfig:
@@ -182,140 +211,59 @@ def parse_config(path: str | Path, model_only: bool = False) -> ExperimentConfig
     if not path.exists():
         raise ParseError(f"{path}: no such config file")
     sections = _parse_sections(path)
-    conf = _Section("config", sections["config"])
-    model = _Section("model", sections["model"])
-    io = _Section("io", sections["io"])
+    conf, model, io = (_Section(name, sections[name]) for name in ("config", "model", "io"))
 
-    try:
-        grid = Grid(
-            nx=model.get_int("nx", 32),
-            ny=model.get_int("ny", 32),
-            dx=model.get_float("dx", 50_000.0),
-            dy=model.get_float("dy", 50_000.0),
-        )
-    except ValueError as err:
-        raise ValidationError(f"[model] grid: {err}") from err
-    try:
-        params = ModelParams(
-            f0=model.get_float("f0", 1.0e-4),
-            g=model.get_float("g", 9.81),
-            H=model.get_float("H", 8.0),
-            nu_h=model.get_float("nu_h", 100.0),
-            kappa=model.get_float("kappa", 50.0),
-            forcing_amp=model.get_float("forcing_amp", 1.0e-9),
-            forcing_wavenumber=model.get_int("forcing_wavenumber", 3),
-            velocity_cap=model.get_float("velocity_cap", 100.0),
-        )
-    except ValueError as err:
-        raise ValidationError(f"[model] params: {err}") from err
-
-    output_dir = io.get_str("output_dir", "runs")
+    grid = _build(
+        "[model] grid: ", Grid,
+        nx=model.get("nx", int, 32),
+        ny=model.get("ny", int, 32),
+        dx=model.get("dx", float, DEFAULT_SPACING),
+        dy=model.get("dy", float, DEFAULT_SPACING),
+    )
+    params = _build("[model] params: ", ModelParams, **model.given(_PARAM_KEYS))
+    common = dict(grid=grid, params=params, source_path=str(path), **io.given(_IO_KEYS))
 
     if model_only:
-        layout = SliceLayout(t0=0, slice_length=SECONDS_PER_DAY, n_slices=1)
-        return ExperimentConfig(
-            grid=grid, params=params, layout=layout,
-            coarse_spd=36, fine_spds=(72,),
-            output_dir=output_dir, source_path=str(path),
-        )
+        placeholder = SliceLayout(t0=0, slice_length=SECONDS_PER_DAY, n_slices=1)
+        return ExperimentConfig(layout=placeholder, coarse_spd=36, fine_spds=(72,), **common)
 
-    coarse_spd = conf.get_int("coarse_spd", _REQUIRED)
-    fine_spds = conf.get_int_list("fine_spd", _REQUIRED)
-    slice_length = conf.get_int("slice_length", _REQUIRED)
-    n_slices = conf.get_int("n_slices", _REQUIRED)
-    t0 = conf.get_int("t0", 0)
-
-    _require_spd("coarse_spd", coarse_spd)
+    coarse_spd = conf.get("coarse_spd", int)
+    fine_spds = conf.get("fine_spd", int_list)
+    layout = _build(
+        "[config] layout: ", SliceLayout,
+        t0=conf.get("t0", int, 0),
+        slice_length=conf.get("slice_length", int),
+        n_slices=conf.get("n_slices", int),
+    )
     if not fine_spds:
         raise ValidationError("[config] fine_spd: list is empty")
-    for spd in fine_spds:
-        _require_spd("fine_spd", spd)
-        if spd <= coarse_spd:
-            raise ValidationError(
-                f"[config] fine_spd: {spd} must be strictly finer than coarse_spd={coarse_spd}"
-            )
+    config = ExperimentConfig(
+        layout=layout, coarse_spd=coarse_spd, fine_spds=fine_spds,
+        **conf.given(_CONFIG_KEYS), **common,
+    )
 
-    try:
-        layout = SliceLayout(t0=t0, slice_length=slice_length, n_slices=n_slices)
-    except ValueError as err:
-        raise ValidationError(f"[config] layout: {err}") from err
-    for key, spd in [("coarse_spd", coarse_spd)] + [("fine_spd", s) for s in fine_spds]:
-        step = SECONDS_PER_DAY // spd
-        if slice_length % step != 0:
-            raise ValidationError(
-                f"[config] slice_length: {slice_length}s is not a multiple of the "
-                f"{key}={spd} step size ({step}s)"
-            )
-
-    max_iterations = conf.get_int("max_iterations", None)
-    if max_iterations is not None and not 1 <= max_iterations <= n_slices:
-        raise ValidationError(
-            f"[config] max_iterations: {max_iterations} must be in [1, n_slices={n_slices}]"
-        )
-
-    epsilon = conf.get_float("epsilon", 1e-2)
-    if epsilon <= 0:
+    # The config's own rules; the step rules belong to the objects below.
+    if config.epsilon <= 0:
         raise ValidationError("[config] epsilon: must be positive")
-
-    monitored_names = conf.get_str_list("monitored_fields", ("U", "T", "S"))
-    monitored = []
-    for name in monitored_names:
-        if name.upper() not in _FIELD_NAMES:
-            raise ValidationError(
-                f"[config] monitored_fields: unknown field {name!r} "
-                f"(choose from {sorted(_FIELD_NAMES)})"
-            )
-        monitored.append(_FIELD_NAMES[name.upper()])
-
-    restart_policy = conf.get_str("restart_policy", "cold")
-    if restart_policy not in ("cold", "warm"):
-        raise ValidationError("[config] restart_policy: must be cold or warm")
-    on_blow_up = conf.get_str("on_blow_up", "continue_uncorrected")
-    if on_blow_up not in ("continue_uncorrected", "abort"):
-        raise ValidationError("[config] on_blow_up: must be continue_uncorrected or abort")
-
-    max_parallel_fine = conf.get_int("max_parallel_fine", 4)
-    if max_parallel_fine < 1:
-        raise ValidationError("[config] max_parallel_fine: must be >= 1")
-    seed = conf.get_int("seed", 1234)
-    if seed < 0:
+    if config.seed < 0:
         raise ValidationError("[config] seed: must be >= 0")
-    spin_up_days = conf.get_float("spin_up_days", 30.0)
-    if spin_up_days < 0:
+    if config.spin_up_days < 0:
         raise ValidationError("[config] spin_up_days: must be >= 0")
-    spin_up_spd = conf.get_int("spin_up_spd", 1440)
-    _require_spd("spin_up_spd", spin_up_spd)
-    reference_spd = conf.get_int("reference_spd", 1440)
-    _require_spd("reference_spd", reference_spd)
+
+    coarse = _build("[config] coarse_spd: ", PropagatorSpec, coarse_spd)
+    _build("[config] spin_up_spd: ", PropagatorSpec, config.spin_up_spd)
+    _build("[config] reference_spd: ", PropagatorSpec, config.reference_spd)
+    for nf in fine_spds:
+        _build("[config] fine_spd: ", PropagatorSpec, nf)
+        _build("[config] ", config.parareal_config, nf)     # its messages name the keys
 
     # The coarse propagator must respect the CFL floor of the configured
     # model at rest (wave speed only; the floor is a load-time sanity
     # check, the live bound depends on the evolving velocities).
-    rest = ModelState.zeros(grid)
-    floor_dt = cfl_max_dt(rest, params, grid)
-    coarse_dt = SECONDS_PER_DAY // coarse_spd
-    if coarse_dt > floor_dt:
+    floor_dt = cfl_max_dt(ModelState.zeros(grid), params, grid)
+    if coarse.dt > floor_dt:
         raise ValidationError(
-            f"[config] coarse_spd: step of {coarse_dt}s exceeds the CFL step floor "
+            f"[config] coarse_spd: step of {coarse.dt}s exceeds the CFL step floor "
             f"of {floor_dt}s ({SECONDS_PER_DAY // floor_dt} spd) for this model"
         )
-
-    return ExperimentConfig(
-        grid=grid,
-        params=params,
-        layout=layout,
-        coarse_spd=coarse_spd,
-        fine_spds=tuple(fine_spds),
-        epsilon=epsilon,
-        max_iterations=max_iterations,
-        monitored_fields=tuple(monitored),
-        restart_policy=restart_policy,
-        on_blow_up=on_blow_up,
-        max_parallel_fine=max_parallel_fine,
-        seed=seed,
-        spin_up_days=spin_up_days,
-        spin_up_spd=spin_up_spd,
-        reference_spd=reference_spd,
-        output_dir=output_dir,
-        source_path=str(path),
-    )
+    return config

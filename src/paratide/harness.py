@@ -115,10 +115,6 @@ def spin_up(config: ExperimentConfig, duration: int | None = None) -> ModelState
     if duration is None:
         duration = int(round(config.spin_up_days * SECONDS_PER_DAY))
     dt = SECONDS_PER_DAY // config.spin_up_spd
-    if duration % dt != 0:
-        raise ValidationError(
-            f"spin-up of {duration}s is not a multiple of the {dt}s spin-up step"
-        )
 
     name = f"init_{duration}.prcp"
     shared = runs_root(config) / "cache" / f"spinup-{config.spin_up_hash()}" / name
@@ -255,16 +251,7 @@ def run_experiment(config: ExperimentConfig, run_id: str | None = None) -> tuple
     for nf in config.fine_spds:
         reference = serial_reference(config, nf, u0)
         sub_id = f"{run_id}-nf{nf}"
-        cfg = PararealConfig(
-            layout=config.layout,
-            coarse=PropagatorSpec(config.coarse_spd, restart_policy=config.restart_policy),
-            fine=PropagatorSpec(nf, restart_policy=config.restart_policy),
-            max_iterations=config.max_iterations,
-            epsilon=0.0,        # run every iteration; crossings are derived in _fine_run
-            on_blow_up=config.on_blow_up,
-            max_parallel_fine=config.max_parallel_fine,
-            monitored_fields=config.monitored_fields,
-        )
+        cfg = config.parareal_config(nf)
         result = run_parareal(
             u0, cfg, config.params,
             reference=reference,
@@ -438,6 +425,17 @@ class RestartStudyReport:
         return "\n".join(lines)
 
 
+def _study_spec(spd: int, layout: SliceLayout) -> None:
+    """Reject a step count a study cannot run on layout, before any work."""
+    try:
+        spec = PropagatorSpec(spd)
+    except ValueError as err:
+        raise ValidationError(str(err)) from err
+    if not layout.compatible_with(spec):
+        raise ValidationError(f"{layout.slice_length}s slices are not a multiple "
+                              f"of the {spec.dt}s step of spd={spd}")
+
+
 def restart_consistency_study(
     config: ExperimentConfig,
     slice_counts: tuple[int, ...] = (1, 2, 4, 6),
@@ -452,7 +450,13 @@ def restart_consistency_study(
     """
     total = int(round(total_days * SECONDS_PER_DAY))
     spd = config.coarse_spd
-    dt = SECONDS_PER_DAY // spd
+    try:
+        window = SliceLayout(t0=config.layout.t0, slice_length=total, n_slices=1)
+        layouts = [window.split(n) for n in slice_counts]
+    except ValueError as err:
+        raise ValidationError(f"restart study: {err}") from err
+    for layout in layouts:
+        _study_spec(spd, layout)
     u0 = spin_up(config)
 
     consecutive = propagate(
@@ -460,12 +464,7 @@ def restart_consistency_study(
     ).state
 
     rows = []
-    for n in slice_counts:
-        if total % n != 0 or (total // n) % dt != 0:
-            raise ValidationError(
-                f"cannot split {total}s into {n} slices aligned to the {dt}s step"
-            )
-        layout = SliceLayout(t0=u0.time, slice_length=total // n, n_slices=n)
+    for layout in layouts:
         devs = {}
         finals = {}
         for policy in ("cold", "warm"):
@@ -477,8 +476,8 @@ def restart_consistency_study(
             )
         rows.append(
             RestartStudyRow(
-                n_slices=n,
-                slice_seconds=total // n,
+                n_slices=layout.n_slices,
+                slice_seconds=layout.slice_length,
                 cold_deviation=devs["cold"],
                 warm_deviation=devs["warm"],
                 warm_bit_exact=finals["warm"].bit_equal(consecutive),
@@ -504,11 +503,7 @@ def slice_averaged_run(
     slice, so every slice contributes the same number of samples at every
     step count.
     """
-    dt = SECONDS_PER_DAY // spd
-    if layout.slice_length % dt != 0:
-        raise ValidationError(
-            f"slice of {layout.slice_length}s is not a multiple of the {dt}s step"
-        )
+    dt = PropagatorSpec(spd).dt
     n_steps = layout.slice_length // dt
     state = u0
     means = []
@@ -526,8 +521,10 @@ def time_averaged_study(
     """Per-slice averaged errors of serial runs against the reference spd."""
     if spd_list is None:
         spd_list = tuple(sorted({config.coarse_spd, *config.fine_spds}))
-    u0 = spin_up(config)
     all_spds = tuple(sorted({*spd_list, config.reference_spd}))
+    for spd in all_spds:
+        _study_spec(spd, config.layout)
+    u0 = spin_up(config)
     runs = [
         slice_averaged_run(u0, config.layout, spd, config.params) for spd in all_spds
     ]

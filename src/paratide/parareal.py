@@ -51,8 +51,6 @@ PropagatorFn = Callable[[ModelState, int, int], ModelState]
 ABORT = "abort"
 CONTINUE_UNCORRECTED = "continue_uncorrected"
 
-DEFAULT_MONITORED = (Field.U, Field.T, Field.S)
-
 
 @dataclass(frozen=True)
 class PararealConfig:
@@ -65,18 +63,20 @@ class PararealConfig:
     epsilon: float = 1e-2                      # 0 disables epsilon stopping
     on_blow_up: str = CONTINUE_UNCORRECTED
     max_parallel_fine: int = 4
-    monitored_fields: tuple[Field, ...] = DEFAULT_MONITORED
+    monitored_fields: tuple[Field, ...] = (Field.U, Field.T, Field.S)
 
     def __post_init__(self):
+        # Messages name the config keys: parse_config reports them as is.
         if self.fine.spd <= self.coarse.spd:
             raise ValueError(
-                f"fine spd {self.fine.spd} must exceed coarse spd {self.coarse.spd}"
+                f"fine_spd: {self.fine.spd} must be strictly finer than "
+                f"coarse_spd={self.coarse.spd}"
             )
-        for name, spec in (("coarse", self.coarse), ("fine", self.fine)):
+        for key, spec in (("coarse_spd", self.coarse), ("fine_spd", self.fine)):
             if not self.layout.compatible_with(spec):
                 raise ValueError(
-                    f"slice length {self.layout.slice_length}s is not a multiple "
-                    f"of the {name} step {spec.dt}s"
+                    f"slice_length: {self.layout.slice_length}s is not a multiple "
+                    f"of the {key}={spec.spd} step ({spec.dt}s)"
                 )
         k = self.iterations
         if not 1 <= k <= self.layout.n_slices:

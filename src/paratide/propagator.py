@@ -44,7 +44,7 @@ from .errors import (
     SpawnFailureError,
     StepMismatchError,
 )
-from .solver import SECONDS_PER_DAY, ModelParams, StepHistory, integrate_history
+from .solver import SECONDS_PER_DAY, ModelParams, StepHistory, _check_window, integrate_history
 from .state import ModelState
 
 IN_FILE = "in.prcp"
@@ -75,7 +75,7 @@ class PropagatorSpec:
         if self.mode == "external" and not self.command:
             raise ValueError("external mode requires a command vector")
         if self.restart_policy not in ("cold", "warm"):
-            raise ValueError(f"unknown restart policy {self.restart_policy!r}")
+            raise ValueError(f"unknown restart_policy {self.restart_policy!r}")
         object.__setattr__(self, "command", tuple(self.command))
 
     @property
@@ -105,6 +105,12 @@ class SliceLayout:
 
     def compatible_with(self, spec: PropagatorSpec) -> bool:
         return self.slice_length % spec.dt == 0
+
+    def split(self, n_slices: int) -> SliceLayout:
+        """The same window cut into n_slices equal slices of whole seconds."""
+        if n_slices < 1 or self.total_seconds % n_slices != 0:
+            raise ValueError(f"cannot split {self.total_seconds}s into {n_slices} equal slices")
+        return SliceLayout(self.t0, self.total_seconds // n_slices, n_slices)
 
 
 @dataclass(frozen=True)
@@ -195,13 +201,7 @@ def propagate(
     the BlowUpError's log_path points into it.
     """
     t_end = int(t_end)
-    span = t_end - state.time
-    if span <= 0:
-        raise StepMismatchError(f"slice [{state.time}, {t_end}] is empty")
-    if span % spec.dt != 0:
-        raise StepMismatchError(
-            f"slice of {span}s is not a multiple of the {spec.dt}s step (spd={spec.spd})"
-        )
+    _check_window(t_end - state.time, spec.dt)      # before any child is spawned
 
     warm = spec.restart_policy == "warm"
     if spec.mode == "internal":

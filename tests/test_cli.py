@@ -159,7 +159,14 @@ def test_single_shot_bad_spd_exits_2(tmp_path, grid8):
     ["serial", "{conf}", "--spd", "0"],
     ["serial", "{conf}", "--spd", "-5"],       # 86400 % -5 == 0
     ["single-shot", "--in", "{in}", "--out", "{out}", "--t-end", "2400", "--spd", "0"],
-], ids=["speedup-m", "speedup-nt", "speedup-k", "serial-spd0", "serial-spd-neg", "single-shot-spd0"])
+    ["restart-study", "{conf}", "--slices", "0"],
+    ["restart-study", "{conf}", "--slices", "a"],
+    ["restart-study", "{conf}", "--days", "0"],
+    ["avg-error", "{conf}", "--spd-list", "0"],
+    ["avg-error", "{conf}", "--spd-list", "x"],
+    ["avg-error", "{conf}", "--spd-list", "7"],
+], ids=["speedup-m", "speedup-nt", "speedup-k", "serial-spd0", "serial-spd-neg", "single-shot-spd0",
+        "restart-slices0", "restart-slices-a", "restart-days0", "avg-spd0", "avg-spd-x", "avg-spd7"])
 def test_bad_argument_exits_2_before_any_work(argv, small_conf, tmp_path, grid8, capsys):
     write_checkpoint(constant_state(grid8), None, tmp_path / "in.prcp")
     paths = {"{conf}": str(small_conf), "{in}": str(tmp_path / "in.prcp"),
@@ -207,9 +214,9 @@ def test_emit_missing_report_exits_4(tmp_path):
     assert main(["emit", str(tmp_path / "none.json"), "--format", "csv"]) == 4
 
 
-def test_single_shot_imports_only_what_it_uses(tmp_path, grid8):
-    # one single-shot child runs per external slice, so its start-up must
-    # not pay for the driver, the harness, the metrics or a thread pool
+def _single_shot_loads(tmp_path, grid8, *extra):
+    """Run single-shot in a fresh interpreter; return its exit code and the
+    heavy modules it loaded on import and by the end of the run."""
     import os
     import subprocess
     import sys
@@ -231,11 +238,25 @@ def test_single_shot_imports_only_what_it_uses(tmp_path, grid8):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
         [sys.executable, "-c", script, "single-shot", "--in", str(tmp_path / "in.prcp"),
-         "--out", str(tmp_path / "out.prcp"), "--t-end", "4800", "--spd", "36"],
+         "--out", str(tmp_path / "out.prcp"), "--t-end", "4800", "--spd", "36", *extra],
         capture_output=True, text=True, env=env, check=True,
     ).stdout
-    assert out.strip() == "0 [] []"
     assert read_checkpoint(tmp_path / "out.prcp", grid=grid8).state.time == 4800
+    return out.strip()
+
+
+def test_single_shot_imports_only_what_it_uses(tmp_path, grid8):
+    # one single-shot child runs per external slice, so its start-up must
+    # not pay for the driver, the harness, the metrics or a thread pool
+    assert _single_shot_loads(tmp_path, grid8) == "0 [] []"
+
+
+def test_single_shot_with_config_imports_only_what_it_uses(tmp_path, grid8):
+    # external children read their model from a full experiment config
+    # (--config), which parse_config reads model-only: no driver either
+    conf = tmp_path / "exp.conf"
+    conf.write_text(SMALL.replace("16", "8"))
+    assert _single_shot_loads(tmp_path, grid8, "--config", str(conf)) == "0 [] []"
 
 
 def test_public_names_resolve_lazily():

@@ -48,6 +48,38 @@ def test_minimal_config(tmp_path):
     assert cfg.grid.nx == 32
 
 
+@pytest.mark.parametrize("name, config_hash", [
+    ("exp1.conf", "5f1ef3bed89b"), ("exp2.conf", "3c7a61a2cfb4"), ("exp3.conf", "65639f9a4ca3"),
+])
+def test_preset_hashes_pinned(name, config_hash):
+    # the hashes name every cache and run directory, so the defaults a
+    # preset leaves out must not move them
+    cfg = parse_config(CONFIG_DIR / name)
+    assert cfg.hash() == config_hash
+    assert cfg.spin_up_hash() == "e96621d0191d"
+
+
+@pytest.mark.parametrize("body, key", [
+    (MINIMAL + "restart_policy = hot\n", "restart_policy"),
+    (MINIMAL + "on_blow_up = ignore\n", "on_blow_up"),
+    (MINIMAL + "max_parallel_fine = 0\n", "max_parallel_fine"),
+    (MINIMAL + "spin_up_spd = 7\n", "spin_up_spd"),
+    (MINIMAL + "reference_spd = 0\n", "reference_spd"),
+    (MINIMAL.replace("coarse_spd = 36", "coarse_spd = 7"), "coarse_spd"),
+    (MINIMAL + "max_iterations = 0\n", "max_iterations"),
+    (MINIMAL.replace("72,144,288", "160"), "fine_spd"),     # a 540 s step into 2400 s
+    (MINIMAL + "[model]\nnx = 2\n", "nx"),
+    (MINIMAL + "[model]\nH = 0\n", "H"),
+    (MINIMAL + "[model]\nnx = 3.5\n", "nx"),
+], ids=["restart_policy", "on_blow_up", "max_parallel_fine", "spin_up_spd", "reference_spd",
+        "coarse_spd", "max_iterations", "fine_spd-step", "nx-small", "H", "nx-float"])
+def test_rule_violation_names_its_key(tmp_path, body, key):
+    # each rule is judged by the object that owns it; the error still
+    # names the config key at fault
+    with pytest.raises(ValidationError, match=rf"^\[(config|model)\] .*\b{key}\b"):
+        parse_config(write(tmp_path, body))
+
+
 def test_missing_file():
     with pytest.raises(ParseError):
         parse_config("/no/such/file.conf")
