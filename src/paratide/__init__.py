@@ -10,7 +10,7 @@ import importlib
 
 _EXPORTS = {
     "checkpoint": ("Checkpoint", "read_checkpoint", "write_checkpoint"),
-    "config": ("ExperimentConfig", "parse_config"),
+    "config": ("ExperimentConfig", "PararealConfig", "parse_config"),
     "metrics": (
         "max_profitable_iterations",
         "measure_runtime_ratio",
@@ -18,9 +18,8 @@ _EXPORTS = {
         "rel_max_norm",
         "speedup_bound",
         "speedup_estimate",
-        "time_averaged_error_series",
     ),
-    "parareal": ("IterationRecord", "PararealConfig", "PararealResult", "run_parareal"),
+    "parareal": ("IterationRecord", "PararealResult", "run_parareal"),
     "propagator": ("PropagateResult", "PropagatorSpec", "SliceLayout", "propagate", "run_external"),
     "solver": (
         "ModelParams",

@@ -179,7 +179,7 @@ def _cmd_restart_study(args) -> int:
 def _cmd_avg_error(args) -> int:
     from . import harness
 
-    spd_list = _int_list("--spd-list", args.spd_list) if args.spd_list else None
+    spd_list = None if args.spd_list is None else _int_list("--spd-list", args.spd_list)
     config = parse_config(args.config)
     series = harness.time_averaged_study(config, spd_list)
     print(f"time-averaged errors vs {config.reference_spd} spd reference")

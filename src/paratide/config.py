@@ -8,10 +8,13 @@ Three sections mirror the usual model/run/output split:
 
 Unknown sections or keys and missing required keys are reported with the
 offending line or key named.  A key left out takes the default of what it
-sets (ModelParams, ExperimentConfig; checkpoint.DEFAULT_SPACING for dx and
-dy).  parse_config builds the objects the engine runs on -- SliceLayout, a
-PropagatorSpec per step count, a PararealConfig per fine step count -- and
-reports their verdict on the step rules under the key at fault.
+sets (ModelParams, PararealConfig, PropagatorSpec, ExperimentConfig;
+checkpoint.DEFAULT_SPACING for dx and dy).  parse_config builds the
+objects the engine runs on -- SliceLayout, a PropagatorSpec per step
+count, a PararealConfig per fine step count -- and reports their verdict
+on the step rules under the key at fault.  PararealConfig, the driver's
+settings, lives here rather than with the driver, so that a single-shot
+child, which parses configs, never loads the driver.
 """
 
 from __future__ import annotations
@@ -30,8 +33,11 @@ _FIELD_NAMES = {f.name: f for f in Field}
 
 
 def int_list(text: str) -> tuple[int, ...]:
-    """A comma list of integers; empty items are skipped."""
-    return tuple(int(x) for x in text.split(",") if x.strip())
+    """A comma list of integers; empty items are skipped, an empty list is an error."""
+    values = tuple(int(x) for x in text.split(",") if x.strip())
+    if not values:
+        raise ValueError("list is empty")
+    return values
 
 
 def _field_list(text: str) -> tuple[Field, ...]:
@@ -59,21 +65,69 @@ _SECTIONS = {
 }
 
 
+ABORT = "abort"
+CONTINUE_UNCORRECTED = "continue_uncorrected"
+
+
+@dataclass(frozen=True)
+class PararealConfig:
+    """Everything the driver needs besides the initial state and physics."""
+
+    layout: SliceLayout
+    coarse: PropagatorSpec
+    fine: PropagatorSpec
+    max_iterations: int | None = None          # default: n_slices
+    epsilon: float = 1e-2                      # 0 disables epsilon stopping
+    on_blow_up: str = CONTINUE_UNCORRECTED
+    max_parallel_fine: int = 4
+    monitored_fields: tuple[Field, ...] = (Field.U, Field.T, Field.S)
+
+    def __post_init__(self):
+        # Messages name the config keys: parse_config reports them as is.
+        if self.fine.spd <= self.coarse.spd:
+            raise ValueError(
+                f"fine_spd: {self.fine.spd} must be strictly finer than "
+                f"coarse_spd={self.coarse.spd}"
+            )
+        for key, spec in (("coarse_spd", self.coarse), ("fine_spd", self.fine)):
+            if not self.layout.compatible_with(spec):
+                raise ValueError(
+                    f"slice_length: {self.layout.slice_length}s is not a multiple "
+                    f"of the {key}={spec.spd} step ({spec.dt}s)"
+                )
+        k = self.iterations
+        if not 1 <= k <= self.layout.n_slices:
+            raise ValueError(
+                f"max_iterations={k} must be in [1, n_slices={self.layout.n_slices}]"
+            )
+        if self.on_blow_up not in (ABORT, CONTINUE_UNCORRECTED):
+            raise ValueError(f"unknown on_blow_up mode {self.on_blow_up!r}")
+        if self.max_parallel_fine < 1:
+            raise ValueError("max_parallel_fine must be >= 1")
+        if self.epsilon < 0:
+            raise ValueError("epsilon must be >= 0")
+
+    @property
+    def iterations(self) -> int:
+        return self.layout.n_slices if self.max_iterations is None else self.max_iterations
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description."""
+    """Validated experiment description.  The run keys default to the
+    driver's settings and the propagators' restart policy."""
 
     grid: Grid
     params: ModelParams
     layout: SliceLayout
     coarse_spd: int
     fine_spds: tuple[int, ...]
-    epsilon: float = 1e-2
-    max_iterations: int | None = None
-    monitored_fields: tuple[Field, ...] = (Field.U, Field.T, Field.S)
-    restart_policy: str = "cold"
-    on_blow_up: str = "continue_uncorrected"
-    max_parallel_fine: int = 4
+    epsilon: float = PararealConfig.epsilon
+    max_iterations: int | None = PararealConfig.max_iterations
+    monitored_fields: tuple[Field, ...] = PararealConfig.monitored_fields
+    restart_policy: str = PropagatorSpec.restart_policy
+    on_blow_up: str = PararealConfig.on_blow_up
+    max_parallel_fine: int = PararealConfig.max_parallel_fine
     seed: int = 1234
     spin_up_days: float = 30.0
     spin_up_spd: int = 1440
@@ -115,12 +169,10 @@ class ExperimentConfig:
         stem = Path(self.source_path).stem if self.source_path else "experiment"
         return f"{stem}-{self.hash()}"
 
-    def parareal_config(self, fine_spd: int):
+    def parareal_config(self, fine_spd: int) -> PararealConfig:
         """The driver's settings for one fine step count.  Its epsilon is
         0, so the run goes through every iteration: first crossings at this
         config's epsilon are the report's to derive."""
-        from .parareal import PararealConfig   # single-shot children never load the driver
-
         return PararealConfig(
             layout=self.layout,
             coarse=PropagatorSpec(self.coarse_spd, restart_policy=self.restart_policy),
@@ -235,8 +287,6 @@ def parse_config(path: str | Path, model_only: bool = False) -> ExperimentConfig
         slice_length=conf.get("slice_length", int),
         n_slices=conf.get("n_slices", int),
     )
-    if not fine_spds:
-        raise ValidationError("[config] fine_spd: list is empty")
     config = ExperimentConfig(
         layout=layout, coarse_spd=coarse_spd, fine_spds=fine_spds,
         **conf.given(_CONFIG_KEYS), **common,

@@ -64,10 +64,6 @@ class ZeroReferenceError(EngineError):
     """Relative error norm is undefined because the reference norm is zero."""
 
 
-class LayoutMismatchError(EngineError):
-    """Series being compared do not share the same slice layout."""
-
-
 class ConfigError(EngineError):
     """Base class for configuration problems."""
 

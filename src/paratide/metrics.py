@@ -17,8 +17,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import LayoutMismatchError, ZeroReferenceError
-from .propagator import PropagatorSpec, SliceLayout
+from .errors import ZeroReferenceError
+from .propagator import PropagatorSpec
 from .solver import ModelParams, integrate
 from .state import Field, ModelState
 
@@ -169,63 +169,6 @@ def measure_runtime_ratio(
         spread=float(ratios[-1] - ratios[0]),
         inner_loops=loops,
     )
-
-
-@dataclass(frozen=True)
-class SliceAverages:
-    """Per-slice time-averaged fields of one serial run."""
-
-    spd: int
-    layout: SliceLayout
-    means: tuple[np.ndarray, ...]     # one (5, ny, nx) block per slice
-
-    def __post_init__(self):
-        if len(self.means) != self.layout.n_slices:
-            raise LayoutMismatchError(
-                f"{len(self.means)} slice averages for {self.layout.n_slices} slices"
-            )
-
-
-def time_averaged_error_series(
-    runs: Sequence[SliceAverages],
-    reference_spd: int,
-    fields: Sequence[Field] = (Field.T,),
-) -> dict[int, dict[Field, tuple[float, ...]]]:
-    """Per-slice relative max-norm of slice-averaged fields vs a reference run.
-
-    All runs must share the slice layout and grid shape; the reference is
-    the entry whose spd matches reference_spd and appears in the output as
-    an all-zero series.
-    """
-    by_spd: dict[int, SliceAverages] = {}
-    for run in runs:
-        if run.spd in by_spd:
-            raise LayoutMismatchError(f"duplicate run at {run.spd} spd")
-        by_spd[run.spd] = run
-    if reference_spd not in by_spd:
-        raise LayoutMismatchError(f"no run at reference spd {reference_spd}")
-    reference = by_spd[reference_spd]
-    for run in runs:
-        if run.layout != reference.layout:
-            raise LayoutMismatchError(
-                f"run at {run.spd} spd has layout {run.layout}, "
-                f"reference has {reference.layout}"
-            )
-        for a, b in zip(run.means, reference.means):
-            if a.shape != b.shape:
-                raise LayoutMismatchError("slice averages have mismatched shapes")
-
-    series: dict[int, dict[Field, tuple[float, ...]]] = {}
-    for spd in sorted(by_spd):
-        run = by_spd[spd]
-        per_field = {}
-        for f in fields:
-            per_field[f] = tuple(
-                rel_max_norm(run.means[n][f.value], reference.means[n][f.value])
-                for n in range(run.layout.n_slices)
-            )
-        series[spd] = per_field
-    return series
 
 
 def converged(pair: tuple[float, float] | None, epsilon: float) -> bool:

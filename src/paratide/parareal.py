@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .checkpoint import write_checkpoint
+from .config import ABORT, PararealConfig
 from .errors import BlowUpError
 from .metrics import converged, errors_at_final
 from .propagator import PropagatorSpec, SliceLayout, propagate, restarted_serial_run
@@ -47,53 +48,6 @@ from .solver import ModelParams, integrate_batch
 from .state import Field, ModelState, state_add, state_diff
 
 PropagatorFn = Callable[[ModelState, int, int], ModelState]
-
-ABORT = "abort"
-CONTINUE_UNCORRECTED = "continue_uncorrected"
-
-
-@dataclass(frozen=True)
-class PararealConfig:
-    """Everything the driver needs besides the initial state and physics."""
-
-    layout: SliceLayout
-    coarse: PropagatorSpec
-    fine: PropagatorSpec
-    max_iterations: int | None = None          # default: n_slices
-    epsilon: float = 1e-2                      # 0 disables epsilon stopping
-    on_blow_up: str = CONTINUE_UNCORRECTED
-    max_parallel_fine: int = 4
-    monitored_fields: tuple[Field, ...] = (Field.U, Field.T, Field.S)
-
-    def __post_init__(self):
-        # Messages name the config keys: parse_config reports them as is.
-        if self.fine.spd <= self.coarse.spd:
-            raise ValueError(
-                f"fine_spd: {self.fine.spd} must be strictly finer than "
-                f"coarse_spd={self.coarse.spd}"
-            )
-        for key, spec in (("coarse_spd", self.coarse), ("fine_spd", self.fine)):
-            if not self.layout.compatible_with(spec):
-                raise ValueError(
-                    f"slice_length: {self.layout.slice_length}s is not a multiple "
-                    f"of the {key}={spec.spd} step ({spec.dt}s)"
-                )
-        k = self.iterations
-        if not 1 <= k <= self.layout.n_slices:
-            raise ValueError(
-                f"max_iterations={k} must be in [1, n_slices={self.layout.n_slices}]"
-            )
-        if self.on_blow_up not in (ABORT, CONTINUE_UNCORRECTED):
-            raise ValueError(f"unknown on_blow_up mode {self.on_blow_up!r}")
-        if self.max_parallel_fine < 1:
-            raise ValueError("max_parallel_fine must be >= 1")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-
-    @property
-    def iterations(self) -> int:
-        return self.layout.n_slices if self.max_iterations is None else self.max_iterations
-
 
 @dataclass(frozen=True)
 class BlowUpEvent:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import BlowUpError, CFLImpossibleError, NonFiniteError, StepMismatchError
 from .state import (
+    DEFAULT_VELOCITY_CAP,
     N_FIELDS,
     Field,
     Grid,
@@ -51,7 +52,7 @@ class ModelParams:
     kappa: float = 50.0           # tracer diffusivity (m^2/s)
     forcing_amp: float = 1.0e-9   # zonal body-force amplitude (m/s^2)
     forcing_wavenumber: int = 3
-    velocity_cap: float = 100.0   # |u|,|v| beyond this is a blow-up (m/s)
+    velocity_cap: float = DEFAULT_VELOCITY_CAP   # |u|,|v| beyond this is a blow-up
 
     def __post_init__(self):
         if self.H <= 0 or self.g <= 0:

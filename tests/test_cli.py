@@ -161,12 +161,15 @@ def test_single_shot_bad_spd_exits_2(tmp_path, grid8):
     ["single-shot", "--in", "{in}", "--out", "{out}", "--t-end", "2400", "--spd", "0"],
     ["restart-study", "{conf}", "--slices", "0"],
     ["restart-study", "{conf}", "--slices", "a"],
+    ["restart-study", "{conf}", "--slices", ","],
     ["restart-study", "{conf}", "--days", "0"],
     ["avg-error", "{conf}", "--spd-list", "0"],
     ["avg-error", "{conf}", "--spd-list", "x"],
     ["avg-error", "{conf}", "--spd-list", "7"],
+    ["avg-error", "{conf}", "--spd-list", ","],
 ], ids=["speedup-m", "speedup-nt", "speedup-k", "serial-spd0", "serial-spd-neg", "single-shot-spd0",
-        "restart-slices0", "restart-slices-a", "restart-days0", "avg-spd0", "avg-spd-x", "avg-spd7"])
+        "restart-slices0", "restart-slices-a", "restart-slices-empty", "restart-days0",
+        "avg-spd0", "avg-spd-x", "avg-spd7", "avg-spd-empty"])
 def test_bad_argument_exits_2_before_any_work(argv, small_conf, tmp_path, grid8, capsys):
     write_checkpoint(constant_state(grid8), None, tmp_path / "in.prcp")
     paths = {"{conf}": str(small_conf), "{in}": str(tmp_path / "in.prcp"),

@@ -48,6 +48,19 @@ def test_minimal_config(tmp_path):
     assert cfg.grid.nx == 32
 
 
+def test_run_defaults_are_the_drivers(tmp_path):
+    # a run key left out takes the default of the driver's settings and of
+    # the propagators' restart policy, not one of the config's own
+    from paratide import PararealConfig, PropagatorSpec
+
+    cfg = parse_config(write(tmp_path, MINIMAL))
+    bare = PararealConfig(cfg.layout, PropagatorSpec(cfg.coarse_spd), PropagatorSpec(cfg.fine_spds[0]))
+    assert (cfg.epsilon, cfg.max_iterations, cfg.on_blow_up, cfg.max_parallel_fine,
+            cfg.monitored_fields) == (bare.epsilon, bare.max_iterations, bare.on_blow_up,
+                                      bare.max_parallel_fine, bare.monitored_fields)
+    assert cfg.restart_policy == bare.coarse.restart_policy == bare.fine.restart_policy
+
+
 @pytest.mark.parametrize("name, config_hash", [
     ("exp1.conf", "5f1ef3bed89b"), ("exp2.conf", "3c7a61a2cfb4"), ("exp3.conf", "65639f9a4ca3"),
 ])

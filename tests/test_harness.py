@@ -214,6 +214,36 @@ def test_time_averaged_study_orders_by_spd(small_config):
     assert t36[0] > t72[0] > 0.0
 
 
+def test_time_averaged_study_matches_hand_computation(small_config):
+    # per slice, a cold start stepped one warm step at a time; the slice's
+    # mean is over the states after each step, and its error is
+    # max |mean - reference mean| / max |reference mean| per field
+    from paratide import StepHistory, integrate_history
+
+    reference_spd = small_config.reference_spd
+    series = time_averaged_study(small_config, spd_list=(72,))
+    layout, params = small_config.layout, small_config.params
+    u0 = spin_up(small_config)
+    means = {}
+    for spd in (72, reference_spd):
+        dt = 86400 // spd
+        n_steps = layout.slice_length // dt
+        state, means[spd] = u0, []
+        for _ in range(layout.n_slices):
+            h, total = StepHistory(state), np.zeros_like(u0.data)
+            for _ in range(n_steps):
+                h = integrate_history(h, h.current.time + dt, dt, params)
+                total += h.current.data
+            state = h.current
+            means[spd].append(total / n_steps)
+    for spd in (72, reference_spd):
+        for f in small_config.monitored_fields:
+            assert series[spd][f] == tuple(
+                np.abs(run[f.value] - ref[f.value]).max() / np.abs(ref[f.value]).max()
+                for run, ref in zip(means[spd], means[reference_spd])
+            ), (spd, f)
+
+
 def test_report_marks_blow_up_and_skipped_cells(grid8, tmp_path):
     # a coarse-sweep failure mid-run: iterations beyond the break must be
     # emitted as skipped, and the blow-up lands in the CSV flags column.

@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 from paratide import (
+    Field,
     ModelParams,
     PropagatorSpec,
-    SliceLayout,
     max_profitable_iterations,
     measure_runtime_ratio,
     rel_l2_norm,
     rel_max_norm,
     speedup_bound,
     speedup_estimate,
-    time_averaged_error_series,
+    parse_config,
 )
-from paratide.errors import LayoutMismatchError, ZeroReferenceError
-from paratide.metrics import SliceAverages, first_crossing_iteration
-from paratide.state import Field
+from paratide.errors import ZeroReferenceError
+from paratide.metrics import first_crossing_iteration
 
 
 # --------------------------------------------------------------------------
@@ -209,46 +208,31 @@ def test_runtime_ratio_requires_internal(ratio_state):
 # --------------------------------------------------------------------------
 # Time-averaged error series
 
-def toy_averages(spd, layout, values):
-    means = tuple(np.full((5, 4, 4), v) for v in values)
-    return SliceAverages(spd=spd, layout=layout, means=means)
+ORDERING_CONF = """
+[config]
+slice_length = 43200
+n_slices = 2
+coarse_spd = 36
+fine_spd = 72,144
+seed = 1234
+spin_up_days = 1
+spin_up_spd = 288
+
+[model]
+nx = 32
+ny = 32
+"""
 
 
-def test_series_of_reference_is_zero():
-    layout = SliceLayout(t0=0, slice_length=86400, n_slices=2)
-    ref = toy_averages(1440, layout, [1.0, 2.0])
-    series = time_averaged_error_series([ref], 1440, fields=(Field.T,))
-    assert series[1440][Field.T] == (0.0, 0.0)
-
-
-def test_two_slice_toy_matches_hand_computation():
-    layout = SliceLayout(t0=0, slice_length=86400, n_slices=2)
-    ref = toy_averages(1440, layout, [2.0, 4.0])
-    run = toy_averages(36, layout, [2.5, 3.0])
-    series = time_averaged_error_series([run, ref], 1440, fields=(Field.T,))
-    assert series[36][Field.T] == (0.5 / 2.0, 1.0 / 4.0)
-
-
-def test_layout_mismatch_rejected():
-    l1 = SliceLayout(t0=0, slice_length=86400, n_slices=2)
-    l2 = SliceLayout(t0=0, slice_length=43200, n_slices=2)
-    with pytest.raises(LayoutMismatchError):
-        time_averaged_error_series(
-            [toy_averages(36, l1, [1, 2]), toy_averages(1440, l2, [1, 2])], 1440
-        )
-    with pytest.raises(LayoutMismatchError):
-        time_averaged_error_series([toy_averages(36, l1, [1, 2])], 1440)
-
-
-def test_error_ordering_by_step_size(settled_state, params):
+def test_error_ordering_by_step_size(tmp_path, monkeypatch):
     # coarser stepping sits farther from the fine reference on slice one
-    from paratide.harness import slice_averaged_run
+    from paratide.harness import time_averaged_study
 
-    layout = SliceLayout(t0=0, slice_length=43200, n_slices=2)
-    runs = [
-        slice_averaged_run(settled_state, layout, spd, params)
-        for spd in (36, 72, 144, 1440)
-    ]
-    series = time_averaged_error_series(runs, 1440, fields=(Field.T,))
+    monkeypatch.setenv("PARAREAL_RUNS_DIR", str(tmp_path / "runs"))
+    path = tmp_path / "ordering.conf"
+    path.write_text(ORDERING_CONF)
+    config = parse_config(path)
+    assert config.reference_spd == 1440
+    series = time_averaged_study(config, spd_list=(36, 72, 144))
     first = {spd: series[spd][Field.T][0] for spd in (36, 72, 144)}
     assert first[36] > first[72] > first[144] > 0.0
