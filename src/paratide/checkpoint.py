@@ -37,7 +37,6 @@ import struct
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -184,22 +183,16 @@ def _field_bytes(data: np.ndarray) -> bytes:
 
 def write_checkpoint(
     state: ModelState,
-    history: StepHistory | Sequence[np.ndarray] | None,
+    history: StepHistory | None,
     path: str | Path,
     *,
     slice_index: int = -1,
     iteration: int = -1,
 ) -> None:
     """Serialize a state (and optional history) atomically to path."""
-    if isinstance(history, StepHistory):
-        tendencies: tuple[np.ndarray, ...] = tuple(t for _, t in history.tendencies)
-    elif history is None:
-        tendencies = ()
-    else:
-        tendencies = tuple(history)
-    for t in tendencies:
-        if t.shape != state.data.shape:
-            raise GridMismatchError("history tendencies must share the state grid")
+    tendencies = () if history is None else tuple(t for _, t in history.tendencies)
+    if history is not None and history.current.data.shape != state.data.shape:
+        raise GridMismatchError("history tendencies must share the state grid")
 
     grid = state.grid
     parts = [

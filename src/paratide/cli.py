@@ -28,12 +28,7 @@ from pathlib import Path
 
 from .checkpoint import read_checkpoint, write_checkpoint
 from .config import int_list, parse_config
-from .errors import (
-    BlowUpError,
-    ConfigError,
-    EngineError,
-    IOFailureError,
-)
+from .errors import BlowUpError, ConfigError, EngineError, IOFailureError
 from .propagator import PropagatorSpec
 from .solver import ModelParams, integrate_history
 
@@ -198,7 +193,11 @@ def _cmd_emit(args) -> int:
     if not path.exists():
         raise IOFailureError(f"{path}: no such report")
     out_dir = Path(args.out_dir) if args.out_dir else path.parent
-    written = harness.emit_report(json.loads(path.read_text()), args.format, out_dir)
+    try:
+        written = harness.emit_report(json.loads(path.read_text()), args.format, out_dir)
+    except (ValueError, TypeError, KeyError, AttributeError) as err:
+        # not JSON, or JSON without the shape of a report
+        raise IOFailureError(f"{path}: not a report ({err!r})") from err
     print(f"wrote {written}")
     return EXIT_OK
 
@@ -218,19 +217,13 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
     except BlowUpError as err:
         print(f"blow-up: {err}", file=sys.stderr)
         return EXIT_BLOW_UP
-    except IOFailureError as err:
+    except (IOFailureError, OSError) as err:
         print(f"i/o failure: {err}", file=sys.stderr)
         return EXIT_IO
-    except OSError as err:
-        print(f"i/o failure: {err}", file=sys.stderr)
-        return EXIT_IO
-    except EngineError as err:
+    except EngineError as err:      # after its subclasses BlowUpError and IOFailureError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -8,7 +8,7 @@ Three sections mirror the usual model/run/output split:
 
 Unknown sections or keys and missing required keys are reported with the
 offending line or key named.  A key left out takes the default of what it
-sets (ModelParams, PararealConfig, PropagatorSpec, ExperimentConfig;
+sets (ModelParams, PararealConfig, ExperimentConfig;
 checkpoint.DEFAULT_SPACING for dx and dy).  parse_config builds the
 objects the engine runs on -- SliceLayout, a PropagatorSpec per step
 count, a PararealConfig per fine step count -- and reports their verdict
@@ -20,8 +20,9 @@ child, which parses configs, never loads the driver.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
+from typing import ClassVar
 
 from .checkpoint import DEFAULT_SPACING
 from .errors import ParseError, ValidationError
@@ -54,8 +55,8 @@ def _field_list(text: str) -> tuple[Field, ...]:
 _PARAM_KEYS = {f.name: {"float": float, "int": int}[f.type] for f in fields(ModelParams)}
 _CONFIG_KEYS = {
     "epsilon": float, "max_iterations": int, "monitored_fields": _field_list,
-    "restart_policy": str, "on_blow_up": str, "max_parallel_fine": int,
-    "seed": int, "spin_up_days": float, "spin_up_spd": int, "reference_spd": int,
+    "on_blow_up": str, "max_parallel_fine": int, "seed": int,
+    "spin_up_days": float, "spin_up_spd": int, "reference_spd": int,
 }
 _IO_KEYS = {"output_dir": str}
 _SECTIONS = {
@@ -115,7 +116,8 @@ class PararealConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description.  The run keys default to the
-    driver's settings and the propagators' restart policy."""
+    driver's settings.  restart_policy is no key: the driver starts every
+    slice cold, whatever a spec's policy."""
 
     grid: Grid
     params: ModelParams
@@ -125,7 +127,6 @@ class ExperimentConfig:
     epsilon: float = PararealConfig.epsilon
     max_iterations: int | None = PararealConfig.max_iterations
     monitored_fields: tuple[Field, ...] = PararealConfig.monitored_fields
-    restart_policy: str = PropagatorSpec.restart_policy
     on_blow_up: str = PararealConfig.on_blow_up
     max_parallel_fine: int = PararealConfig.max_parallel_fine
     seed: int = 1234
@@ -135,14 +136,12 @@ class ExperimentConfig:
     output_dir: str = "runs"
     source_path: str = ""
 
+    restart_policy: ClassVar[str] = PropagatorSpec.restart_policy
+
     def _model_payload(self) -> dict:
         return {
-            "grid": [self.grid.nx, self.grid.ny, self.grid.dx, self.grid.dy],
-            "params": [
-                self.params.f0, self.params.g, self.params.H, self.params.nu_h,
-                self.params.kappa, self.params.forcing_amp,
-                self.params.forcing_wavenumber, self.params.velocity_cap,
-            ],
+            "grid": list(astuple(self.grid)),
+            "params": list(astuple(self.params)),
             "seed": self.seed,
         }
 
@@ -175,8 +174,8 @@ class ExperimentConfig:
         config's epsilon are the report's to derive."""
         return PararealConfig(
             layout=self.layout,
-            coarse=PropagatorSpec(self.coarse_spd, restart_policy=self.restart_policy),
-            fine=PropagatorSpec(fine_spd, restart_policy=self.restart_policy),
+            coarse=PropagatorSpec(self.coarse_spd),
+            fine=PropagatorSpec(fine_spd),
             max_iterations=self.max_iterations,
             epsilon=0.0,
             on_blow_up=self.on_blow_up,
@@ -310,7 +309,7 @@ def parse_config(path: str | Path, model_only: bool = False) -> ExperimentConfig
     # The coarse propagator must respect the CFL floor of the configured
     # model at rest (wave speed only; the floor is a load-time sanity
     # check, the live bound depends on the evolving velocities).
-    floor_dt = cfl_max_dt(ModelState.zeros(grid), params, grid)
+    floor_dt = cfl_max_dt(ModelState.zeros(grid), params)
     if coarse.dt > floor_dt:
         raise ValidationError(
             f"[config] coarse_spd: step of {coarse.dt}s exceeds the CFL step floor "

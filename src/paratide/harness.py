@@ -89,29 +89,24 @@ def initial_state(grid: Grid, params: ModelParams, seed: int) -> ModelState:
     u = -(params.g / params.f0) * deta_dy
     v = (params.g / params.f0) * deta_dx
 
-    return ModelState.from_fields(
-        grid,
-        {Field.U: u, Field.V: v, Field.ETA: eta, Field.T: temp, Field.S: salt},
-        time=0,
-    )
+    return ModelState(grid, np.stack([u, v, eta, temp, salt]), time=0)   # in FIELD_ORDER
 
 
 def _cache_dir(config: ExperimentConfig) -> Path:
     return runs_root(config) / "cache" / config.hash()
 
 
-def spin_up(config: ExperimentConfig, duration: int | None = None) -> ModelState:
+def spin_up(config: ExperimentConfig) -> ModelState:
     """Integrate the seeded state onto the model's attractor (cached).
 
-    duration defaults to the configured spin-up; zero returns the seeded
-    state unchanged.  The result is re-stamped to the layout start so
-    experiments can treat it as their t0 state.
+    A spin-up of zero days returns the seeded state unchanged.  The result
+    is re-stamped to the layout start so experiments can treat it as their
+    t0 state.
 
     The cache is keyed by config.spin_up_hash(), so configs that differ
-    only in layout or restart policy share one spin-up.
+    only in layout share one spin-up.
     """
-    if duration is None:
-        duration = int(round(config.spin_up_days * SECONDS_PER_DAY))
+    duration = int(round(config.spin_up_days * SECONDS_PER_DAY))
     dt = SECONDS_PER_DAY // config.spin_up_spd
 
     name = f"init_{duration}.prcp"
@@ -435,9 +430,7 @@ def _study_spec(spd: int, layout: SliceLayout) -> None:
 
 
 def restart_consistency_study(
-    config: ExperimentConfig,
-    slice_counts: tuple[int, ...] = (1, 2, 4, 6),
-    total_days: float = 1.0,
+    config: ExperimentConfig, slice_counts: tuple[int, ...], total_days: float
 ) -> RestartStudyReport:
     """Quantify split-vs-consecutive deviation for both restart policies.
 

@@ -12,7 +12,6 @@ serial fine run.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -112,16 +111,6 @@ def max_profitable_iterations(m: float, n_slices: int) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class RuntimeRatioResult:
-    """Measured fine/coarse runtime ratio over one slice of work."""
-
-    m: float                      # median of the per-repetition ratios
-    samples: tuple[float, ...]
-    spread: float                 # max - min of the samples
-    inner_loops: int              # auto-scaled repetitions per timing
-
-
 def _time_workload(state: ModelState, spec: PropagatorSpec, slice_seconds: int,
                    params: ModelParams, loops: int) -> float:
     start = _time.perf_counter()
@@ -137,13 +126,12 @@ def measure_runtime_ratio(
     slice_seconds: int,
     params: ModelParams,
     repetitions: int = 5,
-    min_wall: float = 0.05,
-) -> RuntimeRatioResult:
-    """Median wall-time ratio of fine vs coarse over a fixed slice workload.
+) -> float:
+    """Median wall-time ratio m of fine vs coarse over a fixed slice workload.
 
-    Both specs must be internal.  If a single coarse slice completes below
-    the timing floor, the workload is repeated enough times per sample to
-    rise above it (scheduler noise dwarfs the timer otherwise).
+    Both specs must be internal.  If a single coarse slice completes in
+    under 0.05 s, the workload is repeated enough times per sample to rise
+    above that (scheduler noise dwarfs the timer otherwise).
     """
     if coarse.mode != "internal" or fine.mode != "internal":
         raise ValueError("runtime-ratio measurement requires internal propagators")
@@ -153,7 +141,7 @@ def measure_runtime_ratio(
         raise ValueError("slice must be a multiple of both step sizes")
 
     once = _time_workload(state, coarse, slice_seconds, params, 1)
-    loops = max(1, int(np.ceil(min_wall / max(once, 1e-9))))
+    loops = max(1, int(np.ceil(0.05 / max(once, 1e-9))))
 
     ratios = []
     for rep in range(repetitions):
@@ -162,13 +150,7 @@ def measure_runtime_ratio(
         sides = (coarse, fine) if rep % 2 == 0 else (fine, coarse)
         t = [_time_workload(state, spec, slice_seconds, params, loops) for spec in sides]
         ratios.append(t[1] / t[0] if rep % 2 == 0 else t[0] / t[1])
-    ratios.sort()
-    return RuntimeRatioResult(
-        m=float(np.median(ratios)),
-        samples=tuple(ratios),
-        spread=float(ratios[-1] - ratios[0]),
-        inner_loops=loops,
-    )
+    return float(np.median(ratios))
 
 
 def converged(pair: tuple[float, float] | None, epsilon: float) -> bool:

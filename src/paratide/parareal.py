@@ -84,7 +84,6 @@ class PararealResult:
     blow_ups: tuple[BlowUpEvent, ...]
     stopped_at_epsilon: bool
     aborted: bool = False
-    abort_reason: str = ""
 
     @property
     def iterations_run(self) -> int:
@@ -470,7 +469,6 @@ def run_parareal(
     records: list[IterationRecord] = []
     all_events: list[BlowUpEvent] = []
     stopped = aborted = False
-    abort_reason = ""
     try:
         for k, (states, events, wall_coarse, wall_fine) in enumerate(schedule):
             iterates.append(tuple(states))
@@ -482,10 +480,9 @@ def run_parareal(
             all_events.extend(events)
             if run_dir is not None:
                 _write_iterate_checkpoints(run_dir, k, states)
-            broken = [e for e in events if e.phase == "correction"]
-            if broken:
+            if any(e.phase == "correction" for e in events):
                 # The sequential chain broke: nothing meaningful follows.
-                aborted, abort_reason = True, broken[-1].message
+                aborted = True
                 break
             stopped = monitoring and all(
                 converged(errors[f], cfg.epsilon) for f in cfg.monitored_fields
@@ -502,7 +499,6 @@ def run_parareal(
         blow_ups=tuple(all_events),
         stopped_at_epsilon=stopped,
         aborted=aborted,
-        abort_reason=abort_reason,
     )
     if run_dir is not None:
         _write_manifest(run_dir, run_id, cfg, result)

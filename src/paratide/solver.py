@@ -361,25 +361,20 @@ def divisors_of_day() -> tuple[int, ...]:
     return tuple(d for d in range(1, SECONDS_PER_DAY + 1) if SECONDS_PER_DAY % d == 0)
 
 
-def cfl_max_dt(
-    s: ModelState,
-    p: ModelParams,
-    grid: Grid | None = None,
-    courant: float = 0.5,
-) -> int:
+def cfl_max_dt(s: ModelState, p: ModelParams) -> int:
     """Largest divisor of 86400 below the wave+advection CFL bound.
 
-    The raw bound is courant * min(dx, dy) / (sqrt(g H) + max(|u|, |v|));
-    rounding is always downward to the nearest admissible step count.
+    The raw bound is 0.5 * min(dx, dy) / (sqrt(g H) + max(|u|, |v|)) on the
+    state's grid; rounding is always downward to the nearest admissible
+    step count.
     """
-    grid = grid or s.grid
     speed = float(np.sqrt(p.g * p.H))
     umax = float(np.abs(s.field(Field.U)).max(initial=0.0))
     vmax = float(np.abs(s.field(Field.V)).max(initial=0.0))
     denom = speed + max(umax, vmax)
     if not np.isfinite(denom):
         raise CFLImpossibleError("velocity is unbounded; no step size is admissible")
-    bound = courant * min(grid.dx, grid.dy) / denom if denom > 0 else float(SECONDS_PER_DAY)
+    bound = 0.5 * min(s.grid.dx, s.grid.dy) / denom if denom > 0 else float(SECONDS_PER_DAY)
     if bound < 1.0:
         raise CFLImpossibleError(
             f"CFL bound {bound:.3g}s is below the 1s step floor"

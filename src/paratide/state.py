@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
 
 import numpy as np
 
@@ -57,29 +56,10 @@ class Grid:
     def shape(self) -> tuple[int, int]:
         return (self.ny, self.nx)
 
-    @property
-    def size(self) -> int:
-        return self.nx * self.ny
-
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def _stack_fields(grid: Grid, fields: Mapping[Field, np.ndarray]) -> np.ndarray:
-    missing = [f for f in FIELD_ORDER if f not in fields]
-    if missing:
-        raise ValueError(f"missing fields: {missing}")
-    data = np.empty((N_FIELDS, grid.ny, grid.nx), dtype=np.float64)
-    for f in FIELD_ORDER:
-        arr = np.asarray(fields[f], dtype=np.float64)
-        if arr.size != grid.size:
-            raise ValueError(
-                f"field {f.name} has {arr.size} values, grid wants {grid.size}"
-            )
-        data[f.value] = arr.reshape(grid.ny, grid.nx)
-    return data
 
 
 @dataclass(frozen=True)
@@ -112,10 +92,6 @@ class ModelState:
         # Unpickling goes through __init__, so a state that comes back from
         # a worker process is frozen like any other.
         return (ModelState, (self.grid, self.data, self.time))
-
-    @classmethod
-    def from_fields(cls, grid: Grid, fields: Mapping[Field, np.ndarray], time: int) -> "ModelState":
-        return cls(grid, _stack_fields(grid, fields), time)
 
     @classmethod
     def zeros(cls, grid: Grid, time: int = 0) -> "ModelState":

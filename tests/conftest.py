@@ -61,14 +61,9 @@ def random_state(grid, rng, time=0):
 
 
 def constant_state(grid, u=0.0, v=0.0, eta=0.0, temp=10.0, salt=35.0, time=0):
-    fields = {
-        Field.U: np.full((grid.ny, grid.nx), float(u)),
-        Field.V: np.full((grid.ny, grid.nx), float(v)),
-        Field.ETA: np.full((grid.ny, grid.nx), float(eta)),
-        Field.T: np.full((grid.ny, grid.nx), float(temp)),
-        Field.S: np.full((grid.ny, grid.nx), float(salt)),
-    }
-    return ModelState.from_fields(grid, fields, time)
+    data = np.empty((5, grid.ny, grid.nx))
+    data[:] = np.array([u, v, eta, temp, salt], dtype=np.float64)[:, None, None]   # in FIELD_ORDER
+    return ModelState(grid, data, time)
 
 
 # A stand-in model that fails in one of the ways a real one can: its first

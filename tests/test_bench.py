@@ -1,6 +1,8 @@
 """The benchmark's tracer wraps program functions by name, from outside."""
 
 import importlib
+import importlib.util
+from types import SimpleNamespace
 
 from conftest import REPO_ROOT
 
@@ -13,3 +15,29 @@ def test_bench_traced_functions_resolve(monkeypatch):
     spans = importlib.import_module("spans")
     for module, function, span, _ in spans.TARGETS:
         assert callable(getattr(importlib.import_module(module), function, None)), span
+
+
+def test_bench_workloads_build_their_settings(monkeypatch, tmp_path):
+    # bench/run.py builds its specs and driver settings from the config's
+    # attributes and the constructors' keywords: each must still exist.
+    # No spin-up and no run; import_program is left out, since it rewrites
+    # PYTHONPATH for the children it expects to start.
+    from paratide import config, harness, metrics, parareal, propagator
+
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "bench"))
+    loader = importlib.util.spec_from_file_location("bench_run", REPO_ROOT / "bench" / "run.py")
+    run = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(run)
+    pt = SimpleNamespace(config=config, harness=harness, metrics=metrics,
+                         parareal=parareal, propagator=propagator)
+    for name, cls in run.WORKLOADS.items():
+        wl = cls(pt, REPO_ROOT / cls.shipped_config, tmp_path / name)
+        wl.config = config.parse_config(wl.config_path)
+        assert wl.spec(wl.config.coarse_spd).restart_policy == "cold", name
+        if isinstance(wl, run.ExternalExp1):
+            cfgs = [wl.parareal_config(), wl.parareal_config(mode="external", command=wl.command())]
+        else:
+            cfgs = [wl.parareal_config(nf) for nf in wl.config.fine_spds]
+        for cfg in cfgs:
+            assert cfg.layout == wl.config.layout and cfg.coarse.spd == wl.config.coarse_spd, name
+        assert wl.cache_dir() == tmp_path / name / "runs" / "cache" / wl.config.hash(), name

@@ -105,6 +105,13 @@ def test_grid_shape_guard(tmp_path, grid8, sample):
         read_checkpoint(path, grid=Grid(16, 16, 50_000.0, 50_000.0))
 
 
+def test_history_of_another_grid_not_written(tmp_path, sample):
+    other = random_state(Grid(16, 16, 50_000.0, 50_000.0), np.random.default_rng(24))
+    with pytest.raises(GridMismatchError):
+        write_checkpoint(other, sample, tmp_path / "h.prcp")
+    assert not (tmp_path / "h.prcp").exists()
+
+
 def test_header_layout_is_as_documented(tmp_path, grid8, sample):
     path = tmp_path / "hdr.prcp"
     write_checkpoint(sample.current, sample, path, slice_index=7, iteration=3)
@@ -198,9 +205,10 @@ def test_crc64_accepts_bytes_like():
 
 
 def test_written_file_matches_reference_writer(tmp_path, grid8, sample):
-    for tendencies, sl, it in (((), -1, -1), (tuple(t for _, t in sample.tendencies), 3, 2)):
+    for history, sl, it in ((None, -1, -1), (sample, 3, 2)):
+        tendencies = () if history is None else tuple(t for _, t in history.tendencies)
         path = tmp_path / f"w{len(tendencies)}.prcp"
-        write_checkpoint(sample.current, tendencies, path, slice_index=sl, iteration=it)
+        write_checkpoint(sample.current, history, path, slice_index=sl, iteration=it)
         expected = reference_checkpoint_bytes(sample.current, tendencies, sl, it)
         assert path.read_bytes() == expected
         assert read_checkpoint(path, grid=grid8).state.bit_equal(sample.current)

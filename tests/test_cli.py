@@ -188,6 +188,12 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_restart_policy_key_exits_2(small_conf, capsys):
+    small_conf.write_text(small_conf.read_text().replace("[model]", "restart_policy = warm\n[model]"))
+    assert main(["run", str(small_conf)]) == 2
+    assert "unknown key 'restart_policy'" in capsys.readouterr().err
+
+
 def test_restart_study_subcommand(small_conf, capsys):
     assert main(["restart-study", str(small_conf), "--slices", "1,2", "--days", "1"]) == 0
     out = capsys.readouterr().out
@@ -215,6 +221,16 @@ def test_emit_subcommand_round_trip(small_conf, tmp_path, capsys):
 
 def test_emit_missing_report_exits_4(tmp_path):
     assert main(["emit", str(tmp_path / "none.json"), "--format", "csv"]) == 4
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text-table"])
+@pytest.mark.parametrize("text", ["{", '{"fine_runs": 3}'], ids=["not-json", "not-a-report"])
+def test_emit_file_that_is_not_a_report_exits_4(tmp_path, capsys, text, fmt):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    assert main(["emit", str(path), "--format", fmt]) == 4     # no traceback
+    assert capsys.readouterr().err.startswith(f"i/o failure: {path}: not a report")
+    assert {p.name for p in tmp_path.iterdir()} == {"report.json"}
 
 
 def _single_shot_loads(tmp_path, grid8, *extra):

@@ -44,13 +44,13 @@ def test_all_presets_close_under_integer_seconds():
 def test_minimal_config(tmp_path):
     cfg = parse_config(write(tmp_path, MINIMAL))
     assert cfg.seed == 1234
-    assert cfg.restart_policy == "cold"
+    assert cfg.restart_policy == "cold"     # a constant: every slice starts cold
     assert cfg.grid.nx == 32
 
 
 def test_run_defaults_are_the_drivers(tmp_path):
-    # a run key left out takes the default of the driver's settings and of
-    # the propagators' restart policy, not one of the config's own
+    # a run key left out takes the default of the driver's settings, not
+    # one of the config's own; the restart policy is the propagators' own
     from paratide import PararealConfig, PropagatorSpec
 
     cfg = parse_config(write(tmp_path, MINIMAL))
@@ -73,7 +73,6 @@ def test_preset_hashes_pinned(name, config_hash):
 
 
 @pytest.mark.parametrize("body, key", [
-    (MINIMAL + "restart_policy = hot\n", "restart_policy"),
     (MINIMAL + "on_blow_up = ignore\n", "on_blow_up"),
     (MINIMAL + "max_parallel_fine = 0\n", "max_parallel_fine"),
     (MINIMAL + "spin_up_spd = 7\n", "spin_up_spd"),
@@ -84,13 +83,21 @@ def test_preset_hashes_pinned(name, config_hash):
     (MINIMAL + "[model]\nnx = 2\n", "nx"),
     (MINIMAL + "[model]\nH = 0\n", "H"),
     (MINIMAL + "[model]\nnx = 3.5\n", "nx"),
-], ids=["restart_policy", "on_blow_up", "max_parallel_fine", "spin_up_spd", "reference_spd",
+], ids=["on_blow_up", "max_parallel_fine", "spin_up_spd", "reference_spd",
         "coarse_spd", "max_iterations", "fine_spd-step", "nx-small", "H", "nx-float"])
 def test_rule_violation_names_its_key(tmp_path, body, key):
     # each rule is judged by the object that owns it; the error still
     # names the config key at fault
     with pytest.raises(ValidationError, match=rf"^\[(config|model)\] .*\b{key}\b"):
         parse_config(write(tmp_path, body))
+
+
+@pytest.mark.parametrize("value", ["cold", "warm", "hot"])
+def test_restart_policy_is_no_key(tmp_path, value):
+    # every slice starts cold whatever a spec's policy, so the key would
+    # change no bit: it is unknown like any other
+    with pytest.raises(ParseError, match=r"unknown key 'restart_policy'"):
+        parse_config(write(tmp_path, MINIMAL + f"restart_policy = {value}\n"))
 
 
 def test_missing_file():
@@ -195,3 +202,19 @@ def test_config_hash_ignores_io(tmp_path):
     assert a.hash() == b.hash()
     c = parse_config(write(tmp_path, MINIMAL + "seed = 99\n"))
     assert a.hash() != c.hash()
+
+
+def test_every_grid_and_physics_field_keys_the_caches(tmp_path):
+    # spin-ups and references are cached under these hashes: a field they
+    # leave out would let a changed model reuse a stale cache
+    from dataclasses import fields, replace
+
+    from paratide import Grid, ModelParams
+
+    cfg = parse_config(write(tmp_path, MINIMAL))
+    for part, cls in (("grid", Grid), ("params", ModelParams)):
+        for f in fields(cls):
+            old = getattr(cfg, part)
+            changed = replace(cfg, **{part: replace(old, **{f.name: getattr(old, f.name) * 2})})
+            assert changed.hash() != cfg.hash(), f.name
+            assert changed.spin_up_hash() != cfg.spin_up_hash(), f.name

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -46,7 +48,7 @@ def test_runs_dir_env_override(small_config, tmp_path):
 
 def test_spin_up_zero_duration_returns_seeded_state(small_config):
     seeded = initial_state(small_config.grid, small_config.params, small_config.seed)
-    got = spin_up(small_config, duration=0)
+    got = spin_up(dataclasses.replace(small_config, spin_up_days=0))
     assert got.bit_equal(seeded)
 
 
@@ -354,8 +356,8 @@ def test_single_slice_experiment_is_trivially_exact(tmp_path, monkeypatch):
 
 
 def test_spin_up_shared_across_layouts(tmp_path, monkeypatch):
-    # the spin-up depends on neither the slice layout nor the restart
-    # policy, so two configs differing only there integrate it once
+    # the spin-up does not depend on the slice layout, so two configs
+    # differing only there integrate it once
     from paratide import harness
 
     monkeypatch.setenv("PARAREAL_RUNS_DIR", str(tmp_path / "runs"))
@@ -364,7 +366,6 @@ def test_spin_up_shared_across_layouts(tmp_path, monkeypatch):
     b_path.write_text(
         SMALL.replace("n_slices = 4", "n_slices = 2")
         .replace("slice_length = 2400", "slice_length = 4800")
-        .replace("seed = 77", "seed = 77\nrestart_policy = warm")
     )
     a, b = parse_config(a_path), parse_config(b_path)
     assert a.hash() != b.hash()

@@ -188,7 +188,7 @@ def test_runtime_ratio_self_is_one(ratio_state):
         PropagatorSpec(36), PropagatorSpec(36, mode="internal"), ratio_state,
         86400, ModelParams(), repetitions=9,
     )
-    assert abs(r.m - 1.0) <= 0.10
+    assert abs(r - 1.0) <= 0.10
 
 
 def test_runtime_ratio_doubling(ratio_state):
@@ -196,7 +196,7 @@ def test_runtime_ratio_doubling(ratio_state):
         PropagatorSpec(36), PropagatorSpec(72), ratio_state, 86400, ModelParams(),
         repetitions=9,
     )
-    assert abs(r.m - 2.0) <= 0.25 * 2.0
+    assert abs(r - 2.0) <= 0.25 * 2.0
 
 
 def test_runtime_ratio_requires_internal(ratio_state):

@@ -275,7 +275,7 @@ def test_cfl_example_from_contract(grid):
     p = ModelParams(H=100.0)
     s = constant_state(grid)
     raw = 0.5 * 50_000.0 / np.sqrt(9.81 * 100.0)
-    assert cfl_max_dt(s, p, grid) == divisor_oracle(raw) == 720
+    assert cfl_max_dt(s, p) == divisor_oracle(raw) == 720
 
 
 def test_cfl_scales_linearly_with_dx():
@@ -284,10 +284,10 @@ def test_cfl_scales_linearly_with_dx():
     g2 = Grid(8, 8, 100_000.0, 50_000.0)
     # doubling dx doubles the raw bound; min(dx, dy) keeps the result here
     s1, s2 = constant_state(g1), constant_state(g2)
-    assert cfl_max_dt(s2, p, g2) == cfl_max_dt(s1, p, g1)
+    assert cfl_max_dt(s2, p) == cfl_max_dt(s1, p)
     g3 = Grid(8, 8, 100_000.0, 100_000.0)
     raw1 = 0.5 * 50_000.0 / np.sqrt(9.81 * 100.0)
-    assert cfl_max_dt(constant_state(g3), p, g3) == divisor_oracle(2 * raw1)
+    assert cfl_max_dt(constant_state(g3), p) == divisor_oracle(2 * raw1)
 
 
 def test_cfl_impossible_for_unbounded_velocity(grid8):
