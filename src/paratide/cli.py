@@ -116,8 +116,8 @@ def _cmd_run(args) -> int:
 def _cmd_serial(args) -> int:
     from . import harness
 
-    _spd_step(args.spd)          # before the spin-up
     config = parse_config(args.config)
+    harness._study_spec(args.spd, config.layout)     # before the spin-up
     u0 = harness.spin_up(config)
     states = harness.serial_reference(config, args.spd, u0)
     final = states[-1]

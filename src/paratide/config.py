@@ -91,6 +91,9 @@ class PararealConfig:
                 f"coarse_spd={self.coarse.spd}"
             )
         for key, spec in (("coarse_spd", self.coarse), ("fine_spd", self.fine)):
+            if spec.restart_policy != "cold":
+                raise ValueError(f"{key}: restart_policy {spec.restart_policy!r} would change "
+                                 f"nothing: the driver starts every slice cold")
             if not self.layout.compatible_with(spec):
                 raise ValueError(
                     f"slice_length: {self.layout.slice_length}s is not a multiple "
@@ -105,8 +108,8 @@ class PararealConfig:
             raise ValueError(f"unknown on_blow_up mode {self.on_blow_up!r}")
         if self.max_parallel_fine < 1:
             raise ValueError("max_parallel_fine must be >= 1")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not 0 <= self.epsilon < float("inf"):
+            raise ValueError("epsilon must be >= 0 and finite")
 
     @property
     def iterations(self) -> int:
@@ -117,7 +120,7 @@ class PararealConfig:
 class ExperimentConfig:
     """Validated experiment description.  The run keys default to the
     driver's settings.  restart_policy is no key: the driver starts every
-    slice cold, whatever a spec's policy."""
+    slice cold, and PararealConfig refuses a spec that is not."""
 
     grid: Grid
     params: ModelParams
@@ -292,12 +295,12 @@ def parse_config(path: str | Path, model_only: bool = False) -> ExperimentConfig
     )
 
     # The config's own rules; the step rules belong to the objects below.
-    if config.epsilon <= 0:
-        raise ValidationError("[config] epsilon: must be positive")
+    if not 0 < config.epsilon < float("inf"):
+        raise ValidationError("[config] epsilon: must be positive and finite")
     if config.seed < 0:
         raise ValidationError("[config] seed: must be >= 0")
-    if config.spin_up_days < 0:
-        raise ValidationError("[config] spin_up_days: must be >= 0")
+    if not 0 <= config.spin_up_days < float("inf"):
+        raise ValidationError("[config] spin_up_days: must be >= 0 and finite")
 
     coarse = _build("[config] coarse_spd: ", PropagatorSpec, coarse_spd)
     _build("[config] spin_up_spd: ", PropagatorSpec, config.spin_up_spd)

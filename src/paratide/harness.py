@@ -33,13 +33,7 @@ from .metrics import (
     speedup_estimate,
 )
 from .parareal import PararealResult, run_parareal
-from .propagator import (
-    PropagatorSpec,
-    SliceLayout,
-    propagate,
-    restarted_serial_run,
-    split_run,
-)
+from .propagator import PropagatorSpec, SliceLayout, restarted_serial_run
 from .solver import SECONDS_PER_DAY, ModelParams, integrate
 from .state import Field, FIELD_ORDER, Grid, ModelState
 
@@ -435,10 +429,12 @@ def restart_consistency_study(
     """Quantify split-vs-consecutive deviation for both restart policies.
 
     A fixed window is split into increasingly many slices; each split run
-    chains one propagate call per slice while the consecutive run covers
-    the window in one call.  Warm chains must match bit-exactly, cold
-    chains deviate.
+    is a restarted_serial_run over the split, the consecutive run one over
+    the whole window.  Warm chains must match bit-exactly, cold chains
+    deviate.
     """
+    if not 0 < total_days < float("inf"):
+        raise ValidationError(f"restart study: days={total_days!r} is not a positive finite span")
     total = int(round(total_days * SECONDS_PER_DAY))
     spd = config.coarse_spd
     try:
@@ -450,16 +446,15 @@ def restart_consistency_study(
         _study_spec(spd, layout)
     u0 = spin_up(config)
 
-    consecutive = propagate(
-        PropagatorSpec(spd, restart_policy="cold"), u0, u0.time + total, config.params
-    ).state
+    consecutive = restarted_serial_run(PropagatorSpec(spd), u0, window, config.params)[-1]
 
     rows = []
     for layout in layouts:
         devs = {}
         finals = {}
         for policy in ("cold", "warm"):
-            final = split_run(PropagatorSpec(spd, restart_policy=policy), u0, layout, config.params)
+            spec = PropagatorSpec(spd, restart_policy=policy)
+            final = restarted_serial_run(spec, u0, layout, config.params)[-1]
             finals[policy] = final
             devs[policy] = max(
                 rel_max_norm(final.field(f), consecutive.field(f))

@@ -72,8 +72,8 @@ def _check_speedup_args(k: int, n_slices: int, m: float) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
     if n_slices < 1:
         raise ValueError(f"N_t must be >= 1, got {n_slices}")
-    if m <= 0:
-        raise ValueError(f"m must be positive, got {m}")
+    if not 0 < m < float("inf"):
+        raise ValueError(f"m must be positive and finite, got {m}")
 
 
 def speedup_estimate(k: int, n_slices: int, m: float) -> float:
@@ -95,10 +95,7 @@ def max_profitable_iterations(m: float, n_slices: int) -> int:
     Computed from the definition by scanning k (the bound is decreasing in
     k, so the scan can stop at the first failure).
     """
-    if m <= 0:
-        raise ValueError(f"m must be positive, got {m}")
-    if n_slices < 1:
-        raise ValueError(f"N_t must be >= 1, got {n_slices}")
+    _check_speedup_args(1, n_slices, m)
     best = 0
     k = 1
     limit = max(n_slices, int(np.ceil(m))) + 2

@@ -43,7 +43,7 @@ from .checkpoint import write_checkpoint
 from .config import ABORT, PararealConfig
 from .errors import BlowUpError
 from .metrics import converged, errors_at_final
-from .propagator import PropagatorSpec, SliceLayout, propagate, restarted_serial_run
+from .propagator import PropagatorSpec, SliceLayout, propagate
 from .solver import ModelParams, integrate_batch
 from .state import Field, ModelState, state_add, state_diff
 
@@ -414,28 +414,21 @@ def run_parareal(
 ) -> PararealResult:
     """Full Parareal loop with convergence monitoring.
 
-    The error monitor compares the final-time iterate against the restarted
-    serial fine run: whenever a reference is known, each IterationRecord
-    carries the norms of its iterate.  With epsilon > 0 the loop stops once
-    both norms fall below it for every monitored field, and always stops at
-    max_iterations (at iteration N_t the fine trajectory is reproduced
-    outright).  When epsilon stopping is active and no reference is
-    supplied, it is computed here by restarted_serial_run from cfg.fine,
-    with external work directories under run_dir/serial/slice<n>/; a
-    caller's own fine_fn must then come with its reference.
+    The error monitor compares the final-time iterate against reference,
+    the fine trajectory (restarted_serial_run of cfg.fine, cached by
+    harness.serial_reference): when one is given, each IterationRecord
+    carries the norms of its iterate.  The driver never runs the serial
+    fine problem itself, so epsilon > 0 needs a reference; the loop then
+    stops once both norms fall below epsilon for every monitored field.
+    It always stops at max_iterations (at iteration N_t the fine
+    trajectory is reproduced outright).
     """
     if u0.time != cfg.layout.t0:
         raise ValueError(f"u0 at t={u0.time}, layout starts at t={cfg.layout.t0}")
-    run_dir = Path(run_dir) if run_dir is not None else None
     monitoring = cfg.epsilon > 0
     if monitoring and reference is None:
-        if fine_fn is not None:
-            raise ValueError("epsilon stopping with a custom fine_fn needs a reference")
-        reference = restarted_serial_run(
-            cfg.fine, u0, cfg.layout, params,
-            run_dir=run_dir / "serial" if run_dir is not None else None,
-            timeout=timeout,
-        )
+        raise ValueError("epsilon stopping needs a reference trajectory")
+    run_dir = Path(run_dir) if run_dir is not None else None
     if coarse_fn is None:
         coarse_fn = Propagator(cfg.coarse, params, cfg.layout, run_dir, "coarse", timeout)
     if fine_fn is None:

@@ -197,8 +197,9 @@ def propagate(
     history, so slice propagation always bootstraps afresh there.
 
     An external run without a workdir works in a fresh temporary directory,
-    removed once its output has been read; after a failure it is kept, since
-    the BlowUpError's log_path points into it.
+    removed once its output has been read; after a BlowUpError it is kept,
+    since the error's log_path points into it, and after a SpawnFailureError,
+    which points nowhere, it is removed.
     """
     t_end = int(t_end)
     _check_window(t_end - state.time, spec.dt)      # before any child is spawned
@@ -254,6 +255,10 @@ def propagate(
         returncode = run_external(cmd, wd, timeout=timeout)
     except ExternalTimeoutError as err:
         raise failed(f"external propagator timed out: {err}") from err
+    except SpawnFailureError:
+        if own_workdir:
+            shutil.rmtree(wd)
+        raise
     if returncode != 0:
         raise failed(f"external propagator exited {returncode} (log: {wd / LOG_FILE})")
     if not out_path.exists():
@@ -279,15 +284,19 @@ def restarted_serial_run(
     run_dir: str | Path | None = None,
     timeout: float | None = None,
 ) -> list[ModelState]:
-    """Serial run restarted at every slice boundary (history dropped).
+    """Serial run as one propagate call per slice, each call handed the
+    history the previous one returned.
 
-    This is the trajectory a parallel-in-time run converges to, because
-    every slice propagation there starts from a bare state as well.
-    Returns states at all n_slices + 1 boundaries.
+    Under the cold policy that history is None, so the run restarts at
+    every slice boundary: the trajectory a parallel-in-time run converges
+    to, since every slice there starts from a bare state as well.  Under
+    the warm policy the chain is a bit-exact continuation of one unsplit
+    run.  Returns states at all n_slices + 1 boundaries.
     """
     if u0.time != layout.t0:
         raise StepMismatchError(f"u0 at t={u0.time}, layout starts at {layout.t0}")
     states = [u0]
+    history = None
     for n in range(layout.n_slices):
         wd = Path(run_dir) / f"slice{n}" if run_dir is not None else None
         result = propagate(
@@ -295,35 +304,12 @@ def restarted_serial_run(
             states[-1],
             layout.t0 + (n + 1) * layout.slice_length,
             params,
-            history=None,
+            history=history,
             slice_index=n,
             iteration=-1,
             workdir=wd,
             timeout=timeout,
         )
         states.append(result.state)
+        history = result.history
     return states
-
-
-def split_run(
-    spec: PropagatorSpec,
-    u0: ModelState,
-    layout: SliceLayout,
-    params: ModelParams,
-) -> ModelState:
-    """Chain one propagate call per slice, threading whatever history the
-    policy returns: warm chains are bit-exact continuations, cold chains
-    restart at every boundary."""
-    state = u0
-    history = None
-    for n in range(layout.n_slices):
-        result = propagate(
-            spec,
-            state,
-            layout.t0 + (n + 1) * layout.slice_length,
-            params,
-            history=history,
-            slice_index=n,
-        )
-        state, history = result.state, result.history
-    return state

@@ -55,9 +55,9 @@ class ModelParams:
     velocity_cap: float = DEFAULT_VELOCITY_CAP   # |u|,|v| beyond this is a blow-up
 
     def __post_init__(self):
-        if self.H <= 0 or self.g <= 0:
+        if not (self.H > 0 and self.g > 0):
             raise ValueError("H and g must be positive")
-        if self.nu_h < 0 or self.kappa < 0:
+        if not (self.nu_h >= 0 and self.kappa >= 0):
             raise ValueError("nu_h and kappa must be non-negative")
         if int(self.forcing_wavenumber) != self.forcing_wavenumber:
             raise ValueError("forcing_wavenumber must be an integer")

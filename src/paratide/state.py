@@ -49,7 +49,7 @@ class Grid:
     def __post_init__(self):
         if self.nx < 4 or self.ny < 4:
             raise ValueError(f"nx and ny must be at least 4, got nx={self.nx}, ny={self.ny}")
-        if self.dx <= 0 or self.dy <= 0:
+        if not (self.dx > 0 and self.dy > 0):
             raise ValueError("dx and dy must be positive")
 
     @property

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import inspect
 from types import SimpleNamespace
 
 from conftest import REPO_ROOT
@@ -41,3 +42,9 @@ def test_bench_workloads_build_their_settings(monkeypatch, tmp_path):
         for cfg in cfgs:
             assert cfg.layout == wl.config.layout and cfg.coarse.spd == wl.config.coarse_spd, name
         assert wl.cache_dir() == tmp_path / name / "runs" / "cache" / wl.config.hash(), name
+    # the calls bench/run.py makes into the serial chain and the driver: a
+    # renamed or dropped keyword fails to bind here rather than mid-benchmark
+    inspect.signature(propagator.restarted_serial_run).bind(
+        "spec", "u0", "layout", "params", run_dir=tmp_path)
+    inspect.signature(parareal.run_parareal).bind("u0", "cfg", "params", reference=[])
+    inspect.signature(parareal.run_parareal).bind("u0", "cfg", "params", run_dir=tmp_path)

@@ -158,6 +158,7 @@ def test_single_shot_bad_spd_exits_2(tmp_path, grid8):
     ["speedup", "--m", "2", "--nt", "5", "--k", "0"],
     ["serial", "{conf}", "--spd", "0"],
     ["serial", "{conf}", "--spd", "-5"],       # 86400 % -5 == 0
+    ["serial", "{conf}", "--spd", "24"],       # its 3600s step does not divide 2400s slices
     ["single-shot", "--in", "{in}", "--out", "{out}", "--t-end", "2400", "--spd", "0"],
     ["restart-study", "{conf}", "--slices", "0"],
     ["restart-study", "{conf}", "--slices", "a"],
@@ -167,7 +168,8 @@ def test_single_shot_bad_spd_exits_2(tmp_path, grid8):
     ["avg-error", "{conf}", "--spd-list", "x"],
     ["avg-error", "{conf}", "--spd-list", "7"],
     ["avg-error", "{conf}", "--spd-list", ","],
-], ids=["speedup-m", "speedup-nt", "speedup-k", "serial-spd0", "serial-spd-neg", "single-shot-spd0",
+], ids=["speedup-m", "speedup-nt", "speedup-k", "serial-spd0", "serial-spd-neg", "serial-spd24",
+        "single-shot-spd0",
         "restart-slices0", "restart-slices-a", "restart-slices-empty", "restart-days0",
         "avg-spd0", "avg-spd-x", "avg-spd7", "avg-spd-empty"])
 def test_bad_argument_exits_2_before_any_work(argv, small_conf, tmp_path, grid8, capsys):
@@ -179,6 +181,29 @@ def test_bad_argument_exits_2_before_any_work(argv, small_conf, tmp_path, grid8,
     assert out == "" and err.startswith("error: ")
     # no spin-up, no reference, no output
     assert not (tmp_path / "runs").exists() and not (tmp_path / "o.prcp").exists()
+
+
+@pytest.mark.parametrize("argv, edit, named", [
+    (["speedup", "--m", "inf", "--nt", "5"], None, "m must be"),
+    (["speedup", "--m", "nan", "--nt", "5"], None, "m must be"),
+    (["restart-study", "{conf}", "--days", "nan"], None, "days=nan"),
+    (["restart-study", "{conf}", "--days", "inf"], None, "days=inf"),
+    (["run", "{conf}"], ("[config]", "[config]\nepsilon = nan"), "[config] epsilon:"),
+    (["run", "{conf}"], ("[config]", "[config]\nepsilon = inf"), "[config] epsilon:"),
+    (["run", "{conf}"], ("spin_up_days = 0.25", "spin_up_days = nan"), "[config] spin_up_days:"),
+    (["run", "{conf}"], ("spin_up_days = 0.25", "spin_up_days = inf"), "[config] spin_up_days:"),
+    (["run", "{conf}"], ("[model]", "[model]\ndx = nan"), "dx and dy"),
+    (["run", "{conf}"], ("[model]", "[model]\nH = nan"), "H and g"),
+], ids=["speedup-m-inf", "speedup-m-nan", "restart-days-nan", "restart-days-inf",
+        "epsilon-nan", "epsilon-inf", "spin-up-days-nan", "spin-up-days-inf", "dx-nan", "H-nan"])
+def test_non_finite_number_exits_2(argv, edit, named, small_conf, tmp_path, capsys):
+    # NaN passes no "> 0" test, and inf becomes no count of seconds or steps
+    if edit is not None:
+        small_conf.write_text(small_conf.read_text().replace(*edit))
+    assert main([str(small_conf) if a == "{conf}" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and named in err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):

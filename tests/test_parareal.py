@@ -51,6 +51,16 @@ def small_cfg(n_slices=6, slice_length=600, **kw):
     return PararealConfig(**defaults)
 
 
+@pytest.mark.parametrize("key", ["coarse_spd", "fine_spd"])
+def test_config_refuses_warm_spec(key):
+    # every slice starts cold, so a warm spec would change nothing
+    specs = dict(coarse=PropagatorSpec(36), fine=PropagatorSpec(72))
+    role = key.removesuffix("_spd")
+    specs[role] = PropagatorSpec(specs[role].spd, restart_policy="warm")
+    with pytest.raises(ValueError, match=f"^{key}: restart_policy 'warm'"):
+        PararealConfig(layout=SliceLayout(t0=0, slice_length=2400, n_slices=4), **specs)
+
+
 def test_config_validation():
     layout = SliceLayout(t0=0, slice_length=2400, n_slices=4)
     with pytest.raises(ValueError):
@@ -538,7 +548,7 @@ def test_steady_state_converges_immediately(grid8):
         epsilon=1e-2, monitored_fields=(Field.T, Field.S),
     )
     u0 = constant_state(grid8)  # rest state is steady without forcing
-    res = run_parareal(u0, cfg, p)
+    res = run_parareal(u0, cfg, p, reference=restarted_serial_run(cfg.fine, u0, layout, p))
     assert res.stopped_at_epsilon
     assert res.iterations_run <= 1
     for f in cfg.monitored_fields:
@@ -546,21 +556,38 @@ def test_steady_state_converges_immediately(grid8):
         assert k is not None and k <= 1
 
 
-def test_custom_fine_fn_with_epsilon_needs_reference(grid8):
-    # run_parareal builds a reference only from cfg.fine, never from a
-    # caller's callable, so epsilon stopping without one is refused
-    cfg = small_cfg(n_slices=4, epsilon=1e-2)
+@pytest.mark.parametrize("kind", ["default", "external", "callable"])
+def test_epsilon_stopping_needs_reference(kind, tmp_path, grid8):
+    # the driver never runs the serial fine problem itself: epsilon
+    # stopping without a reference is refused before any work, whatever
+    # the propagators
+    calls = []
+
+    def counted(factor):
+        def fn(state, n, k):
+            calls.append((n, k))
+            return flow(factor, 600)(state, n, k)
+        return fn
+
+    specs = {}
+    if kind == "external":
+        nowhere = ("/no/such/binary",)   # a call would raise SpawnFailureError
+        specs = dict(coarse=PropagatorSpec(144, mode="external", command=nowhere),
+                     fine=PropagatorSpec(288, mode="external", command=nowhere))
+    fns = dict(coarse_fn=counted(0.8), fine_fn=counted(0.9)) if kind == "callable" else {}
+    cfg = small_cfg(n_slices=4, epsilon=1e-2, **specs)
     u0 = constant_state(grid8, u=1.0)
     with pytest.raises(ValueError, match="reference"):
-        run_parareal(u0, cfg, ModelParams(), coarse_fn=flow(0.8, 600), fine_fn=flow(0.9, 600))
-    reference = [u0]
-    for n in range(4):
-        reference.append(flow(0.9, 600)(reference[-1], n, -1))
-    res = run_parareal(
-        u0, cfg, ModelParams(), coarse_fn=flow(0.8, 600), fine_fn=flow(0.9, 600),
-        reference=reference,
-    )
-    assert res.records[0].errors is not None
+        run_parareal(u0, cfg, ModelParams(), run_dir=tmp_path / "run", **fns)
+    assert calls == []
+    assert not (tmp_path / "run").exists()
+
+    if kind == "callable":
+        reference = [u0]
+        for n in range(4):
+            reference.append(flow(0.9, 600)(reference[-1], n, -1))
+        res = run_parareal(u0, cfg, ModelParams(), reference=reference, **fns)
+        assert res.records[0].errors is not None
 
 
 def test_exactness_propagation_internal(settled_state, params):

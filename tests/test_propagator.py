@@ -19,7 +19,7 @@ from paratide.errors import (
     SpawnFailureError,
     StepMismatchError,
 )
-from paratide.propagator import restarted_serial_run, split_run
+from paratide.propagator import restarted_serial_run
 from paratide.solver import integrate
 from paratide.state import FIELD_ORDER
 
@@ -65,7 +65,7 @@ def test_warm_split_is_bit_exact(settled_state, params):
     spec = PropagatorSpec(36, restart_policy="warm")
     layout = SliceLayout(t0=settled_state.time, slice_length=43200, n_slices=2)
     whole = propagate(spec, settled_state, settled_state.time + 86400, params).state
-    chained = split_run(spec, settled_state, layout, params)
+    chained = restarted_serial_run(spec, settled_state, layout, params)[-1]
     assert chained.bit_equal(whole)
 
 
@@ -75,7 +75,7 @@ def test_cold_split_deviates_but_stays_small(settled_state, params):
     spec = PropagatorSpec(36, restart_policy="cold")
     layout = SliceLayout(t0=settled_state.time, slice_length=43200, n_slices=2)
     whole = propagate(spec, settled_state, settled_state.time + 86400, params).state
-    chained = split_run(spec, settled_state, layout, params)
+    chained = restarted_serial_run(spec, settled_state, layout, params)[-1]
     assert not chained.bit_equal(whole)
     worst = max(rel_max_norm(chained.field(f), whole.field(f)) for f in FIELD_ORDER)
     assert 0.0 < worst < 1e-3
@@ -167,7 +167,7 @@ def test_external_propagate_matches_internal(tmp_path, settled_state, params):
 def test_external_warm_split_matches_consecutive(settled_state, params):
     spec = PropagatorSpec(36, mode="external", command=SINGLE_SHOT, restart_policy="warm")
     layout = SliceLayout(t0=settled_state.time, slice_length=7200, n_slices=2)
-    chained = split_run(spec, settled_state, layout, params)
+    chained = restarted_serial_run(spec, settled_state, layout, params)[-1]
     whole = propagate(
         PropagatorSpec(36, restart_policy="warm"), settled_state,
         settled_state.time + 14400, params,
@@ -254,3 +254,13 @@ def test_external_default_workdir_removed_after_success(tmp_path, monkeypatch, s
         propagate(faulty, settled_state, t_end, params)
     assert err.value.log_path.parent.parent == tmp_path
     assert err.value.log_path.exists()
+
+
+def test_external_default_workdir_removed_after_spawn_failure(tmp_path, monkeypatch, settled_state, params):
+    # a command that cannot start leaves no log for an error to point at,
+    # so the temporary directory goes with it
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    spec = PropagatorSpec(72, mode="external", command=("/no/such/binary",))
+    with pytest.raises(SpawnFailureError):
+        propagate(spec, settled_state, settled_state.time + 2400, params)
+    assert list(tmp_path.iterdir()) == []
