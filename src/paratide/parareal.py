@@ -18,9 +18,11 @@ rounding.
 Two schedules give the same bits, and the fine propagator picks one.
 In-process fine lanes, batched into integrate_batch calls on forked
 workers, run on the iteration barrier: init sweep, then per iteration a
-fine phase and a correction sweep.  Every other propagator runs slice by
-slice on threads, each slice starting as soon as its input is known, so
-the fine slices of iteration k+1 run beside the coarse chain of k.
+fine phase and a correction sweep; idle workers start the next fine
+phase's lanes one by one as the sweep forms their inputs.  Every other
+propagator runs slice by slice on threads, each slice starting as soon as
+its input is known, so the fine slices of iteration k+1 run beside the
+coarse chain of k.
 
 A fine propagation that fails (divergence, killed external run, missing
 output) leaves its correction undefined; in continue mode the sweep then
@@ -34,7 +36,7 @@ from __future__ import annotations
 import json
 import os
 import time as _time
-from concurrent.futures import FIRST_COMPLETED, Executor, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -48,6 +50,7 @@ from .solver import ModelParams, integrate_batch
 from .state import Field, ModelState, state_add, state_diff
 
 PropagatorFn = Callable[[ModelState, int, int], ModelState]
+Offer = Callable[[int, int, ModelState], None]   # (k, n, U^{k-1}_n) of fine lane (k, n)
 
 @dataclass(frozen=True)
 class BlowUpEvent:
@@ -64,8 +67,9 @@ class IterationRecord:
     wall_coarse_s and wall_fine_s span from the first start to the last end
     of the iteration's coarse and fine work.  On the barrier schedule they
     are the correction sweep and the fine phase (the init sweep and 0 at
-    k = 0); on the pipelined schedule iterations overlap, so they do not
-    add up to the run's wall.
+    k = 0), the fine wall starting with the first lane started during the
+    sweep before it; iterations overlap then, as on the pipelined schedule,
+    so the walls do not add up to the run's wall.
     """
 
     k: int
@@ -169,15 +173,18 @@ def _fine_chunks(cfg: PararealConfig, lanes: int) -> int:
 
 
 def coarse_init_sweep(
-    u0: ModelState, cfg: PararealConfig, coarse_fn: PropagatorFn
+    u0: ModelState, cfg: PararealConfig, coarse_fn: PropagatorFn, offer: Offer | None = None
 ) -> list[ModelState]:
     """Sequential coarse pass producing the zeroth iterate U^0_0..U^0_N.
 
     The coarse values double as the retained G^0 for the first correction.
-    A blow-up here is fatal: there is nothing to fall back on yet.
+    A blow-up here is fatal: there is nothing to fall back on yet.  Each
+    U^0_n with n < N_t goes to offer, for fine lane (1, n).
     """
     states = [u0]
     for n in range(cfg.layout.n_slices):
+        if offer is not None:
+            offer(1, n, states[n])
         states.append(coarse_fn(states[n], n, 0))
     return states
 
@@ -189,31 +196,39 @@ def fine_parallel_phase(
     fine_fn: Propagator,
     k: int,
     pool: Executor | None = None,
+    started: dict[int, Future] | None = None,
 ) -> tuple[list[ModelState | None], list[BlowUpEvent]]:
     """Concurrent fine propagation for slices n = k-1 .. N_t-1 by an
     in-process Propagator.
 
-    The lanes are cut into w contiguous chunks (see _fine_chunks; w = 1
-    without a pool).  This process runs the first chunk and the pool the
-    others, each through _run_lanes.  g_prev is not read here: the
-    correction sweep forms F - G itself.
+    The lanes the pool took during the coarse sweep (started: their
+    one-lane outcomes by slice) are kept.  The rest are cut into w
+    contiguous chunks (see _fine_chunks; w = 1 without a pool), a worker's
+    chunk one lane shorter while its started lane runs.  This process runs
+    the first chunk and the pool the others, each through _run_lanes.
+    g_prev is not read here: the correction sweep forms F - G itself.
 
     Returns (fine values, blow-up events), the values indexed by target
     slice n+1 over the full 0..N_t range (None below the loop start, where
     slices are already exact, and for a failed slice).  Outcomes are
     gathered by slice index, so the worker count cannot change a bit.
     """
-    indices = list(range(k - 1, cfg.layout.n_slices))
-    w = _fine_chunks(cfg, len(indices)) if pool is not None else 1
-    chunks = [indices[i * len(indices) // w:(i + 1) * len(indices) // w] for i in range(w)]
-    futures = [pool.submit(_run_lanes, fine_fn, k, c, [u_prev[n] for n in c]) for c in chunks[1:]]
-    outcomes = _run_lanes(fine_fn, k, chunks[0], [u_prev[n] for n in chunks[0]])
-    for future in futures:
-        outcomes += future.result()
+    started = started or {}
+    rest = [n for n in range(k - 1, cfg.layout.n_slices) if n not in started]
+    busy = sum(not f.done() for f in started.values())
+    total = len(rest) + busy
+    w = (_fine_chunks(cfg, total) or 1) if pool is not None else 1
+    cuts = [i * total // w - max(min(i - 1, busy), 0) for i in range(w + 1)]
+    chunks = [rest[cuts[i]:cuts[i + 1]] for i in range(w)]
+    futures = [(c, pool.submit(_run_lanes, fine_fn, k, c, [u_prev[n] for n in c]))
+               for c in chunks[1:] if c] + [([n], f) for n, f in started.items()]
+    outcomes = dict(zip(chunks[0], _run_lanes(fine_fn, k, chunks[0], [u_prev[n] for n in chunks[0]])))
+    for c, future in futures:
+        outcomes.update(zip(c, future.result()))
 
     fine_vals: list[ModelState | None] = [None] * (cfg.layout.n_slices + 1)
     events: list[BlowUpEvent] = []
-    for n, outcome in zip(indices, outcomes):
+    for n, outcome in sorted(outcomes.items()):
         if isinstance(outcome, BlowUpError):
             if cfg.on_blow_up == ABORT:
                 raise outcome
@@ -230,13 +245,15 @@ def correction_sweep(
     cfg: PararealConfig,
     coarse_fn: PropagatorFn,
     k: int,
+    offer: Offer | None = None,
 ) -> tuple[list[ModelState], list[ModelState], list[BlowUpEvent]]:
     """Sequential coarse sweep with corrections for n = k-1 .. N_t-1.
 
     Slices below the loop start carry over unchanged (they are already
     exact).  At n = k-1 the retained coarse value g_prev[k] stands in for a
     fresh one (see the module docstring).  A missing fine value (failed
-    fine run) keeps the unedited coarse value for that slice.  Returns
+    fine run) keeps the unedited coarse value for that slice.  Each U^k_n
+    with n < N_t goes to offer, for fine lane (k+1, n).  Returns
     (next iterate, retained coarse values, events); a coarse blow-up
     truncates the sweep and is reported by a terminal event — the caller
     decides whether that aborts the run.
@@ -247,6 +264,8 @@ def correction_sweep(
 
     u_next[k] = _corrected(g_prev[k], fine_vals[k], g_prev[k])
     for n in range(k, cfg.layout.n_slices):
+        if offer is not None:
+            offer(k + 1, n, u_next[n])
         try:
             g_new = coarse_fn(u_next[n], n, k)
         except BlowUpError as err:
@@ -274,19 +293,32 @@ def _corrected(
     return state_add(g_new, state_diff(fine, g_old))
 
 
-def _barrier_schedule(u0, cfg, coarse_fn, fine_fn, pool):
+def _barrier_schedule(u0, cfg, coarse_fn, fine_fn, pool, workers):
     """Iterates 0, 1, ... on the iteration barrier, each as (states,
-    events, coarse wall, fine wall)."""
+    events, coarse wall, fine wall).  With a pool, each input a sweep forms
+    goes to an idle worker as a one-lane call of the next fine phase, up to
+    cfg.iterations; the phase runs the inputs no worker took."""
+    started: dict[int, Future] = {}   # n -> the outcomes of an early lane
+    first = None                      # when the first early lane started
+
+    def offer(k, n, state):
+        nonlocal first
+        if sum(not f.done() for f in started.values()) < workers:
+            first = first or _time.perf_counter()
+            started[n] = pool.submit(_run_lanes, fine_fn, k, [n], [state])
+
     t0 = _time.perf_counter()
-    u = coarse_init_sweep(u0, cfg, coarse_fn)
+    u = coarse_init_sweep(u0, cfg, coarse_fn, offer if pool else None)
     yield u, [], _time.perf_counter() - t0, 0.0
     g = list(u)
     for k in range(1, cfg.iterations + 1):
         t0 = _time.perf_counter()
-        fine_vals, fine_events = fine_parallel_phase(u, g, cfg, fine_fn, k, pool)
+        fine_vals, fine_events = fine_parallel_phase(u, g, cfg, fine_fn, k, pool, started)
         t1 = _time.perf_counter()
-        u, g, sweep_events = correction_sweep(u, fine_vals, g, cfg, coarse_fn, k)
-        yield u, fine_events + sweep_events, _time.perf_counter() - t1, t1 - t0
+        wall_fine, started, first = t1 - (first or t0), {}, None
+        u, g, sweep_events = correction_sweep(u, fine_vals, g, cfg, coarse_fn, k,
+                                              offer if pool and k < cfg.iterations else None)
+        yield u, fine_events + sweep_events, _time.perf_counter() - t1, wall_fine
 
 
 def _pipelined_schedule(u0, cfg, coarse_fn, fine_fn, pool, w):
@@ -452,7 +484,7 @@ def run_parareal(
             from concurrent.futures import ProcessPoolExecutor
 
             pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-        schedule = _barrier_schedule(u0, cfg, coarse_fn, fine_fn, pool)
+        schedule = _barrier_schedule(u0, cfg, coarse_fn, fine_fn, pool, workers)
     else:
         w = min(cfg.max_parallel_fine, cfg.layout.n_slices)
         pool = ThreadPoolExecutor(w)

@@ -12,6 +12,7 @@ order stays at three.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -61,6 +62,10 @@ class ModelParams:
             raise ValueError("nu_h and kappa must be non-negative")
         if int(self.forcing_wavenumber) != self.forcing_wavenumber:
             raise ValueError("forcing_wavenumber must be an integer")
+        if not (abs(self.f0) < np.inf and abs(self.forcing_amp) < np.inf):
+            raise ValueError("f0 and forcing_amp must be finite")
+        if not self.velocity_cap > 0:   # inf is no cap
+            raise ValueError("velocity_cap must be positive")
 
 
 # Stepper buffers keep the fields in slot order: ETA first puts the fields
@@ -73,17 +78,18 @@ _SLOT = tuple(_FIELD.index(f) for f in range(N_FIELDS))
 class _Stepper:
     """Steps a stack of independent states ("lanes") that share one grid.
 
-    Built per call from the lanes' fields, with buffers of its own; a single
-    state is a batch of one.  A buffer holds zero-initialised, halo-padded
-    (ny+2, nx+2) planes, flat, slot by slot and within a slot lane by lane,
-    so every operation is one numpy call on a contiguous run; each step
-    phase is compiled once into a list of such calls.  The operation order
-    is frozen: it gives every lane the bits of a state stepped alone.  See
-    README, "Time stepping".
+    Built for a lane count, with buffers of its own; a single state is a
+    batch of one.  A buffer holds halo-padded (ny+2, nx+2) planes, flat,
+    slot by slot and within a slot lane by lane, so every operation is one
+    numpy call on a contiguous run; each step phase is compiled once per dt
+    into a list of such calls.  Unwritten halo or scratch cells that a run
+    reads land only in halos, which it refreshes, so a stepper can be
+    loaded again (_stepper).  The operation order is frozen: it gives every
+    lane the bits of a state stepped alone.  See README, "Time stepping".
     """
 
-    def __init__(self, grid: Grid, p: ModelParams, lanes: Sequence[np.ndarray]):
-        self.grid, self.p, self.lanes = grid, p, len(lanes)
+    def __init__(self, grid: Grid, p: ModelParams, lanes: int):
+        self.grid, self.p, self.lanes = grid, p, lanes
         self.w = w = grid.nx + 2
         self.size = size = self.lanes * (grid.ny + 2) * w   # one slot of every lane
         slots = [N_FIELDS] * 8 + [3, 3]   # per buffer, carved from one allocation
@@ -99,11 +105,15 @@ class _Stepper:
         cap = min(p.velocity_cap, fmax)
         self.limits = np.array([[fmax], [cap], [cap], [fmax], [fmax]])
         self.interior = self._planes(self.state)[..., 1:-1, 1:-1]   # (slot, lane, ny, nx)
-        self.programs: dict[tuple[int, int], list] = {}
+        self.programs: dict[tuple[int, int, int], list] = {}
+
+    def load(self, lanes: Sequence[np.ndarray]) -> "_Stepper":
+        """Copy the lanes' fields in and refresh the halos."""
         for lane, src in enumerate(lanes):
             self.interior[:, lane] = src[_FIELD, ...]
         for fn, args in self._refresh_ops(self.state):
             fn(*args)
+        return self
 
     def _planes(self, buf: np.ndarray) -> np.ndarray:
         return buf.reshape(-1, self.lanes, self.grid.ny + 2, self.w)
@@ -184,8 +194,8 @@ class _Stepper:
     def _program(self, k: int, order: int, dt: int) -> list:
         """A step whose fresh tendency goes to ring[k] (step i's tendency is
         in ring[i % 3]): trapezoid (order 0), AB2 (1) or AB3 (2)."""
-        if (k, order) in self.programs:
-            return self.programs[(k, order)]
+        if (k, order, dt) in self.programs:
+            return self.programs[(k, order, dt)]
         f_n, f_m1, f_m2 = (self._span(self.ring[(k - j) % 3], 0, 5) for j in range(3))
         new, work, work2, pred = (self._span(b, 0, 5) for b in (self.state, self.work, self.work2, self.pred))
         mul, add = np.multiply, np.add
@@ -202,7 +212,7 @@ class _Stepper:
                     (add, (work, work2, work)), (mul, (f_m2, dt * _AB3[2], work2)),
                     (add, (work, work2, work))]
         ops += [(add, (new, work, new)), *self._refresh_ops(self.state)]
-        self.programs[(k, order)] = ops
+        self.programs[(k, order, dt)] = ops
         return ops
 
     def tendency(self) -> np.ndarray:
@@ -260,6 +270,20 @@ class _Stepper:
         return self._planes(self.ring[step % 3])[_SLOT, 0, 1:-1, 1:-1]
 
 
+_idle = threading.local()   # per thread: the last one-lane stepper whose run stayed finite
+
+
+def _stepper(grid: Grid, p: ModelParams, lanes: Sequence[np.ndarray]) -> _Stepper:
+    """A stepper loaded with the lanes.  One lane reuses this thread's idle
+    stepper, compiled programs and all, when grid and params match; it is
+    taken out meanwhile, so a call made from on_step builds its own."""
+    if len(lanes) == 1:
+        idle = _idle.__dict__.pop("stepper", None)
+        if idle is not None and idle.grid == grid and idle.p == p:
+            return idle.load(lanes)
+    return _Stepper(grid, p, len(lanes)).load(lanes)
+
+
 def _blow_up(bad: ModelState, step: int, p: ModelParams) -> BlowUpError:
     report = validate_state(bad, p.velocity_cap)
     return BlowUpError(f"step to t={bad.time} diverged: {report}", report, step=step)
@@ -274,7 +298,7 @@ def rhs(s: ModelState, p: ModelParams) -> np.ndarray:
     """
     if not s.is_finite():
         raise NonFiniteError("rhs requires a finite state")
-    out = _Stepper(s.grid, p, [s.data]).tendency()
+    out = _Stepper(s.grid, p, 1).load([s.data]).tendency()
     out.setflags(write=False)
     return out
 
@@ -301,7 +325,7 @@ def integrate_history(
     if h.tendencies and h.tendencies[-1][0] != s.time - dt:
         raise StepMismatchError(f"history was built at a different step size: last tendency "
                                 f"at t={h.tendencies[-1][0]}, expected t={s.time - dt}")
-    stepper = _Stepper(s.grid, p, [s.data])
+    stepper = _stepper(s.grid, p, [s.data])
     priors = [t[None] for _, t in h.tendencies[-2:]]
     failures = stepper.run(priors, n_steps, dt, strict=True, on_step=on_step)
     if failures:
@@ -309,6 +333,7 @@ def integrate_history(
         raise _blow_up(ModelState(s.grid, data, s.time + (step + 1) * dt), step, p)
     fresh = tuple((s.time + i * dt, stepper.tendency_of(i))
                   for i in range(max(n_steps - 3, 0), n_steps))
+    _idle.stepper = stepper
     return StepHistory(ModelState(s.grid, stepper.lane(0), int(t_end)), (h.tendencies + fresh)[-3:])
 
 
@@ -344,7 +369,7 @@ def integrate_batch(
         raise StepMismatchError("batch lanes must share one grid")
     duration, dt = int(duration), int(dt)
     n_steps = _check_window(duration, dt)
-    stepper = _Stepper(grid, p, [s.data for s in states])
+    stepper = _stepper(grid, p, [s.data for s in states])
     failures = stepper.run((), n_steps, dt)
     results: list[ModelState | BlowUpError] = []
     for lane, s in enumerate(states):
@@ -353,6 +378,8 @@ def integrate_batch(
             results.append(_blow_up(ModelState(grid, data, s.time + (step + 1) * dt), step, p))
         else:
             results.append(ModelState(grid, stepper.lane(lane), s.time + duration))
+    if stepper.lanes == 1 and not failures:
+        _idle.stepper = stepper
     return results
 
 

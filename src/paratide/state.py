@@ -49,8 +49,8 @@ class Grid:
     def __post_init__(self):
         if self.nx < 4 or self.ny < 4:
             raise ValueError(f"nx and ny must be at least 4, got nx={self.nx}, ny={self.ny}")
-        if not (self.dx > 0 and self.dy > 0):
-            raise ValueError("dx and dy must be positive")
+        if not (0 < self.dx < np.inf and 0 < self.dy < np.inf):
+            raise ValueError("dx and dy must be positive and finite")
 
     @property
     def shape(self) -> tuple[int, int]:

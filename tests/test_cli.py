@@ -193,9 +193,18 @@ def test_bad_argument_exits_2_before_any_work(argv, small_conf, tmp_path, grid8,
     (["run", "{conf}"], ("spin_up_days = 0.25", "spin_up_days = nan"), "[config] spin_up_days:"),
     (["run", "{conf}"], ("spin_up_days = 0.25", "spin_up_days = inf"), "[config] spin_up_days:"),
     (["run", "{conf}"], ("[model]", "[model]\ndx = nan"), "dx and dy"),
+    (["run", "{conf}"], ("[model]", "[model]\ndx = inf"), "dx and dy"),
+    (["run", "{conf}"], ("[model]", "[model]\ndy = inf"), "dx and dy"),
     (["run", "{conf}"], ("[model]", "[model]\nH = nan"), "H and g"),
+    (["run", "{conf}"], ("[model]", "[model]\nf0 = nan"), "f0 and forcing_amp"),
+    (["run", "{conf}"], ("[model]", "[model]\nf0 = inf"), "f0 and forcing_amp"),
+    (["run", "{conf}"], ("[model]", "[model]\nforcing_amp = nan"), "f0 and forcing_amp"),
+    (["run", "{conf}"], ("[model]", "[model]\nforcing_amp = -inf"), "f0 and forcing_amp"),
+    (["run", "{conf}"], ("[model]", "[model]\nvelocity_cap = nan"), "velocity_cap"),
 ], ids=["speedup-m-inf", "speedup-m-nan", "restart-days-nan", "restart-days-inf",
-        "epsilon-nan", "epsilon-inf", "spin-up-days-nan", "spin-up-days-inf", "dx-nan", "H-nan"])
+        "epsilon-nan", "epsilon-inf", "spin-up-days-nan", "spin-up-days-inf", "dx-nan",
+        "dx-inf", "dy-inf", "H-nan", "f0-nan", "f0-inf", "forcing-amp-nan", "forcing-amp-inf",
+        "velocity-cap-nan"])
 def test_non_finite_number_exits_2(argv, edit, named, small_conf, tmp_path, capsys):
     # NaN passes no "> 0" test, and inf becomes no count of seconds or steps
     if edit is not None:

@@ -475,6 +475,131 @@ def test_fine_phase_chunks_run_on_forked_workers(monkeypatch, tmp_path, grid8, p
         assert a.bit_equal(b)
 
 
+def spy_on_fine_submits(monkeypatch, log):
+    """Make run_parareal's process pool log ("fine", k, slices) for each
+    _run_lanes it is handed, and return {entry: (future, lanes of the pool
+    still unfinished when it was handed in)}."""
+    import concurrent.futures
+
+    futures = {}
+
+    class SpyPool(ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            busy = sum(not f.done() for f, _ in futures.values())
+            future = super().submit(fn, *args)
+            if fn is parareal._run_lanes:
+                entry = ("fine", args[1], tuple(args[2]))
+                log.append(entry)
+                futures[entry] = (future, busy)
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    return futures
+
+
+def logged(log, fn):
+    """fn, logging ("coarse", k, n) as each call returns."""
+    def call(state, n, k):
+        out = fn(state, n, k)
+        log.append(("coarse", k, n))
+        return out
+    return call
+
+
+def test_lookahead_starts_next_fine_lanes_during_coarse_sweeps(monkeypatch, grid8, params):
+    # with a worker, fine lane (k+1, n) starts once U^k_n is formed, during
+    # sweep k, and only while the worker has no unfinished lane; the first
+    # formed input of each sweep finds it idle.  There is no lookahead past
+    # max_iterations, and the bits are those of the run without a pool.
+    pretend_cpus(monkeypatch, 2)
+    log = []
+    futures = spy_on_fine_submits(monkeypatch, log)
+    cfg = small_cfg(n_slices=6, max_parallel_fine=2, max_iterations=3)
+    coarse = flow(0.9, cfg.layout.slice_length)
+    u0 = random_state(grid8, np.random.default_rng(21))
+    res = run_parareal(u0, cfg, params, coarse_fn=logged(log, coarse))
+    for k in range(cfg.iterations):
+        early = log[:log.index(("coarse", k, cfg.layout.n_slices - 1))]
+        assert ("fine", k + 1, (k,)) in early
+        assert all(futures[e][1] == 0 for e in early if e[:2] == ("fine", k + 1))
+    assert all(entry[1] <= cfg.iterations for entry in log)
+    alone = run_parareal(u0, small_cfg(n_slices=6, max_parallel_fine=1, max_iterations=3),
+                         params, coarse_fn=coarse)
+    for ia, ib in zip(res.iterates, alone.iterates, strict=True):
+        for a, b in zip(ia, ib):
+            assert a.bit_equal(b)
+    assert [r.blow_up_slices for r in res.records] == [r.blow_up_slices for r in alone.records]
+
+
+@pytest.mark.parametrize("policy", ["abort", "continue_uncorrected"])
+def test_lookahead_lane_failure_keeps_barrier_order(monkeypatch, grid8, params, policy):
+    # Sweep 1 spikes U^1_2, so fine lane (2, 2) breaks the velocity cap in
+    # the worker while sweep 1 runs; in abort mode the sweep's own coarse
+    # failure at n = 3 comes later in wall time but first in barrier order.
+    # Either way the outcome is that of the run without a pool.
+    import time
+
+    pretend_cpus(monkeypatch, 2)
+    spike = np.array([1e4, 1e4, 1.0, 1.0, 1.0])[:, None, None] * 0.9
+    cfg = small_cfg(n_slices=6, on_blow_up=policy, max_iterations=3)
+
+    def coarse(state, n, k):
+        if k == 1 and n in (1, 2):
+            time.sleep(0.2)   # the worker finishes lane (2, n) before U^1_{n+1} forms
+        if (k, n) == (1, 3) and policy == "abort":
+            raise BlowUpError("coarse diverged", slice_index=n, iteration=k)
+        factor = spike if (k, n) == (1, 1) else 0.9
+        return ModelState(state.grid, state.data * factor, state.time + cfg.layout.slice_length)
+
+    u0 = random_state(grid8, np.random.default_rng(5))
+    outcomes, log = [], []
+    futures = spy_on_fine_submits(monkeypatch, log)
+    for workers in (2, 1):
+        run_cfg = small_cfg(n_slices=6, on_blow_up=policy, max_iterations=3,
+                            max_parallel_fine=workers)
+        if policy == "abort":
+            with pytest.raises(BlowUpError) as err:
+                run_parareal(u0, run_cfg, params, coarse_fn=logged(log, coarse))
+            outcomes.append((str(err.value), err.value.slice_index, err.value.iteration))
+        else:
+            res = run_parareal(u0, run_cfg, params, coarse_fn=coarse)
+            outcomes.append((res.blow_ups, [[s.data.tobytes() for s in it] for it in res.iterates]))
+        if workers == 2:
+            lane, _ = futures[("fine", 2, (2,))]
+            assert isinstance(lane.result()[0], BlowUpError)
+            if policy == "abort":
+                assert log.index(("fine", 2, (2,))) < log.index(("coarse", 1, 2))
+    assert outcomes[0] == outcomes[1]
+    if policy == "abort":
+        assert outcomes[0][1:] == (3, 1)
+    else:
+        assert any(e.k == 2 and e.slice_index == 2 and e.phase == "fine" for e in outcomes[0][0])
+
+
+def test_epsilon_stop_with_lookahead_lanes_in_flight(monkeypatch, grid8, params):
+    # the run stops at epsilon while the lanes of the next iteration run on
+    # the worker: they are waited for (no child outlives the run, which the
+    # no_leftover_workers fixture checks) and change no bit
+    pretend_cpus(monkeypatch, 2)
+    log = []
+    spy_on_fine_submits(monkeypatch, log)
+    u0 = random_state(grid8, np.random.default_rng(17))
+    full = small_cfg(n_slices=6, max_parallel_fine=1)
+    reference = restarted_serial_run(full.fine, u0, full.layout, params)
+    probe = run_parareal(u0, full, params, reference=reference)
+    epsilon = max(max(pair) for pair in probe.records[2].errors.values())
+    assert epsilon > 0
+    results = [run_parareal(u0, small_cfg(n_slices=6, max_parallel_fine=w, epsilon=epsilon),
+                            params, reference=reference) for w in (2, 1)]
+    assert all(r.stopped_at_epsilon and r.iterations_run < 6 for r in results)
+    stop = results[0].iterations_run
+    assert any(entry[1] == stop + 1 for entry in log)
+    assert multiprocessing.active_children() == []
+    for ia, ib in zip(results[0].iterates, results[1].iterates, strict=True):
+        for a, b in zip(ia, ib):
+            assert a.bit_equal(b)
+
+
 def test_worker_results_are_frozen(monkeypatch, grid8, params):
     # states pickled back from a worker must be as immutable as any other
     pretend_cpus(monkeypatch, 2)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from paratide import Field, Grid, ModelParams, ModelState, ab3_step, cfl_max_dt, rhs
+from paratide import solver
 from paratide.errors import BlowUpError, CFLImpossibleError, NonFiniteError, StepMismatchError
 from paratide.solver import (
     StepHistory,
@@ -504,6 +505,77 @@ def test_threads_stepping_at_once_match_sequential_bits(settled_state, params):
     for i, exp in enumerate(expected):
         assert len(results[i]) == 3
         assert all(out.bit_equal(exp) for out in results[i])
+
+
+# --------------------------------------------------------------------------
+# One-lane stepper reuse: a reused stepper gives the bits of a fresh one
+
+def fresh(call, *args, **kwargs):
+    """call made on a freshly built stepper: this thread keeps none idle."""
+    solver._idle.__dict__.pop("stepper", None)
+    return call(*args, **kwargs)
+
+
+def poison_idle_stepper():
+    """Fill every buffer of this thread's idle stepper with NaN: state,
+    predictor, scratch, ring and gradient planes, halos included."""
+    st = solver._idle.stepper
+    for buf in (st.state, st.pred, st.work, st.work2, st.lap, *st.ring, st.gx, st.gy):
+        buf.fill(np.nan)
+    return st
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_reused_stepper_keeps_bits_under_nan_scratch(settled_state, params):
+    s, dt = settled_state, 1200
+    warm = fresh(integrate_history, StepHistory(s), s.time + 3 * dt, dt, params)
+    other = random_state(s.grid, np.random.default_rng(8))
+    calls = [
+        (integrate, (s, s.time + 5 * dt, dt, params)),
+        (integrate, (s, s.time + dt, dt, params)),
+        (integrate_history, (warm, warm.current.time + 4 * dt, dt, params)),
+        (integrate_history, (StepHistory(warm.current, warm.tendencies[1:]),
+                             warm.current.time + 2 * dt, dt, params)),
+        (integrate_batch, ([other], 4 * dt, dt, params)),
+    ]
+    for call, args in calls:
+        expected = fresh(call, *args)
+        st = poison_idle_stepper()
+        got = call(*args)
+        assert solver._idle.stepper is st      # the poisoned stepper was reused
+        if isinstance(got, list):
+            (expected,), (got,) = expected, got
+        if isinstance(got, StepHistory):
+            assert_same_history(got, expected)
+        else:
+            assert got.bit_equal(expected) and (got.data == expected.data).all()
+
+
+def test_reused_stepper_follows_a_dt_switch(settled_state, params):
+    # programs are compiled per dt: 2400 s then 1200 s on one stepper must
+    # not step the second call with the first call's dt
+    s = settled_state
+    expected = [fresh(integrate, s, s.time + 4800, dt, params) for dt in (2400, 1200)]
+    solver._idle.__dict__.pop("stepper", None)
+    got = [integrate(s, s.time + 4800, dt, params) for dt in (2400, 1200, 2400)]
+    assert not expected[0].bit_equal(expected[1])
+    assert got[0].bit_equal(expected[0]) and got[1].bit_equal(expected[1])
+    assert got[2].bit_equal(expected[0])
+
+
+def test_integrating_on_step_hook_leaves_outer_call_alone(settled_state, params):
+    s, dt = settled_state, 1200
+    other = random_state(s.grid, np.random.default_rng(4))
+    expected = fresh(integrate, s, s.time + 4 * dt, dt, params)
+    inner_expected = fresh(integrate, other, 3 * dt, dt, params)
+    inner = []
+
+    def hook(fields):
+        inner.append(integrate(other, 3 * dt, dt, params))
+
+    got = integrate(s, s.time + 4 * dt, dt, params, on_step=hook)
+    assert got.bit_equal(expected)
+    assert len(inner) == 4 and all(out.bit_equal(inner_expected) for out in inner)
 
 
 # --------------------------------------------------------------------------
