@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from .checkpoint import read_checkpoint, write_checkpoint
-from .config import int_list, parse_config
+from .config import int_list, parse_config, parse_model
 from .errors import BlowUpError, ConfigError, EngineError, IOFailureError
 from .propagator import PropagatorSpec
 from .solver import ModelParams, integrate_history
@@ -131,8 +131,7 @@ def _cmd_serial(args) -> int:
 def _cmd_single_shot(args) -> int:
     dt = _spd_step(args.spd)
     if args.config:
-        config = parse_config(args.config, model_only=True)
-        grid, params = config.grid, config.params
+        grid, params = parse_model(args.config)
     else:
         # shape comes from the file header, spacing from the defaults
         grid, params = None, ModelParams()

@@ -12,7 +12,8 @@ sets (ModelParams, PararealConfig, ExperimentConfig;
 checkpoint.DEFAULT_SPACING for dx and dy).  parse_config builds the
 objects the engine runs on -- SliceLayout, a PropagatorSpec per step
 count, a PararealConfig per fine step count -- and reports their verdict
-on the step rules under the key at fault.  PararealConfig, the driver's
+on the step rules under the key at fault; parse_model reads only the grid
+and physics, for single-shot children.  PararealConfig, the driver's
 settings, lives here rather than with the driver, so that a single-shot
 child, which parses configs, never loads the driver.
 """
@@ -162,6 +163,10 @@ class ExperimentConfig:
         }
         return _digest(payload)
 
+    @property
+    def spin_up_seconds(self) -> int:
+        return int(round(self.spin_up_days * SECONDS_PER_DAY))
+
     def spin_up_hash(self) -> str:
         """Hash of what the spin-up integration depends on: grid, physics,
         seed and spin-up step.  Its duration is named by the cache file."""
@@ -194,7 +199,9 @@ def _digest(payload: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _parse_sections(path: Path) -> dict[str, dict[str, str]]:
+def _parse_sections(path: Path) -> dict[str, _Section]:
+    if not path.exists():
+        raise ParseError(f"{path}: no such config file")
     sections: dict[str, dict[str, str]] = {name: {} for name in _SECTIONS}
     current: str | None = None
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
@@ -217,7 +224,7 @@ def _parse_sections(path: Path) -> dict[str, dict[str, str]]:
         if key in sections[current]:
             raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
         sections[current][key] = value
-    return sections
+    return {name: _Section(name, values) for name, values in sections.items()}
 
 
 _REQUIRED = object()
@@ -253,20 +260,10 @@ def _build(prefix: str, make, *args, **kwargs):
         raise ValidationError(f"{prefix}{err}") from err
 
 
-def parse_config(path: str | Path, model_only: bool = False) -> ExperimentConfig:
-    """Parse and validate an experiment config file.
-
-    With model_only=True only the [model] section is required to make
-    sense; the layout receives permissive placeholders.  Single-shot
-    propagator runs use that path, since their window comes from the
-    command line rather than a slice layout.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"{path}: no such config file")
-    sections = _parse_sections(path)
-    conf, model, io = (_Section(name, sections[name]) for name in ("config", "model", "io"))
-
+def parse_model(path: str | Path) -> tuple[Grid, ModelParams]:
+    """The grid and physics of a config file, all that a single-shot
+    propagator run reads: its window comes from the command line."""
+    model = _parse_sections(Path(path))["model"]
     grid = _build(
         "[model] grid: ", Grid,
         nx=model.get("nx", int, 32),
@@ -274,13 +271,15 @@ def parse_config(path: str | Path, model_only: bool = False) -> ExperimentConfig
         dx=model.get("dx", float, DEFAULT_SPACING),
         dy=model.get("dy", float, DEFAULT_SPACING),
     )
-    params = _build("[model] params: ", ModelParams, **model.given(_PARAM_KEYS))
-    common = dict(grid=grid, params=params, source_path=str(path), **io.given(_IO_KEYS))
+    return grid, _build("[model] params: ", ModelParams, **model.given(_PARAM_KEYS))
 
-    if model_only:
-        placeholder = SliceLayout(t0=0, slice_length=SECONDS_PER_DAY, n_slices=1)
-        return ExperimentConfig(layout=placeholder, coarse_spd=36, fine_spds=(72,), **common)
 
+def parse_config(path: str | Path) -> ExperimentConfig:
+    """Parse and validate an experiment config file."""
+    path = Path(path)
+    grid, params = parse_model(path)
+    sections = _parse_sections(path)
+    conf, io = sections["config"], sections["io"]
     coarse_spd = conf.get("coarse_spd", int)
     fine_spds = conf.get("fine_spd", int_list)
     layout = _build(
@@ -291,7 +290,8 @@ def parse_config(path: str | Path, model_only: bool = False) -> ExperimentConfig
     )
     config = ExperimentConfig(
         layout=layout, coarse_spd=coarse_spd, fine_spds=fine_spds,
-        **conf.given(_CONFIG_KEYS), **common,
+        grid=grid, params=params, source_path=str(path),
+        **conf.given(_CONFIG_KEYS), **io.given(_IO_KEYS),
     )
 
     # The config's own rules; the step rules belong to the objects below.
@@ -303,7 +303,10 @@ def parse_config(path: str | Path, model_only: bool = False) -> ExperimentConfig
         raise ValidationError("[config] spin_up_days: must be >= 0 and finite")
 
     coarse = _build("[config] coarse_spd: ", PropagatorSpec, coarse_spd)
-    _build("[config] spin_up_spd: ", PropagatorSpec, config.spin_up_spd)
+    spin = _build("[config] spin_up_spd: ", PropagatorSpec, config.spin_up_spd)
+    if config.spin_up_seconds % spin.dt:
+        raise ValidationError(f"[config] spin_up_days: {config.spin_up_seconds}s is not a "
+                              f"multiple of the spin_up_spd={spin.spd} step ({spin.dt}s)")
     _build("[config] reference_spd: ", PropagatorSpec, config.reference_spd)
     for nf in fine_spds:
         _build("[config] fine_spd: ", PropagatorSpec, nf)

@@ -100,7 +100,7 @@ def spin_up(config: ExperimentConfig) -> ModelState:
     The cache is keyed by config.spin_up_hash(), so configs that differ
     only in layout share one spin-up.
     """
-    duration = int(round(config.spin_up_days * SECONDS_PER_DAY))
+    duration = config.spin_up_seconds
     dt = SECONDS_PER_DAY // config.spin_up_spd
 
     name = f"init_{duration}.prcp"

@@ -108,14 +108,6 @@ def max_profitable_iterations(m: float, n_slices: int) -> int:
     return best
 
 
-def _time_workload(state: ModelState, spec: PropagatorSpec, slice_seconds: int,
-                   params: ModelParams, loops: int) -> float:
-    start = _time.perf_counter()
-    for _ in range(loops):
-        integrate(state, state.time + slice_seconds, spec.dt, params)
-    return _time.perf_counter() - start
-
-
 def measure_runtime_ratio(
     coarse: PropagatorSpec,
     fine: PropagatorSpec,
@@ -128,7 +120,9 @@ def measure_runtime_ratio(
 
     Both specs must be internal.  If a single coarse slice completes in
     under 0.05 s, the workload is repeated enough times per sample to rise
-    above that (scheduler noise dwarfs the timer otherwise).
+    above that (scheduler noise dwarfs the timer otherwise).  Within a
+    sample the two sides alternate slice by slice, so that a change of host
+    speed hits both alike.
     """
     if coarse.mode != "internal" or fine.mode != "internal":
         raise ValueError("runtime-ratio measurement requires internal propagators")
@@ -137,16 +131,19 @@ def measure_runtime_ratio(
     if slice_seconds % coarse.dt or slice_seconds % fine.dt:
         raise ValueError("slice must be a multiple of both step sizes")
 
-    once = _time_workload(state, coarse, slice_seconds, params, 1)
-    loops = max(1, int(np.ceil(0.05 / max(once, 1e-9))))
+    def timed(spec: PropagatorSpec) -> float:
+        start = _time.perf_counter()
+        integrate(state, state.time + slice_seconds, spec.dt, params)
+        return _time.perf_counter() - start
 
+    loops = max(1, int(np.ceil(0.05 / max(timed(coarse), 1e-9))))
     ratios = []
-    for rep in range(repetitions):
-        # Alternate which side runs first, so that a change of host speed
-        # between the two timings biases the samples both ways, not all alike.
-        sides = (coarse, fine) if rep % 2 == 0 else (fine, coarse)
-        t = [_time_workload(state, spec, slice_seconds, params, loops) for spec in sides]
-        ratios.append(t[1] / t[0] if rep % 2 == 0 else t[0] / t[1])
+    for _ in range(repetitions):
+        t = [0.0, 0.0]   # coarse, fine
+        for i in range(loops):
+            for side in (0, 1) if i % 2 == 0 else (1, 0):
+                t[side] += timed((coarse, fine)[side])
+        ratios.append(t[1] / t[0])
     return float(np.median(ratios))
 
 

@@ -18,17 +18,19 @@ rounding.
 Two schedules give the same bits, and the fine propagator picks one.
 In-process fine lanes, batched into integrate_batch calls on forked
 workers, run on the iteration barrier: init sweep, then per iteration a
-fine phase and a correction sweep; idle workers start the next fine
-phase's lanes one by one as the sweep forms their inputs.  Every other
-propagator runs slice by slice on threads, each slice starting as soon as
-its input is known, so the fine slices of iteration k+1 run beside the
-coarse chain of k.
+fine phase and a correction sweep.  The sweeps hand U^k_n to the coarse
+propagator just as fine lane (k+1, n) can start, so the barrier wraps the
+coarse propagator: the wrapper gives the lane to an idle worker, then
+propagates.  Every other propagator runs slice by slice on threads, each
+slice starting as soon as its input is known, so the fine slices of
+iteration k+1 run beside the coarse chain of k.
 
 A fine propagation that fails (divergence, killed external run, missing
 output) leaves its correction undefined; in continue mode the sweep then
 keeps the uncorrected coarse value for that slice and flags it, in abort
-mode the run stops.  Both schedules meet failures in barrier order: per
-iteration the fine slices by slice index, then the coarse sweep.
+mode the run stops.  One rule, _settle, turns an iteration's failures into
+events or the raised error for both schedules, in barrier order: the fine
+slices by slice index, then the coarse sweep's break.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .solver import ModelParams, integrate_batch
 from .state import Field, ModelState, state_add, state_diff
 
 PropagatorFn = Callable[[ModelState, int, int], ModelState]
-Offer = Callable[[int, int, ModelState], None]   # (k, n, U^{k-1}_n) of fine lane (k, n)
+Outcome = ModelState | BlowUpError
 
 @dataclass(frozen=True)
 class BlowUpEvent:
@@ -173,31 +175,27 @@ def _fine_chunks(cfg: PararealConfig, lanes: int) -> int:
 
 
 def coarse_init_sweep(
-    u0: ModelState, cfg: PararealConfig, coarse_fn: PropagatorFn, offer: Offer | None = None
+    u0: ModelState, cfg: PararealConfig, coarse_fn: PropagatorFn
 ) -> list[ModelState]:
     """Sequential coarse pass producing the zeroth iterate U^0_0..U^0_N.
 
     The coarse values double as the retained G^0 for the first correction.
-    A blow-up here is fatal: there is nothing to fall back on yet.  Each
-    U^0_n with n < N_t goes to offer, for fine lane (1, n).
+    A blow-up here is fatal: there is nothing to fall back on yet.
     """
     states = [u0]
     for n in range(cfg.layout.n_slices):
-        if offer is not None:
-            offer(1, n, states[n])
         states.append(coarse_fn(states[n], n, 0))
     return states
 
 
 def fine_parallel_phase(
     u_prev: Sequence[ModelState],
-    g_prev: Sequence[ModelState],
+    pool: Executor | None,
     cfg: PararealConfig,
     fine_fn: Propagator,
     k: int,
-    pool: Executor | None = None,
     started: dict[int, Future] | None = None,
-) -> tuple[list[ModelState | None], list[BlowUpEvent]]:
+) -> list[Outcome | None]:
     """Concurrent fine propagation for slices n = k-1 .. N_t-1 by an
     in-process Propagator.
 
@@ -206,12 +204,13 @@ def fine_parallel_phase(
     contiguous chunks (see _fine_chunks; w = 1 without a pool), a worker's
     chunk one lane shorter while its started lane runs.  This process runs
     the first chunk and the pool the others, each through _run_lanes.
-    g_prev is not read here: the correction sweep forms F - G itself.
+    cfg and k stay the third and fifth arguments: bench/spans.py reads them
+    by position.
 
-    Returns (fine values, blow-up events), the values indexed by target
-    slice n+1 over the full 0..N_t range (None below the loop start, where
-    slices are already exact, and for a failed slice).  Outcomes are
-    gathered by slice index, so the worker count cannot change a bit.
+    Returns the outcomes indexed by target slice n+1 over the full 0..N_t
+    range: the fine value or the BlowUpError of slice n, None below the
+    loop start, where slices are already exact.  Outcomes are gathered by
+    slice index, so the worker count cannot change a bit.
     """
     started = started or {}
     rest = [n for n in range(k - 1, cfg.layout.n_slices) if n not in started]
@@ -222,70 +221,46 @@ def fine_parallel_phase(
     chunks = [rest[cuts[i]:cuts[i + 1]] for i in range(w)]
     futures = [(c, pool.submit(_run_lanes, fine_fn, k, c, [u_prev[n] for n in c]))
                for c in chunks[1:] if c] + [([n], f) for n, f in started.items()]
-    outcomes = dict(zip(chunks[0], _run_lanes(fine_fn, k, chunks[0], [u_prev[n] for n in chunks[0]])))
+    local = _run_lanes(fine_fn, k, chunks[0], [u_prev[n] for n in chunks[0]])
+    outcomes = dict(zip(chunks[0], local))
     for c, future in futures:
         outcomes.update(zip(c, future.result()))
-
-    fine_vals: list[ModelState | None] = [None] * (cfg.layout.n_slices + 1)
-    events: list[BlowUpEvent] = []
-    for n, outcome in sorted(outcomes.items()):
-        if isinstance(outcome, BlowUpError):
-            if cfg.on_blow_up == ABORT:
-                raise outcome
-            events.append(BlowUpEvent(k, n, "fine", str(outcome)))
-        else:
-            fine_vals[n + 1] = outcome
-    return fine_vals, events
+    return [outcomes.get(m - 1) for m in range(cfg.layout.n_slices + 1)]
 
 
 def correction_sweep(
     u_prev: Sequence[ModelState],
-    fine_vals: Sequence[ModelState | None],
+    fine: Sequence[Outcome | None],
     g_prev: Sequence[ModelState],
     cfg: PararealConfig,
     coarse_fn: PropagatorFn,
     k: int,
-    offer: Offer | None = None,
-) -> tuple[list[ModelState], list[ModelState], list[BlowUpEvent]]:
+) -> tuple[list[ModelState], list[ModelState], tuple[int, BlowUpError] | None]:
     """Sequential coarse sweep with corrections for n = k-1 .. N_t-1.
 
     Slices below the loop start carry over unchanged (they are already
     exact).  At n = k-1 the retained coarse value g_prev[k] stands in for a
-    fresh one (see the module docstring).  A missing fine value (failed
-    fine run) keeps the unedited coarse value for that slice.  Each U^k_n
-    with n < N_t goes to offer, for fine lane (k+1, n).  Returns
-    (next iterate, retained coarse values, events); a coarse blow-up
-    truncates the sweep and is reported by a terminal event — the caller
-    decides whether that aborts the run.
+    fresh one (see the module docstring).  A failed fine run keeps the
+    unedited coarse value for that slice.  Returns (next iterate, retained
+    coarse values, break): a coarse blow-up at slice n truncates the sweep
+    and is returned as the break (n, error), else None.
     """
     u_next: list[ModelState] = list(u_prev)
     g_next: list[ModelState] = list(g_prev)
-    events: list[BlowUpEvent] = []
-
-    u_next[k] = _corrected(g_prev[k], fine_vals[k], g_prev[k])
+    u_next[k] = _corrected(g_prev[k], fine[k], g_prev[k])
     for n in range(k, cfg.layout.n_slices):
-        if offer is not None:
-            offer(k + 1, n, u_next[n])
         try:
-            g_new = coarse_fn(u_next[n], n, k)
+            g_next[n + 1] = coarse_fn(u_next[n], n, k)
         except BlowUpError as err:
-            events.append(BlowUpEvent(k, n, "correction", str(err)))
-            if cfg.on_blow_up == ABORT:
-                raise
-            return u_next, g_next, events
-        g_next[n + 1] = g_new
-        u_next[n + 1] = _corrected(g_new, fine_vals[n + 1], g_prev[n + 1])
-    return u_next, g_next, events
+            return u_next, g_next, (n, err)
+        u_next[n + 1] = _corrected(g_next[n + 1], fine[n + 1], g_prev[n + 1])
+    return u_next, g_next, None
 
 
-def _corrected(
-    g_new: ModelState, fine: ModelState | BlowUpError | None, g_old: ModelState
-) -> ModelState:
-    """U^k_{n+1} from G^k_{n+1}, F^k_{n+1} and the retained G^{k-1}_{n+1}.
-
-    A failed fine run (None or its error) keeps the coarse value.
-    """
-    if fine is None or isinstance(fine, BlowUpError):
+def _corrected(g_new: ModelState, fine: Outcome, g_old: ModelState) -> ModelState:
+    """U^k_{n+1} from G^k_{n+1}, F^k_{n+1} and the retained G^{k-1}_{n+1};
+    a failed fine run (its error) keeps the coarse value."""
+    if isinstance(fine, BlowUpError):
         return g_new
     if g_new.bit_equal(g_old):
         # G terms cancel exactly, so the exact-arithmetic update is F.
@@ -293,32 +268,51 @@ def _corrected(
     return state_add(g_new, state_diff(fine, g_old))
 
 
+def _settle(k: int, fine: Sequence[Outcome | None], coarse_break: tuple[int, BlowUpError] | None,
+            abort: bool) -> list[BlowUpEvent]:
+    """Iteration k's failures as events in barrier order: the fine slices
+    by index (fine is indexed by target slice, as fine_parallel_phase
+    returns it), then the sweep's break.  In abort mode the first failure
+    is raised instead."""
+    failures = [(m - 1, "fine", out) for m, out in enumerate(fine)
+                if isinstance(out, BlowUpError)]
+    if coarse_break is not None:
+        failures.append((coarse_break[0], "correction", coarse_break[1]))
+    if failures and abort:
+        raise failures[0][2]
+    return [BlowUpEvent(k, n, phase, str(err)) for n, phase, err in failures]
+
+
 def _barrier_schedule(u0, cfg, coarse_fn, fine_fn, pool, workers):
     """Iterates 0, 1, ... on the iteration barrier, each as (states,
-    events, coarse wall, fine wall).  With a pool, each input a sweep forms
-    goes to an idle worker as a one-lane call of the next fine phase, up to
-    cfg.iterations; the phase runs the inputs no worker took."""
+    events, coarse wall, fine wall).  The sweeps propagate through a
+    wrapper that first hands U^k_n, up to k = cfg.iterations - 1, to an
+    idle worker as fine lane (k+1, n), a one-lane call of the next fine
+    phase; the phase runs the inputs no worker took."""
+    abort = cfg.on_blow_up == ABORT
     started: dict[int, Future] = {}   # n -> the outcomes of an early lane
     first = None                      # when the first early lane started
 
-    def offer(k, n, state):
+    def coarse(state, n, k):
         nonlocal first
-        if sum(not f.done() for f in started.values()) < workers:
+        if k < cfg.iterations and sum(not f.done() for f in started.values()) < workers:
             first = first or _time.perf_counter()
-            started[n] = pool.submit(_run_lanes, fine_fn, k, [n], [state])
+            started[n] = pool.submit(_run_lanes, fine_fn, k + 1, [n], [state])
+        return coarse_fn(state, n, k)
 
     t0 = _time.perf_counter()
-    u = coarse_init_sweep(u0, cfg, coarse_fn, offer if pool else None)
+    u = coarse_init_sweep(u0, cfg, coarse)
     yield u, [], _time.perf_counter() - t0, 0.0
     g = list(u)
     for k in range(1, cfg.iterations + 1):
         t0 = _time.perf_counter()
-        fine_vals, fine_events = fine_parallel_phase(u, g, cfg, fine_fn, k, pool, started)
+        fine = fine_parallel_phase(u, pool, cfg, fine_fn, k, started)
         t1 = _time.perf_counter()
         wall_fine, started, first = t1 - (first or t0), {}, None
-        u, g, sweep_events = correction_sweep(u, fine_vals, g, cfg, coarse_fn, k,
-                                              offer if pool and k < cfg.iterations else None)
-        yield u, fine_events + sweep_events, _time.perf_counter() - t1, wall_fine
+        events = _settle(k, fine, None, abort)
+        u, g, coarse_break = correction_sweep(u, fine, g, cfg, coarse, k)
+        events += _settle(k, [], coarse_break, abort)
+        yield u, events, _time.perf_counter() - t1, wall_fine
 
 
 def _pipelined_schedule(u0, cfg, coarse_fn, fine_fn, pool, w):
@@ -333,8 +327,9 @@ def _pipelined_schedule(u0, cfg, coarse_fn, fine_fn, pool, w):
     would not reach after it: in abort mode every later task, in continue
     mode, for a coarse failure, the later iterations.  Iterate k is yielded
     once U^k_N is formed or, when a failure blocks it, once nothing is in
-    flight; tasks still running at a stop are left to the executor's
-    shutdown.
+    flight, its failures settled as on the barrier (an init-sweep failure
+    always raises); tasks still running at a stop are left to the
+    executor's shutdown.
     """
     n_slices, last_k = cfg.layout.n_slices, cfg.iterations
     abort = cfg.on_blow_up == ABORT
@@ -405,16 +400,8 @@ def _pipelined_schedule(u0, cfg, coarse_fn, fine_fn, pool, w):
             for future in done:
                 harvest(future)
             form()
-        failures = [(m - 1, f) for m in range(k, n_slices + 1)
-                    if isinstance(f := fine.get((k, m)), BlowUpError)]
-        if failures and abort:
-            raise failures[0][1]
-        events = [BlowUpEvent(k, n, "fine", str(err)) for n, err in failures]
-        if k in coarse_failure:
-            n, err = coarse_failure[k]
-            if abort or k == 0:
-                raise err
-            events.append(BlowUpEvent(k, n, "correction", str(err)))
+        events = _settle(k, [fine.get((k, m)) for m in range(n_slices + 1)],
+                         coarse_failure.get(k), abort or k == 0)
         states = [u.get((k, n), states[n]) for n in range(n_slices + 1)]
         for n in range(n_slices + 1):   # later iterations need neither
             g.pop((k - 1, n), None)

@@ -33,7 +33,7 @@ import subprocess
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import (
@@ -119,15 +119,15 @@ class PropagateResult:
     history: StepHistory | None = field(default=None)
 
 
-def _child_env(env: Mapping[str, str] | None) -> dict[str, str]:
-    """The caller's env (default: this process's) with PYTHONPATH made absolute.
+def _child_env() -> dict[str, str]:
+    """This process's environment with PYTHONPATH made absolute.
 
     Python reads relative PYTHONPATH entries, and empty ones, against the
     directory it starts in; the child starts in its work directory, so each
     entry is anchored to the parent's current directory instead.  An empty
     PYTHONPATH as a whole means no entries and is left alone.
     """
-    child = dict(os.environ if env is None else env)
+    child = dict(os.environ)
     pythonpath = child.get("PYTHONPATH")
     if pythonpath:
         cwd = os.getcwd()
@@ -141,14 +141,13 @@ def _child_env(env: Mapping[str, str] | None) -> dict[str, str]:
 def run_external(
     command: Sequence[str],
     workdir: str | Path,
-    env: Mapping[str, str] | None = None,
     timeout: float | None = None,
 ) -> int:
     """Run a child in its own directory and return its exit code.
 
     stdout and stderr both go to run.log inside the working directory.
-    The child gets env (default: this process's environment) with its
-    PYTHONPATH entries made absolute against the parent's current directory.
+    The child gets this process's environment with its PYTHONPATH entries
+    made absolute against the parent's current directory.
     A relative command[0] that contains a path separator (./model, bin/model)
     is anchored to the parent's current directory as well; a bare name is
     looked up on PATH and the other arguments are passed verbatim.
@@ -166,7 +165,7 @@ def run_external(
                 cwd=workdir,
                 stdout=log,
                 stderr=subprocess.STDOUT,
-                env=_child_env(env),
+                env=_child_env(),
                 timeout=timeout,
             )
     except (FileNotFoundError, PermissionError) as err:

@@ -215,6 +215,16 @@ def test_non_finite_number_exits_2(argv, edit, named, small_conf, tmp_path, caps
     assert not (tmp_path / "runs").exists()
 
 
+def test_spin_up_off_its_step_exits_2_before_any_work(small_conf, tmp_path, capsys):
+    # 0.0001 days rounds to 9 s, no multiple of the 300 s spin_up_spd step
+    small_conf.write_text(small_conf.read_text().replace("spin_up_days = 0.25",
+                                                         "spin_up_days = 0.0001"))
+    assert main(["run", str(small_conf)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: [config] spin_up_days: ")
+    assert not (tmp_path / "runs").exists()
+
+
 def test_invalid_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.conf"
     bad.write_text("[config]\nslice_length = 2400\nn_slices = 4\ncoarse_spd = 36\nfine_spd = 36\n")

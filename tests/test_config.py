@@ -1,6 +1,7 @@
 import pytest
 
 from paratide import Field, parse_config
+from paratide.config import parse_model
 from paratide.errors import ParseError, ValidationError
 
 from conftest import CONFIG_DIR
@@ -76,6 +77,7 @@ def test_preset_hashes_pinned(name, config_hash):
     (MINIMAL + "on_blow_up = ignore\n", "on_blow_up"),
     (MINIMAL + "max_parallel_fine = 0\n", "max_parallel_fine"),
     (MINIMAL + "spin_up_spd = 7\n", "spin_up_spd"),
+    (MINIMAL + "spin_up_days = 0.0001\n", "spin_up_days"),   # 9 s against a 60 s step
     (MINIMAL + "reference_spd = 0\n", "reference_spd"),
     (MINIMAL.replace("coarse_spd = 36", "coarse_spd = 7"), "coarse_spd"),
     (MINIMAL + "max_iterations = 0\n", "max_iterations"),
@@ -83,7 +85,7 @@ def test_preset_hashes_pinned(name, config_hash):
     (MINIMAL + "[model]\nnx = 2\n", "nx"),
     (MINIMAL + "[model]\nH = 0\n", "H"),
     (MINIMAL + "[model]\nnx = 3.5\n", "nx"),
-], ids=["on_blow_up", "max_parallel_fine", "spin_up_spd", "reference_spd",
+], ids=["on_blow_up", "max_parallel_fine", "spin_up_spd", "spin_up_days-step", "reference_spd",
         "coarse_spd", "max_iterations", "fine_spd-step", "nx-small", "H", "nx-float"])
 def test_rule_violation_names_its_key(tmp_path, body, key):
     # each rule is judged by the object that owns it; the error still
@@ -191,9 +193,10 @@ def test_model_section_overrides(tmp_path):
     assert cfg.params.H == 4.0
 
 
-def test_model_only_mode_skips_layout(tmp_path):
-    cfg = parse_config(write(tmp_path, "[model]\nnx = 16\nny = 16\n"), model_only=True)
-    assert cfg.grid.nx == 16
+def test_parse_model_skips_layout(tmp_path):
+    grid, params = parse_model(write(tmp_path, "[model]\nnx = 16\nny = 16\nH = 4.0\n"))
+    assert grid.nx == 16
+    assert params.H == 4.0
 
 
 def test_config_hash_ignores_io(tmp_path):

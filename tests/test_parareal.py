@@ -181,7 +181,7 @@ def test_fine_phase_loop_bounds(monkeypatch, grid8, params):
     u0 = constant_state(grid8, u=1.0)
     u_prev = coarse_init_sweep(u0, cfg, flow(0.8, cfg.layout.slice_length))
     fine_fn = Propagator(cfg.fine, params, cfg.layout)
-    fine_parallel_phase(u_prev, list(u_prev), cfg, fine_fn, k=cfg.layout.n_slices)
+    fine_parallel_phase(u_prev, None, cfg, fine_fn, k=cfg.layout.n_slices)
     assert calls == [[3]]
 
 
@@ -198,10 +198,8 @@ def test_zero_corrections_reduce_to_coarse_sweep(grid8):
         ModelState(grid8, np.full_like(u0.data, 7.0), u_prev[n + 1].time)
         for n in range(1, cfg.layout.n_slices)
     ]
-    u_next, _, events = correction_sweep(
-        u_prev, retained, retained, cfg, coarse_fn, k=1
-    )
-    assert not events
+    u_next, _, coarse_break = correction_sweep(u_prev, retained, retained, cfg, coarse_fn, k=1)
+    assert coarse_break is None
     expected = coarse_init_sweep(u0, cfg, coarse_fn)
     for got, want in zip(u_next, expected):
         assert got.bit_equal(want)
@@ -440,6 +438,47 @@ def test_worker_count_independence_internal_with_failing_lane(monkeypatch, grid8
                 assert a.bit_equal(b)
 
 
+@pytest.mark.parametrize("policy", ["continue_uncorrected", "abort"])
+@pytest.mark.parametrize("fault", ["fine_lane", "coarse_break"])
+def test_barrier_and_pipelined_schedules_settle_failures_alike(monkeypatch, grid8, policy, fault):
+    # one rule settles failures on both schedules: the in-process Propagator
+    # runs on the barrier, the same Propagator behind a plain callable on the
+    # pipelined schedule.  Fine lane (1, 4) breaks the velocity cap, or the
+    # coarse sweep of k = 1 breaks at slice 2; the events, flagged slices,
+    # aborted flag and iterate bits, or the raised error, must agree.
+    pretend_cpus(monkeypatch, 2)
+    cfg = small_cfg(n_slices=6, max_parallel_fine=2, on_blow_up=policy)
+    spiking = spiking_coarse(cfg.layout.slice_length, spike_slice=3)
+
+    def coarse(state, n, k):
+        if fault == "fine_lane":
+            return spiking(state, n, k)
+        if (k, n) == (1, 2):
+            raise BlowUpError("coarse diverged", slice_index=n, iteration=k)
+        return flow(0.9, cfg.layout.slice_length)(state, n, k)
+
+    prop = Propagator(cfg.fine, ModelParams(), cfg.layout)
+    u0 = random_state(grid8, np.random.default_rng(5))
+    outcomes = []
+    for fine_fn in (prop, lambda state, n, k: prop(state, n, k)):
+        if policy == "abort":
+            with pytest.raises(BlowUpError) as err:
+                run_parareal(u0, cfg, ModelParams(), coarse_fn=coarse, fine_fn=fine_fn)
+            outcomes.append((str(err.value), err.value.slice_index, err.value.iteration))
+            continue
+        res = run_parareal(u0, cfg, ModelParams(), coarse_fn=coarse, fine_fn=fine_fn)
+        outcomes.append((res.blow_ups, [r.blow_up_slices for r in res.records], res.aborted,
+                         [[s.data.tobytes() for s in it] for it in res.iterates]))
+    assert outcomes[0] == outcomes[1]
+    first = (4, "fine") if fault == "fine_lane" else (2, "correction")
+    if policy == "abort":
+        assert outcomes[0][1:] == (first[0], 1)
+    else:
+        e = outcomes[0][0][0]
+        assert (e.k, e.slice_index, e.phase) == (1, *first)
+        assert outcomes[0][2] == (fault == "coarse_break")
+
+
 def test_fine_phase_chunks_run_on_forked_workers(monkeypatch, tmp_path, grid8, params):
     # at k = 1 with four processes the six lanes split into contiguous
     # chunks of 1, 2, 1 and 2; this process takes the first, workers the rest
@@ -459,7 +498,7 @@ def test_fine_phase_chunks_run_on_forked_workers(monkeypatch, tmp_path, grid8, p
 
     monkeypatch.setattr(parareal, "integrate_batch", spy)
     with ProcessPoolExecutor(3, mp_context=multiprocessing.get_context("fork")) as pool:
-        fine_vals, events = fine_parallel_phase(u_prev, list(u_prev), cfg, fine_fn, 1, pool)
+        fine_vals = fine_parallel_phase(u_prev, pool, cfg, fine_fn, 1)
     calls = sorted(
         ([int(t) for t in line.split()[1:]], int(line.split()[0]))
         for line in log.read_text().splitlines()
@@ -469,8 +508,8 @@ def test_fine_phase_chunks_run_on_forked_workers(monkeypatch, tmp_path, grid8, p
     assert all(pid != os.getpid() for _, pid in calls[1:])
 
     monkeypatch.setattr(parareal, "integrate_batch", real)
-    alone, _ = fine_parallel_phase(u_prev, list(u_prev), cfg, fine_fn, 1)
-    assert not events
+    alone = fine_parallel_phase(u_prev, None, cfg, fine_fn, 1)
+    assert fine_vals[0] is None and all(isinstance(v, ModelState) for v in fine_vals[1:])
     for a, b in zip(fine_vals[1:], alone[1:]):
         assert a.bit_equal(b)
 
@@ -608,7 +647,7 @@ def test_worker_results_are_frozen(monkeypatch, grid8, params):
     fine_fn = Propagator(cfg.fine, params, cfg.layout)
     u_prev = coarse_init_sweep(u0, cfg, flow(0.9, cfg.layout.slice_length))
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
-        fine_vals, _ = fine_parallel_phase(u_prev, list(u_prev), cfg, fine_fn, 1, pool)
+        fine_vals = fine_parallel_phase(u_prev, pool, cfg, fine_fn, 1)
     assert all(s.data.flags.writeable is False for s in fine_vals[1:])
     res = run_parareal(u0, cfg, params, coarse_fn=flow(0.9, cfg.layout.slice_length))
     assert all(s.data.flags.writeable is False for it in res.iterates for s in it)
