@@ -20,7 +20,7 @@ _EXPORTS = {
         "speedup_estimate",
     ),
     "parareal": ("IterationRecord", "PararealResult", "run_parareal"),
-    "propagator": ("PropagateResult", "PropagatorSpec", "SliceLayout", "propagate", "run_external"),
+    "propagator": ("PropagatorSpec", "SliceLayout", "propagate", "run_external"),
     "solver": (
         "ModelParams",
         "ab3_step",

@@ -260,10 +260,7 @@ def _build(prefix: str, make, *args, **kwargs):
         raise ValidationError(f"{prefix}{err}") from err
 
 
-def parse_model(path: str | Path) -> tuple[Grid, ModelParams]:
-    """The grid and physics of a config file, all that a single-shot
-    propagator run reads: its window comes from the command line."""
-    model = _parse_sections(Path(path))["model"]
+def _model(model: _Section) -> tuple[Grid, ModelParams]:
     grid = _build(
         "[model] grid: ", Grid,
         nx=model.get("nx", int, 32),
@@ -274,11 +271,17 @@ def parse_model(path: str | Path) -> tuple[Grid, ModelParams]:
     return grid, _build("[model] params: ", ModelParams, **model.given(_PARAM_KEYS))
 
 
+def parse_model(path: str | Path) -> tuple[Grid, ModelParams]:
+    """The grid and physics of a config file, all that a single-shot
+    propagator run reads: its window comes from the command line."""
+    return _model(_parse_sections(Path(path))["model"])
+
+
 def parse_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate an experiment config file."""
     path = Path(path)
-    grid, params = parse_model(path)
     sections = _parse_sections(path)
+    grid, params = _model(sections["model"])
     conf, io = sections["config"], sections["io"]
     coarse_spd = conf.get("coarse_spd", int)
     fine_spds = conf.get("fine_spd", int_list)

@@ -49,7 +49,7 @@ from .errors import BlowUpError
 from .metrics import converged, errors_at_final
 from .propagator import PropagatorSpec, SliceLayout, propagate
 from .solver import ModelParams, integrate_batch
-from .state import Field, ModelState, state_add, state_diff
+from .state import Field, ModelState, StepHistory, state_add, state_diff
 
 PropagatorFn = Callable[[ModelState, int, int], ModelState]
 Outcome = ModelState | BlowUpError
@@ -121,14 +121,14 @@ class Propagator:
             workdir = Path(self.run_dir) / f"k{iteration}" / f"slice{slice_index}" / self.role
         return propagate(
             self.spec,
-            state,
+            StepHistory(state),                 # every slice starts cold
             state.time + self.layout.slice_length,
             self.params,
             slice_index=slice_index,
             iteration=iteration,
             workdir=workdir,
             timeout=self.timeout,
-        ).state
+        ).current
 
 
 def _in_process(fn: PropagatorFn) -> bool:

@@ -31,7 +31,7 @@ import os
 import shutil
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -56,10 +56,11 @@ LOG_FILE = "run.log"
 class PropagatorSpec:
     """One time integrator, defined by its steps-per-day and execution mode.
 
-    restart_policy governs what happens at call boundaries: "warm" carries
-    the multistep tendency history across calls (bit-exact continuation),
-    "cold" rebuilds it from scratch each call, which is what restart-file
-    continuation does in practice.
+    restart_policy says what a chain of slices does at each boundary:
+    "warm" carries the multistep tendency history on (bit-exact
+    continuation), "cold" restarts from the bare state, which is what
+    restart-file continuation does in practice.  restarted_serial_run is
+    where it acts; propagate continues whatever history it is handed.
     """
 
     spd: int
@@ -111,12 +112,6 @@ class SliceLayout:
         if n_slices < 1 or self.total_seconds % n_slices != 0:
             raise ValueError(f"cannot split {self.total_seconds}s into {n_slices} equal slices")
         return SliceLayout(self.t0, self.total_seconds // n_slices, n_slices)
-
-
-@dataclass(frozen=True)
-class PropagateResult:
-    state: ModelState
-    history: StepHistory | None = field(default=None)
 
 
 def _child_env() -> dict[str, str]:
@@ -177,23 +172,22 @@ def run_external(
 
 def propagate(
     spec: PropagatorSpec,
-    state: ModelState,
+    h: StepHistory,
     t_end: int,
     params: ModelParams,
     *,
-    history: StepHistory | None = None,
     slice_index: int = -1,
     iteration: int = -1,
     workdir: str | Path | None = None,
     timeout: float | None = None,
-) -> PropagateResult:
-    """Advance a state across [state.time, t_end] with one propagator.
+) -> StepHistory:
+    """Continue a history across [h.current.time, t_end] with one propagator
+    and return the new history.
 
-    Warm policy resumes from the supplied history and returns the final
-    one; cold policy ignores incoming history and returns none, so chained
-    cold calls reproduce restart-file behavior.  Within a parallel-in-time
-    run the inputs are synthesized by the correction algebra and carry no
-    history, so slice propagation always bootstraps afresh there.
+    Internal and external specs keep one contract, the single-shot child's:
+    the tendencies handed in go into in.prcp, and those of out.prcp come
+    back.  The restart policy does not act here; a cold start is a history
+    with no tendencies, StepHistory(state).
 
     An external run without a workdir works in a fresh temporary directory,
     removed once its output has been read; after a BlowUpError it is kept,
@@ -201,25 +195,16 @@ def propagate(
     which points nowhere, it is removed.
     """
     t_end = int(t_end)
+    state = h.current
     _check_window(t_end - state.time, spec.dt)      # before any child is spawned
 
-    warm = spec.restart_policy == "warm"
     if spec.mode == "internal":
-        if warm and history is not None:
-            if history.current.time != state.time:
-                raise StepMismatchError(
-                    f"history is at t={history.current.time}, state at t={state.time}"
-                )
-            h = history
-        else:
-            h = StepHistory(state)
         try:
-            h = integrate_history(h, t_end, spec.dt, params)
+            return integrate_history(h, t_end, spec.dt, params)
         except BlowUpError as err:
             err.slice_index = slice_index
             err.iteration = iteration
             raise
-        return PropagateResult(h.current, h if warm else None)
 
     # External mode: state goes out and comes back through checkpoints.
     # Absolute: the child runs inside it, so a relative work directory would
@@ -233,7 +218,7 @@ def propagate(
     out_path = wd / OUT_FILE
     write_checkpoint(
         state,
-        history if warm else None,
+        h,
         in_path,
         slice_index=slice_index,
         iteration=iteration,
@@ -268,10 +253,9 @@ def propagate(
         raise failed(f"external propagator output unreadable: {err}") from err
     if ck.state.time != t_end:
         raise failed(f"external propagator returned t={ck.state.time}, expected {t_end}")
-    out_history = ck.step_history(spec.dt) if (warm and ck.history) else None
     if own_workdir:
         shutil.rmtree(wd)
-    return PropagateResult(ck.state, out_history)
+    return ck.step_history(spec.dt)
 
 
 def restarted_serial_run(
@@ -281,34 +265,31 @@ def restarted_serial_run(
     params: ModelParams,
     *,
     run_dir: str | Path | None = None,
-    timeout: float | None = None,
 ) -> list[ModelState]:
-    """Serial run as one propagate call per slice, each call handed the
-    history the previous one returned.
+    """Serial run as one propagate call per slice, and the one place the
+    restart policy acts.
 
-    Under the cold policy that history is None, so the run restarts at
-    every slice boundary: the trajectory a parallel-in-time run converges
-    to, since every slice there starts from a bare state as well.  Under
-    the warm policy the chain is a bit-exact continuation of one unsplit
-    run.  Returns states at all n_slices + 1 boundaries.
+    Under the warm policy each call continues the history the previous one
+    returned, so the chain is a bit-exact continuation of one unsplit run.
+    Under the cold policy each call starts from StepHistory of the last
+    boundary state, as a restart file does: the trajectory a
+    parallel-in-time run converges to, since every slice there starts from
+    a bare state as well.  Returns states at all n_slices + 1 boundaries.
     """
     if u0.time != layout.t0:
         raise StepMismatchError(f"u0 at t={u0.time}, layout starts at {layout.t0}")
+    warm = spec.restart_policy == "warm"
     states = [u0]
-    history = None
+    h = StepHistory(u0)
     for n in range(layout.n_slices):
         wd = Path(run_dir) / f"slice{n}" if run_dir is not None else None
-        result = propagate(
+        h = propagate(
             spec,
-            states[-1],
+            h if warm else StepHistory(h.current),
             layout.t0 + (n + 1) * layout.slice_length,
             params,
-            history=history,
             slice_index=n,
-            iteration=-1,
             workdir=wd,
-            timeout=timeout,
         )
-        states.append(result.state)
-        history = result.history
+        states.append(h.current)
     return states

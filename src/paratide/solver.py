@@ -11,7 +11,6 @@ order stays at three.
 
 from __future__ import annotations
 
-import functools
 import threading
 from dataclasses import dataclass
 from typing import Sequence
@@ -56,8 +55,8 @@ class ModelParams:
     velocity_cap: float = DEFAULT_VELOCITY_CAP   # |u|,|v| beyond this is a blow-up
 
     def __post_init__(self):
-        if not (self.H > 0 and self.g > 0):
-            raise ValueError("H and g must be positive")
+        if not (self.H > 0 and self.g > 0 and self.g * self.H > 0):   # no underflow
+            raise ValueError("H and g must be positive, and so must g*H")
         if not (self.nu_h >= 0 and self.kappa >= 0):
             raise ValueError("nu_h and kappa must be non-negative")
         if int(self.forcing_wavenumber) != self.forcing_wavenumber:
@@ -383,11 +382,6 @@ def integrate_batch(
     return results
 
 
-@functools.lru_cache(maxsize=1)
-def divisors_of_day() -> tuple[int, ...]:
-    return tuple(d for d in range(1, SECONDS_PER_DAY + 1) if SECONDS_PER_DAY % d == 0)
-
-
 def cfl_max_dt(s: ModelState, p: ModelParams) -> int:
     """Largest divisor of 86400 below the wave+advection CFL bound.
 
@@ -401,16 +395,11 @@ def cfl_max_dt(s: ModelState, p: ModelParams) -> int:
     denom = speed + max(umax, vmax)
     if not np.isfinite(denom):
         raise CFLImpossibleError("velocity is unbounded; no step size is admissible")
-    bound = 0.5 * min(s.grid.dx, s.grid.dy) / denom if denom > 0 else float(SECONDS_PER_DAY)
+    bound = 0.5 * min(s.grid.dx, s.grid.dy) / denom      # denom > 0: ModelParams
     if bound < 1.0:
         raise CFLImpossibleError(
             f"CFL bound {bound:.3g}s is below the 1s step floor"
         )
-    best = 1
-    for d in divisors_of_day():
-        if d <= bound:
-            best = d
-        else:
-            break
-    return best
+    top = int(min(bound, SECONDS_PER_DAY))
+    return next(d for d in range(top, 0, -1) if SECONDS_PER_DAY % d == 0)
 

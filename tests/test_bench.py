@@ -18,6 +18,14 @@ def test_bench_traced_functions_resolve(monkeypatch):
         assert callable(getattr(importlib.import_module(module), function, None)), span
 
 
+def test_bench_reads_the_spec_from_propagates_first_argument():
+    # spans._external tells an external slice by args[0].mode
+    from paratide import propagator
+
+    first = next(iter(inspect.signature(propagator.propagate).parameters.values()))
+    assert (first.name, first.annotation) == ("spec", "PropagatorSpec")
+
+
 def test_bench_workloads_build_their_settings(monkeypatch, tmp_path):
     # bench/run.py builds its specs and driver settings from the config's
     # attributes and the constructors' keywords: each must still exist.

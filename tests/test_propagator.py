@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import paratide
+from paratide import propagator
 from paratide import (
     PropagatorSpec,
     SliceLayout,
@@ -21,7 +22,7 @@ from paratide.errors import (
 )
 from paratide.propagator import restarted_serial_run
 from paratide.solver import integrate
-from paratide.state import FIELD_ORDER
+from paratide.state import FIELD_ORDER, StepHistory
 
 from conftest import faulty_command
 
@@ -50,21 +51,20 @@ def test_layout_helpers():
 def test_internal_single_step_slice(settled_state, params):
     # slice length equal to the coarse step: exactly one time step
     spec = PropagatorSpec(36)
-    out = propagate(spec, settled_state, settled_state.time + 2400, params)
+    out = propagate(spec, StepHistory(settled_state), settled_state.time + 2400, params)
     expected = integrate(settled_state, settled_state.time + 2400, 2400, params)
-    assert out.state.bit_equal(expected)
-    assert out.history is None  # cold policy drops the memory
+    assert out.current.bit_equal(expected)
 
 
 def test_zero_length_slice_rejected(settled_state, params):
     with pytest.raises(StepMismatchError):
-        propagate(PropagatorSpec(36), settled_state, settled_state.time, params)
+        propagate(PropagatorSpec(36), StepHistory(settled_state), settled_state.time, params)
 
 
 def test_warm_split_is_bit_exact(settled_state, params):
     spec = PropagatorSpec(36, restart_policy="warm")
     layout = SliceLayout(t0=settled_state.time, slice_length=43200, n_slices=2)
-    whole = propagate(spec, settled_state, settled_state.time + 86400, params).state
+    whole = propagate(spec, StepHistory(settled_state), settled_state.time + 86400, params).current
     chained = restarted_serial_run(spec, settled_state, layout, params)[-1]
     assert chained.bit_equal(whole)
 
@@ -74,7 +74,7 @@ def test_cold_split_deviates_but_stays_small(settled_state, params):
     # but over one day the deviation stays below the pinned 1e-3 bound.
     spec = PropagatorSpec(36, restart_policy="cold")
     layout = SliceLayout(t0=settled_state.time, slice_length=43200, n_slices=2)
-    whole = propagate(spec, settled_state, settled_state.time + 86400, params).state
+    whole = propagate(spec, StepHistory(settled_state), settled_state.time + 86400, params).current
     chained = restarted_serial_run(spec, settled_state, layout, params)[-1]
     assert not chained.bit_equal(whole)
     worst = max(rel_max_norm(chained.field(f), whole.field(f)) for f in FIELD_ORDER)
@@ -89,6 +89,31 @@ def test_restarted_serial_run_boundaries(settled_state, params):
     # each hop is an independent cold integration
     hop = integrate(states[1], states[1].time + 4800, 2400, params)
     assert states[2].bit_equal(hop)
+
+
+@pytest.mark.parametrize("policy", ["cold", "warm"])
+def test_restart_policy_acts_in_restarted_serial_run(monkeypatch, settled_state, params, policy):
+    # propagate continues whatever history it is handed, so the chain alone
+    # decides: under cold every slice starts from a bare boundary state,
+    # under warm every slice after the first continues the previous result
+    handed, returned = [], []
+
+    def spy(spec, h, *args, **kwargs):
+        handed.append(h)
+        returned.append(propagate(spec, h, *args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(propagator, "propagate", spy)
+    layout = SliceLayout(t0=settled_state.time, slice_length=4800, n_slices=3)
+    restarted_serial_run(PropagatorSpec(36, restart_policy=policy), settled_state, layout, params)
+    assert len(handed) == 3
+    assert handed[0].current is settled_state and handed[0].tendencies == ()
+    assert all(r.tendencies for r in returned)      # each call leaves memory behind
+    for prev, h in zip(returned, handed[1:]):
+        if policy == "warm":
+            assert h is prev
+        else:
+            assert h.current is prev.current and h.tendencies == ()
 
 
 # --------------------------------------------------------------------------
@@ -154,12 +179,12 @@ def test_run_external_concurrent_logs_are_complete(tmp_path):
 
 def test_external_propagate_matches_internal(tmp_path, settled_state, params):
     t_end = settled_state.time + 2400
-    internal = propagate(PropagatorSpec(72), settled_state, t_end, params)
+    internal = propagate(PropagatorSpec(72), StepHistory(settled_state), t_end, params)
     spec = PropagatorSpec(72, mode="external", command=SINGLE_SHOT)
     external = propagate(
-        spec, settled_state, t_end, params, workdir=tmp_path / "w", slice_index=0
+        spec, StepHistory(settled_state), t_end, params, workdir=tmp_path / "w", slice_index=0
     )
-    assert external.state.bit_equal(internal.state)
+    assert external.current.bit_equal(internal.current)
     assert (tmp_path / "w" / "in.prcp").exists()
     assert (tmp_path / "w" / "out.prcp").exists()
     assert (tmp_path / "w" / "run.log").exists()
@@ -170,9 +195,9 @@ def test_external_warm_split_matches_consecutive(settled_state, params):
     layout = SliceLayout(t0=settled_state.time, slice_length=7200, n_slices=2)
     chained = restarted_serial_run(spec, settled_state, layout, params)[-1]
     whole = propagate(
-        PropagatorSpec(36, restart_policy="warm"), settled_state,
+        PropagatorSpec(36, restart_policy="warm"), StepHistory(settled_state),
         settled_state.time + 14400, params,
-    ).state
+    ).current
     assert chained.bit_equal(whole)
 
 
@@ -182,10 +207,10 @@ def test_external_relative_workdir(tmp_path, monkeypatch, settled_state, params)
     monkeypatch.setenv("PYTHONPATH", PARATIDE_ROOT, prepend=os.pathsep)
     monkeypatch.chdir(tmp_path)
     t_end = settled_state.time + 2400
-    internal = propagate(PropagatorSpec(72), settled_state, t_end, params)
+    internal = propagate(PropagatorSpec(72), StepHistory(settled_state), t_end, params)
     spec = PropagatorSpec(72, mode="external", command=SINGLE_SHOT)
-    external = propagate(spec, settled_state, t_end, params, workdir="w")
-    assert external.state.bit_equal(internal.state)
+    external = propagate(spec, StepHistory(settled_state), t_end, params, workdir="w")
+    assert external.current.bit_equal(internal.current)
     assert (tmp_path / "w" / "out.prcp").exists()
 
 
@@ -195,7 +220,7 @@ def test_external_failure_is_blow_up_with_context(tmp_path, settled_state, param
     )
     with pytest.raises(BlowUpError) as err:
         propagate(
-            spec, settled_state, settled_state.time + 2400, params,
+            spec, StepHistory(settled_state), settled_state.time + 2400, params,
             workdir=tmp_path / "w", slice_index=5, iteration=2,
         )
     assert err.value.slice_index == 5
@@ -209,7 +234,7 @@ def test_external_missing_output_is_blow_up(tmp_path, settled_state, params):
     )
     with pytest.raises(BlowUpError) as err:
         propagate(
-            spec, settled_state, settled_state.time + 2400, params,
+            spec, StepHistory(settled_state), settled_state.time + 2400, params,
             workdir=tmp_path / "w",
         )
     assert "no output" in str(err.value)
@@ -230,7 +255,7 @@ def test_external_fault_is_blow_up_with_context(tmp_path, settled_state, params,
     spec = PropagatorSpec(36, mode="external", command=faulty_command(tmp_path, mode))
     with pytest.raises(BlowUpError) as err:
         propagate(
-            spec, settled_state, settled_state.time + 2400, params,
+            spec, StepHistory(settled_state), settled_state.time + 2400, params,
             workdir=tmp_path / "w", slice_index=4, iteration=1,
             timeout=0.5 if mode == "sleep" else None,
         )
@@ -244,15 +269,15 @@ def test_external_default_workdir_removed_after_success(tmp_path, monkeypatch, s
     # output is read, and kept after a failure for the log it holds
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     t_end = settled_state.time + 2400
-    internal = propagate(PropagatorSpec(72), settled_state, t_end, params)
+    internal = propagate(PropagatorSpec(72), StepHistory(settled_state), t_end, params)
     spec = PropagatorSpec(72, mode="external", command=SINGLE_SHOT)
-    external = propagate(spec, settled_state, t_end, params)
-    assert external.state.bit_equal(internal.state)
+    external = propagate(spec, StepHistory(settled_state), t_end, params)
+    assert external.current.bit_equal(internal.current)
     assert list(tmp_path.iterdir()) == []
 
     faulty = PropagatorSpec(72, mode="external", command=faulty_command(tmp_path, "junk"))
     with pytest.raises(BlowUpError) as err:
-        propagate(faulty, settled_state, t_end, params)
+        propagate(faulty, StepHistory(settled_state), t_end, params)
     assert err.value.log_path.parent.parent == tmp_path
     assert err.value.log_path.exists()
 
@@ -263,5 +288,5 @@ def test_external_default_workdir_removed_after_spawn_failure(tmp_path, monkeypa
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     spec = PropagatorSpec(72, mode="external", command=("/no/such/binary",))
     with pytest.raises(SpawnFailureError):
-        propagate(spec, settled_state, settled_state.time + 2400, params)
+        propagate(spec, StepHistory(settled_state), settled_state.time + 2400, params)
     assert list(tmp_path.iterdir()) == []

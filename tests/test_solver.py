@@ -291,6 +291,17 @@ def test_cfl_scales_linearly_with_dx():
     assert cfl_max_dt(constant_state(g3), p) == divisor_oracle(2 * raw1)
 
 
+def test_cfl_tops_out_at_a_day_and_wave_speed_stays_positive(grid8):
+    # a bound past a day, even one that overflows to inf, gives the whole day
+    p = ModelParams(H=100.0)
+    assert cfl_max_dt(constant_state(Grid(8, 8, 1.0e8, 1.0e8)), p) == 86400
+    tiny = ModelParams(g=1.0e-160, H=1.0e-160)      # g*H is subnormal, still > 0
+    assert cfl_max_dt(constant_state(Grid(8, 8, 1.0e300, 1.0e300)), tiny) == 86400
+    # g*H that underflows to 0 would leave no wave speed to divide by
+    with pytest.raises(ValueError, match=r"g\*H"):
+        ModelParams(g=1.0e-200, H=1.0e-200)
+
+
 def test_cfl_impossible_for_unbounded_velocity(grid8):
     p = ModelParams(H=100.0)
     data = constant_state(grid8).data.copy()
