@@ -55,108 +55,36 @@ DEFAULT_SPACING = 50_000.0
 _CRC64_POLY = 0xC96C5795D7870F42
 _CRC64_ONES = 0xFFFFFFFFFFFFFFFF
 
-# CRC-64 is computed over lanes: the buffer is cut into chunks of this many
-# bytes, all chunks step through the byte table in lockstep, and the chunk
-# registers are then joined pairwise.  Longer chunks mean more numpy calls,
-# shorter ones more lanes to join; 64 bytes was fastest from 2.5 KB to 1 MB.
-_CRC_CHUNK_LOG2 = 6
-_CRC_CHUNK = 1 << _CRC_CHUNK_LOG2
-
-_BYTE_LANES = np.arange(8)
-
-
-def _build_crc_table() -> np.ndarray:
-    """The reflected byte table: entry i is register i after one zero byte."""
-    table = np.arange(256, dtype=np.uint64)
-    poly, one = np.uint64(_CRC64_POLY), np.uint64(1)
-    for _ in range(8):
-        table = np.where(table & one, (table >> one) ^ poly, table >> one)
-    return table
-
-
-_CRC_TABLE = _build_crc_table()
-
-
-def _byte_tables(images: np.ndarray) -> np.ndarray:
-    """Tables of a GF(2)-linear map on 64-bit registers, given the images of
-    the 64 basis vectors: the map of r is the XOR over the eight bytes k of
-    r of tables[k, byte k]."""
-    tables = np.zeros((8, 256), dtype=np.uint64)
-    by_byte = images.reshape(8, 8)              # [k, b]: image of bit 8k + b
-    for b in range(8):
-        tables[:, 1 << b:2 << b] = tables[:, :1 << b] ^ by_byte[:, b, None]
-    return tables
-
-
-def _apply(tables: np.ndarray, regs: np.ndarray) -> np.ndarray:
-    """Apply a linear map given by its byte tables to every register."""
-    octets = np.ascontiguousarray(regs, dtype="<u8").view(np.uint8).reshape(-1, 8)
-    return np.bitwise_xor.reduce(tables[_BYTE_LANES, octets], axis=1)
-
-
-def _basis_images(tables: np.ndarray) -> np.ndarray:
-    """The images of the 64 basis vectors, read back from byte tables."""
-    return tables[:, 1 << np.arange(8)].reshape(64)
-
 
 @functools.cache
-def _zeros_tables(log2: int) -> np.ndarray:
-    """Byte tables of the map 'feed 2**log2 zero bytes', built on first use.
+def _lzma_crc64():
+    """lzma_crc64(buf, size, crc) of the liblzma that the stdlib lzma module
+    loads; None where Python has no lzma module or it lacks that symbol."""
+    try:
+        import _lzma
+        import ctypes
 
-    The register after a zero byte is linear in the register before it
-    (zlib's crc32_combine rests on the same fact).  All 64 basis vectors
-    take the first zero byte together; each further power is the square of
-    the one before, got by applying that map to its own basis images.
-    """
-    if log2 == 0:
-        basis = np.uint64(1) << np.arange(64, dtype=np.uint64)
-        return _byte_tables(_CRC_TABLE[basis & np.uint64(0xFF)] ^ (basis >> np.uint64(8)))
-    half = _zeros_tables(log2 - 1)
-    return _byte_tables(_apply(half, _basis_images(half)))
+        fn = ctypes.CDLL(_lzma.__file__).lzma_crc64
+    except (ImportError, OSError, AttributeError):
+        return None
+    fn.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_uint64)
+    fn.restype = ctypes.c_uint64
+    return fn
 
 
 def crc64(data: bytes | bytearray | memoryview) -> int:
-    """CRC-64/XZ over a byte string.
-
-    The bytes are cut into _CRC_CHUNK-byte lanes, the first one zero-padded
-    at its front.  Every lane steps through the byte table from a zero
-    register, all lanes at once, one numpy call per operation and byte
-    position; the lanes are then joined in pairs, the left register fed as
-    many zero bytes as its right neighbour covers.  Leading zeros do not
-    move a zero register, and an initial register r acts like r's bytes
-    XORed into the first eight data bytes (plus r >> 8n when n < 8), so
-    the padding and the all-ones initial value cost nothing extra.
-    """
+    """CRC-64/XZ of a byte string: liblzma's .xz check where it can be
+    reached, else the format's definition, one table lookup per byte."""
     buf = np.frombuffer(data, dtype=np.uint8)
-    n = buf.size
-    chunk = _CRC_CHUNK if n > _CRC_CHUNK else n
-    lanes = -(-n // chunk) if n else 0
-    pad = lanes * chunk - n
-    flat = np.zeros(lanes * chunk, dtype=np.uint8)
-    flat[pad:] = buf
-    flat[pad:pad + 8] ^= 0xFF
-    rows = np.ascontiguousarray(flat.reshape(lanes, chunk).T)
-
-    reg = np.zeros(lanes, dtype="<u8")
-    low = reg.view(np.uint8)[::8]
-    index = np.empty(lanes, dtype=np.uint8)
-    looked_up = np.empty(lanes, dtype=np.uint64)
-    eight = np.uint64(8)
-    for row in rows:
-        np.bitwise_xor(low, row, out=index)
-        np.right_shift(reg, eight, out=reg)
-        np.take(_CRC_TABLE, index, out=looked_up, mode="clip")
-        np.bitwise_xor(reg, looked_up, out=reg)
-
-    level = _CRC_CHUNK_LOG2
-    while reg.size > 1:
-        if reg.size % 2:
-            reg = np.concatenate((np.zeros(1, dtype=reg.dtype), reg))
-        pairs = reg.reshape(-1, 2)
-        reg = _apply(_zeros_tables(level), pairs[:, 0]) ^ pairs[:, 1]
-        level += 1
-    register = int(reg[0]) if lanes else 0
-    return register ^ (_CRC64_ONES >> (8 * n)) ^ _CRC64_ONES
+    if (lzma_crc64 := _lzma_crc64()) is not None:
+        return lzma_crc64(buf.ctypes.data, buf.size, 0)
+    table = list(range(256))            # entry i: register i after one zero byte
+    for _ in range(8):
+        table = [(reg >> 1) ^ _CRC64_POLY if reg & 1 else reg >> 1 for reg in table]
+    crc = _CRC64_ONES
+    for byte in buf.tobytes():
+        crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8)
+    return crc ^ _CRC64_ONES
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,9 @@ class PararealConfig:
             raise ValueError("max_parallel_fine must be >= 1")
         if not 0 <= self.epsilon < float("inf"):
             raise ValueError("epsilon must be >= 0 and finite")
+        if not self.monitored_fields:
+            raise ValueError("monitored_fields: must name a field; with none, "
+                             "every epsilon test would pass at k = 0")
 
     @property
     def iterations(self) -> int:
@@ -310,18 +313,22 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     if config.spin_up_seconds % spin.dt:
         raise ValidationError(f"[config] spin_up_days: {config.spin_up_seconds}s is not a "
                               f"multiple of the spin_up_spd={spin.spd} step ({spin.dt}s)")
-    _build("[config] reference_spd: ", PropagatorSpec, config.reference_spd)
-    for nf in fine_spds:
+    reference = _build("[config] reference_spd: ", PropagatorSpec, config.reference_spd)
+    for i, nf in enumerate(fine_spds):
+        if nf in fine_spds[:i]:
+            raise ValidationError(f"[config] fine_spd: {nf} is listed twice")
         _build("[config] fine_spd: ", PropagatorSpec, nf)
         _build("[config] ", config.parareal_config, nf)     # its messages name the keys
 
-    # The coarse propagator must respect the CFL floor of the configured
-    # model at rest (wave speed only; the floor is a load-time sanity
-    # check, the live bound depends on the evolving velocities).
+    # The coarse, spin-up and reference steps must respect the CFL floor of
+    # the configured model at rest, and the fine steps are finer than the
+    # coarse one (wave speed only; the floor is a load-time sanity check,
+    # the live bound depends on the evolving velocities).
     floor_dt = cfl_max_dt(ModelState.zeros(grid), params)
-    if coarse.dt > floor_dt:
-        raise ValidationError(
-            f"[config] coarse_spd: step of {coarse.dt}s exceeds the CFL step floor "
-            f"of {floor_dt}s ({SECONDS_PER_DAY // floor_dt} spd) for this model"
-        )
+    for key, spec in (("coarse_spd", coarse), ("spin_up_spd", spin), ("reference_spd", reference)):
+        if spec.dt > floor_dt:
+            raise ValidationError(
+                f"[config] {key}: step of {spec.dt}s exceeds the CFL step floor "
+                f"of {floor_dt}s ({SECONDS_PER_DAY // floor_dt} spd) for this model"
+            )
     return config

@@ -1,10 +1,12 @@
 import struct
+import sys
 
 import numpy as np
 import pytest
 
 from paratide import Grid, read_checkpoint, write_checkpoint
-from paratide.checkpoint import _CRC_CHUNK, FORMAT_VERSION, MAGIC, crc64
+from paratide import checkpoint
+from paratide.checkpoint import FORMAT_VERSION, MAGIC, crc64
 from paratide.errors import (
     CorruptCheckpointError,
     GridMismatchError,
@@ -137,9 +139,26 @@ def test_default_grid_spacing_used_without_grid(tmp_path):
     assert ck.state.grid == g
 
 
-def test_crc64_known_vector():
+def crc_paths(monkeypatch):
+    """Yield once per CRC path: liblzma's lzma_crc64 where this Python
+    reaches it, then the byte loop that platforms without it fall back to."""
+    if checkpoint._lzma_crc64() is not None:
+        yield "liblzma"
+    monkeypatch.setattr(checkpoint, "_lzma_crc64", lambda: None)
+    yield "fallback"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="liblzma's export is only known on Linux")
+def test_crc64_reaches_liblzma_once():
+    # the stdlib lzma module's liblzma exports lzma_crc64; it is looked up once
+    assert checkpoint._lzma_crc64() is not None
+    assert checkpoint._lzma_crc64() is checkpoint._lzma_crc64()
+
+
+def test_crc64_known_vector(monkeypatch):
     # CRC-64/XZ check value for the standard nine-byte test input
-    assert crc64(b"123456789") == 0x995DC9BBDF1939FA
+    for path in crc_paths(monkeypatch):
+        assert crc64(b"123456789") == 0x995DC9BBDF1939FA, path
 
 
 # --------------------------------------------------------------------------
@@ -177,31 +196,31 @@ def reference_checkpoint_bytes(state, tendencies, slice_index, iteration) -> byt
     return body + struct.pack("<Q", reference_crc64(body))
 
 
-@pytest.mark.parametrize(
-    "length",
-    [0, 1, _CRC_CHUNK - 1, _CRC_CHUNK, _CRC_CHUNK + 1, 40_993, 163_873],
-)
-def test_crc64_matches_byte_loop(length):
+@pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 40_993, 163_873])
+def test_crc64_matches_byte_loop(monkeypatch, length):
     data = np.random.default_rng(length).integers(0, 256, length, dtype=np.uint8).tobytes()
-    assert crc64(data) == reference_crc64(data)
+    for path in crc_paths(monkeypatch):
+        assert crc64(data) == reference_crc64(data), path
 
 
-def test_crc64_short_and_lane_boundary_lengths():
+def test_crc64_short_and_lane_boundary_lengths(monkeypatch):
     rng = np.random.default_rng(5)
-    lengths = list(range(17)) + [2 * _CRC_CHUNK - 1, 3 * _CRC_CHUNK, 5 * _CRC_CHUNK + 7]
-    for length in lengths:
-        data = rng.integers(0, 256, length, dtype=np.uint8).tobytes()
-        assert crc64(data) == reference_crc64(data), length
+    lengths = list(range(17)) + [127, 192, 327]
+    blobs = [rng.integers(0, 256, length, dtype=np.uint8).tobytes() for length in lengths]
+    for path in crc_paths(monkeypatch):
+        for data in blobs:
+            assert crc64(data) == reference_crc64(data), (path, len(data))
 
 
-def test_crc64_accepts_bytes_like():
-    data = np.random.default_rng(6).integers(0, 256, 3 * _CRC_CHUNK + 5, dtype=np.uint8).tobytes()
+def test_crc64_accepts_bytes_like(monkeypatch):
+    data = np.random.default_rng(6).integers(0, 256, 197, dtype=np.uint8).tobytes()
     expected = reference_crc64(data)
-    assert crc64(data) == expected
-    assert crc64(bytearray(data)) == expected
-    assert crc64(memoryview(data)) == expected
-    # a slice of a larger buffer, as the reader passes it
-    assert crc64(memoryview(b"x" + data)[1:]) == expected
+    for path in crc_paths(monkeypatch):
+        assert crc64(data) == expected, path
+        assert crc64(bytearray(data)) == expected, path
+        assert crc64(memoryview(data)) == expected, path
+        # a slice of a larger buffer, as the reader passes it
+        assert crc64(memoryview(b"x" + data)[1:]) == expected, path
 
 
 def test_written_file_matches_reference_writer(tmp_path, grid8, sample):

@@ -225,6 +225,16 @@ def test_spin_up_off_its_step_exits_2_before_any_work(small_conf, tmp_path, caps
     assert not (tmp_path / "runs").exists()
 
 
+def test_spin_up_past_the_cfl_floor_exits_2_before_any_work(small_conf, tmp_path, capsys):
+    # 24 spd is a 3600 s step, past the 2700 s wave CFL floor; on exp1's
+    # 30-day spin-up it blows up, so serial refuses it before any work
+    small_conf.write_text(small_conf.read_text().replace("spin_up_spd = 288", "spin_up_spd = 24"))
+    assert main(["serial", str(small_conf), "--spd", "72"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: [config] spin_up_spd: step of 3600s")
+    assert not (tmp_path / "runs").exists()
+
+
 def test_invalid_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.conf"
     bad.write_text("[config]\nslice_length = 2400\nn_slices = 4\ncoarse_spd = 36\nfine_spd = 36\n")

@@ -85,8 +85,13 @@ def test_preset_hashes_pinned(name, config_hash):
     (MINIMAL + "[model]\nnx = 2\n", "nx"),
     (MINIMAL + "[model]\nH = 0\n", "H"),
     (MINIMAL + "[model]\nnx = 3.5\n", "nx"),
+    (MINIMAL + "monitored_fields =\n", "monitored_fields"),   # epsilon stopping would be vacuous
+    (MINIMAL + "spin_up_spd = 24\n", "spin_up_spd"),          # 3600 s steps past the 2700 s floor
+    (MINIMAL + "reference_spd = 24\n", "reference_spd"),
+    (MINIMAL.replace("72,144,288", "72,144,72"), "fine_spd"),
 ], ids=["on_blow_up", "max_parallel_fine", "spin_up_spd", "spin_up_days-step", "reference_spd",
-        "coarse_spd", "max_iterations", "fine_spd-step", "nx-small", "H", "nx-float"])
+        "coarse_spd", "max_iterations", "fine_spd-step", "nx-small", "H", "nx-float",
+        "monitored_fields-empty", "spin_up_spd-cfl", "reference_spd-cfl", "fine_spd-twice"])
 def test_rule_violation_names_its_key(tmp_path, body, key):
     # each rule is judged by the object that owns it; the error still
     # names the config key at fault
@@ -165,6 +170,12 @@ coarse_spd = 12
 fine_spd = 24
 """
     with pytest.raises(ValidationError, match="CFL"):
+        parse_config(write(tmp_path, body))
+
+
+def test_fine_spd_listed_twice_rejected(tmp_path):
+    body = MINIMAL.replace("72,144,288", "72,72")
+    with pytest.raises(ValidationError, match=r"^\[config\] fine_spd: 72 is listed twice$"):
         parse_config(write(tmp_path, body))
 
 

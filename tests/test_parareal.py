@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import os
 import pickle
@@ -752,6 +753,18 @@ def test_epsilon_stopping_needs_reference(kind, tmp_path, grid8):
             reference.append(flow(0.9, 600)(reference[-1], n, -1))
         res = run_parareal(u0, cfg, ModelParams(), reference=reference, **fns)
         assert res.records[0].errors is not None
+
+
+def test_empty_monitored_fields_refused_before_any_work(grid8):
+    # with no field to judge, every epsilon test would pass vacuously and
+    # the run would stop at k = 0; neither a new config nor a replaced one
+    # gets as far as the driver
+    u0 = constant_state(grid8, u=1.0)
+    with pytest.raises(ValueError, match="^monitored_fields: "):
+        run_parareal(u0, small_cfg(n_slices=4, epsilon=1e-6, monitored_fields=()), ModelParams(),
+                     reference=[u0] * 5, coarse_fn=flow(0.8, 600), fine_fn=flow(0.9, 600))
+    with pytest.raises(ValueError, match="^monitored_fields: "):
+        dataclasses.replace(small_cfg(n_slices=4, epsilon=1e-6), monitored_fields=())
 
 
 def test_exactness_propagation_internal(settled_state, params):
