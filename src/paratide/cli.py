@@ -117,7 +117,7 @@ def _cmd_serial(args) -> int:
     from . import harness
 
     config = parse_config(args.config)
-    harness._study_spec(args.spd, config.layout)     # before the spin-up
+    config.step("--spd", args.spd, config.layout.slice_length)     # before the spin-up
     u0 = harness.spin_up(config)
     states = harness.serial_reference(config, args.spd, u0)
     final = states[-1]

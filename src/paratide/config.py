@@ -12,10 +12,12 @@ sets (ModelParams, PararealConfig, ExperimentConfig;
 checkpoint.DEFAULT_SPACING for dx and dy).  parse_config builds the
 objects the engine runs on -- SliceLayout, a PropagatorSpec per step
 count, a PararealConfig per fine step count -- and reports their verdict
-on the step rules under the key at fault; parse_model reads only the grid
-and physics, for single-shot children.  PararealConfig, the driver's
-settings, lives here rather than with the driver, so that a single-shot
-child, which parses configs, never loads the driver.
+on the step rules under the key at fault; ExperimentConfig.step, the CFL
+floor included, judges the config's steps and those a command is given.
+parse_model reads only the grid and physics, for single-shot children.
+PararealConfig, the driver's settings, lives here rather than with the
+driver, so that a single-shot child, which parses configs, never loads
+the driver.
 """
 
 from __future__ import annotations
@@ -179,6 +181,24 @@ class ExperimentConfig:
         stem = Path(self.source_path).stem if self.source_path else "experiment"
         return f"{stem}-{self.hash()}"
 
+    def step(self, key: str, spd: int, span: int | None = None) -> int:
+        """The step of spd, judged for this model and, when span is given,
+        for slices of span seconds: spd divides a day, the step divides
+        span and is no longer than the CFL floor of the model at rest (wave
+        speed only: a check before any work, the live bound depends on the
+        evolving velocities).  A ValidationError names key."""
+        try:
+            dt = PropagatorSpec(spd).dt
+        except ValueError as err:
+            raise ValidationError(f"{key}: {err}") from err
+        if span is not None and span % dt:
+            raise ValidationError(f"{key}: {span}s slices are not a multiple of its {dt}s step")
+        floor = cfl_max_dt(ModelState.zeros(self.grid), self.params)
+        if dt > floor:
+            raise ValidationError(f"{key}: step of {dt}s exceeds the CFL step floor "
+                                  f"of {floor}s ({SECONDS_PER_DAY // floor} spd) for this model")
+        return dt
+
     def parareal_config(self, fine_spd: int) -> PararealConfig:
         """The driver's settings for one fine step count.  Its epsilon is
         0, so the run goes through every iteration: first crossings at this
@@ -300,7 +320,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         **conf.given(_CONFIG_KEYS), **io.given(_IO_KEYS),
     )
 
-    # The config's own rules; the step rules belong to the objects below.
+    # The config's own rules; config.step judges the step counts against a
+    # day and the CFL floor, PararealConfig the slices of each fine run.
     if not 0 < config.epsilon < float("inf"):
         raise ValidationError("[config] epsilon: must be positive and finite")
     if config.seed < 0:
@@ -308,27 +329,15 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     if not 0 <= config.spin_up_days < float("inf"):
         raise ValidationError("[config] spin_up_days: must be >= 0 and finite")
 
-    coarse = _build("[config] coarse_spd: ", PropagatorSpec, coarse_spd)
-    spin = _build("[config] spin_up_spd: ", PropagatorSpec, config.spin_up_spd)
-    if config.spin_up_seconds % spin.dt:
+    config.step("[config] coarse_spd", coarse_spd)
+    spin_dt = config.step("[config] spin_up_spd", config.spin_up_spd)
+    if config.spin_up_seconds % spin_dt:
         raise ValidationError(f"[config] spin_up_days: {config.spin_up_seconds}s is not a "
-                              f"multiple of the spin_up_spd={spin.spd} step ({spin.dt}s)")
-    reference = _build("[config] reference_spd: ", PropagatorSpec, config.reference_spd)
+                              f"multiple of the spin_up_spd={config.spin_up_spd} step ({spin_dt}s)")
+    config.step("[config] reference_spd", config.reference_spd)
     for i, nf in enumerate(fine_spds):
         if nf in fine_spds[:i]:
             raise ValidationError(f"[config] fine_spd: {nf} is listed twice")
         _build("[config] fine_spd: ", PropagatorSpec, nf)
         _build("[config] ", config.parareal_config, nf)     # its messages name the keys
-
-    # The coarse, spin-up and reference steps must respect the CFL floor of
-    # the configured model at rest, and the fine steps are finer than the
-    # coarse one (wave speed only; the floor is a load-time sanity check,
-    # the live bound depends on the evolving velocities).
-    floor_dt = cfl_max_dt(ModelState.zeros(grid), params)
-    for key, spec in (("coarse_spd", coarse), ("spin_up_spd", spin), ("reference_spd", reference)):
-        if spec.dt > floor_dt:
-            raise ValidationError(
-                f"[config] {key}: step of {spec.dt}s exceeds the CFL step floor "
-                f"of {floor_dt}s ({SECONDS_PER_DAY // floor_dt} spd) for this model"
-            )
     return config

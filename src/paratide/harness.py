@@ -266,10 +266,9 @@ def run_experiment(config: ExperimentConfig, run_id: str | None = None) -> tuple
 
 
 def _tracer_anomaly(fine_runs: list[dict]) -> bool:
-    """True when a tracer needed more iterations than the zonal velocity.
-
-    Crossings that never happen count as infinity, so a stagnating
-    velocity never flags the tracers.
+    """True when a monitored tracer needed more iterations than the zonal
+    velocity.  Crossings that never happen count as infinity, so a
+    stagnating velocity never flags the tracers.
     """
     inf = float("inf")
     for fr in fine_runs:
@@ -277,7 +276,7 @@ def _tracer_anomaly(fine_runs: list[dict]) -> bool:
             continue
         crossing = {name: inf if k is None else k for name, k in fr["first_crossing"].items()}
         u_val = crossing.get("U", inf)
-        if any(crossing.get(tracer, inf) > u_val for tracer in ("T", "S")):
+        if any(crossing[t] > u_val for t in ("T", "S") if t in crossing):
             return True
     return False
 
@@ -412,17 +411,6 @@ class RestartStudyReport:
         return "\n".join(lines)
 
 
-def _study_spec(spd: int, layout: SliceLayout) -> None:
-    """Reject a step count a study cannot run on layout, before any work."""
-    try:
-        spec = PropagatorSpec(spd)
-    except ValueError as err:
-        raise ValidationError(str(err)) from err
-    if not layout.compatible_with(spec):
-        raise ValidationError(f"{layout.slice_length}s slices are not a multiple "
-                              f"of the {spec.dt}s step of spd={spd}")
-
-
 def restart_consistency_study(
     config: ExperimentConfig, slice_counts: tuple[int, ...], total_days: float
 ) -> RestartStudyReport:
@@ -443,7 +431,7 @@ def restart_consistency_study(
     except ValueError as err:
         raise ValidationError(f"restart study: {err}") from err
     for layout in layouts:
-        _study_spec(spd, layout)
+        config.step(f"restart study: coarse_spd={spd}", spd, layout.slice_length)
     u0 = spin_up(config)
 
     consecutive = restarted_serial_run(PropagatorSpec(spd), u0, window, config.params)[-1]
@@ -491,15 +479,13 @@ def time_averaged_study(
     the same number of samples at every step count.
     """
     if spd_list is None:
-        spd_list = tuple(sorted({config.coarse_spd, *config.fine_spds}))
-    all_spds = tuple(sorted({*spd_list, config.reference_spd}))
-    for spd in all_spds:
-        _study_spec(spd, config.layout)
-    u0 = spin_up(config)
+        spd_list = (config.coarse_spd, *config.fine_spds)
     layout = config.layout
+    steps = {spd: config.step(f"time-averaged study: spd={spd}", spd, layout.slice_length)
+             for spd in sorted({*spd_list, config.reference_spd})}
+    u0 = spin_up(config)
     means: dict[int, list[np.ndarray]] = {}
-    for spd in all_spds:
-        dt = PropagatorSpec(spd).dt
+    for spd, dt in steps.items():
         state, means[spd] = u0, []
         for _ in range(layout.n_slices):
             acc = np.zeros_like(state.data)

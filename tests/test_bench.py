@@ -56,3 +56,51 @@ def test_bench_workloads_build_their_settings(monkeypatch, tmp_path):
         "spec", "u0", "layout", "params", run_dir=tmp_path)
     inspect.signature(parareal.run_parareal).bind("u0", "cfg", "params", reference=[])
     inspect.signature(parareal.run_parareal).bind("u0", "cfg", "params", run_dir=tmp_path)
+
+
+TRACED = """
+[config]
+slice_length = 600
+n_slices = 3
+coarse_spd = 144
+fine_spd = 288
+max_parallel_fine = 1
+spin_up_days = 0.25
+spin_up_spd = 288
+
+[model]
+nx = 8
+ny = 8
+"""
+
+
+def test_bench_tracer_reads_every_span_of_a_run(monkeypatch, tmp_path):
+    # the span attributes read arguments by position and results by name:
+    # a reordered parameter or a renamed field would crash a traced
+    # benchmark, so every span fires here once through the program
+    import sys
+
+    from paratide import PropagatorSpec, StepHistory, config, harness, parareal, propagator
+
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "bench"))
+    monkeypatch.setenv("PARAREAL_RUNS_DIR", str(tmp_path / "runs"))
+    spans = importlib.import_module("spans")
+    (tmp_path / "traced.conf").write_text(TRACED)
+    exp = config.parse_config(tmp_path / "traced.conf")
+    tracer, original = spans.Tracer(), propagator.propagate
+    tracer.install()
+    try:
+        harness.spin_up(exp)                          # integrated and written
+        u0 = harness.spin_up(exp)                     # read back
+        parareal.run_parareal(u0, exp.parareal_config(288), exp.params, run_dir=tmp_path / "run")
+        propagator.restarted_serial_run(PropagatorSpec(288), u0, exp.layout, exp.params)
+        external = PropagatorSpec(288, mode="external",
+                                  command=(sys.executable, "-m", "paratide", "single-shot"))
+        propagator.propagate(external, StepHistory(u0), 600, exp.params,
+                             workdir=tmp_path / "external")
+    finally:
+        tracer.uninstall()
+    assert propagator.propagate is original
+    assert {name for _, _, name, _ in spans.TARGETS} == {s.name for s in tracer.spans}
+    metrics = tracer.layer_metrics()
+    assert all(value > 0 for value in metrics.values()), metrics

@@ -244,3 +244,35 @@ def test_flipped_bit_anywhere_in_payload_rejected(tmp_path, grid8, sample):
         (tmp_path / "bad.prcp").write_bytes(bytes(damaged))
         with pytest.raises(CorruptCheckpointError):
             read_checkpoint(tmp_path / "bad.prcp", grid=grid8)
+
+
+def _sealed(header: bytes, payload: bytes) -> bytes:
+    """A file body with its CRC-64 trailer, whatever the header claims."""
+    body = header + payload
+    return body + struct.pack("<Q", crc64(body))
+
+
+def test_history_count_above_three_rejected(tmp_path):
+    path = tmp_path / "h4.prcp"
+    path.write_bytes(_sealed(checkpoint._HEADER.pack(MAGIC, FORMAT_VERSION, 8, 8, 0, -1, -1, 4), b""))
+    with pytest.raises(CorruptCheckpointError, match="history count 4 out of range"):
+        read_checkpoint(path)
+
+
+def test_header_grid_under_four_cells_rejected_without_grid(tmp_path):
+    # a well-formed 2x2 file: only the grid built from its header refuses it
+    path = tmp_path / "tiny.prcp"
+    path.write_bytes(_sealed(checkpoint._HEADER.pack(MAGIC, FORMAT_VERSION, 2, 2, 0, -1, -1, 0),
+                             bytes(5 * 2 * 2 * 8)))
+    with pytest.raises(CorruptCheckpointError, match="nx and ny must be at least 4"):
+        read_checkpoint(path)
+
+
+def test_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch, sample):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(checkpoint.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        write_checkpoint(sample.current, sample, tmp_path / "out" / "c.prcp")
+    assert list((tmp_path / "out").iterdir()) == []

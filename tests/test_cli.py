@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from paratide import ModelParams, ModelState, StepHistory, read_checkpoint, write_checkpoint
+from paratide import ModelParams, ModelState, StepHistory, harness, read_checkpoint, write_checkpoint
 from paratide.cli import main
 from paratide.solver import integrate, integrate_history
 
-from conftest import constant_state, random_state
+from conftest import CONFIG_DIR, constant_state, random_state
 
 SMALL = """
 [config]
@@ -164,6 +164,7 @@ def test_single_shot_bad_spd_exits_2(tmp_path, grid8):
     ["restart-study", "{conf}", "--slices", "a"],
     ["restart-study", "{conf}", "--slices", ","],
     ["restart-study", "{conf}", "--days", "0"],
+    ["restart-study", "{conf}", "--slices", "5"],   # 17280s slices, 2400s coarse steps
     ["avg-error", "{conf}", "--spd-list", "0"],
     ["avg-error", "{conf}", "--spd-list", "x"],
     ["avg-error", "{conf}", "--spd-list", "7"],
@@ -171,6 +172,7 @@ def test_single_shot_bad_spd_exits_2(tmp_path, grid8):
 ], ids=["speedup-m", "speedup-nt", "speedup-k", "serial-spd0", "serial-spd-neg", "serial-spd24",
         "single-shot-spd0",
         "restart-slices0", "restart-slices-a", "restart-slices-empty", "restart-days0",
+        "restart-slices-step",
         "avg-spd0", "avg-spd-x", "avg-spd7", "avg-spd-empty"])
 def test_bad_argument_exits_2_before_any_work(argv, small_conf, tmp_path, grid8, capsys):
     write_checkpoint(constant_state(grid8), None, tmp_path / "in.prcp")
@@ -232,6 +234,23 @@ def test_spin_up_past_the_cfl_floor_exits_2_before_any_work(small_conf, tmp_path
     assert main(["serial", str(small_conf), "--spd", "72"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: [config] spin_up_spd: step of 3600s")
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("argv, judged", [
+    (["serial", "--spd", "24"], "--spd"),
+    (["avg-error", "--spd-list", "24"], "time-averaged study: spd=24"),
+], ids=["serial", "avg-error"])
+def test_step_past_the_cfl_floor_exits_2_before_any_work(argv, judged, tmp_path, monkeypatch,
+                                                         capsys):
+    # exp2's one-day slices take a 3600 s step, but the model at rest
+    # allows 2700 s: refused before the 30-day spin-up, not after it
+    monkeypatch.setenv("PARAREAL_RUNS_DIR", str(tmp_path / "runs"))
+    monkeypatch.setattr(harness, "spin_up", lambda config: pytest.fail("spun up"))
+    assert main([argv[0], str(CONFIG_DIR / "exp2.conf"), *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"error: {judged}: step of 3600s exceeds the CFL step floor "
+                                 f"of 2700s (32 spd) for this model\n")
     assert not (tmp_path / "runs").exists()
 
 

@@ -89,9 +89,14 @@ def test_preset_hashes_pinned(name, config_hash):
     (MINIMAL + "spin_up_spd = 24\n", "spin_up_spd"),          # 3600 s steps past the 2700 s floor
     (MINIMAL + "reference_spd = 24\n", "reference_spd"),
     (MINIMAL.replace("72,144,288", "72,144,72"), "fine_spd"),
+    (MINIMAL + "seed = -1\n", "seed"),
+    (MINIMAL + "t0 = -1\n", "t0"),
+    (MINIMAL.replace("slice_length = 2400", "slice_length = 0"), "slice_length"),
+    (MINIMAL.replace("n_slices = 12", "n_slices = 0"), "n_slices"),
 ], ids=["on_blow_up", "max_parallel_fine", "spin_up_spd", "spin_up_days-step", "reference_spd",
         "coarse_spd", "max_iterations", "fine_spd-step", "nx-small", "H", "nx-float",
-        "monitored_fields-empty", "spin_up_spd-cfl", "reference_spd-cfl", "fine_spd-twice"])
+        "monitored_fields-empty", "spin_up_spd-cfl", "reference_spd-cfl", "fine_spd-twice",
+        "seed-negative", "t0-negative", "slice_length-zero", "n_slices-zero"])
 def test_rule_violation_names_its_key(tmp_path, body, key):
     # each rule is judged by the object that owns it; the error still
     # names the config key at fault
@@ -136,6 +141,11 @@ def test_unknown_key_names_line(tmp_path):
         parse_config(write(tmp_path, body))
 
 
+def test_unknown_section_names_line(tmp_path):
+    with pytest.raises(ParseError, match=r"test\.conf:7: unknown section \[physics\]"):
+        parse_config(write(tmp_path, MINIMAL + "[physics]\n"))
+
+
 def test_key_outside_section(tmp_path):
     with pytest.raises(ParseError, match="outside any section"):
         parse_config(write(tmp_path, "slice_length = 2400\n"))
@@ -171,6 +181,22 @@ fine_spd = 24
 """
     with pytest.raises(ValidationError, match="CFL"):
         parse_config(write(tmp_path, body))
+
+
+def test_step_judges_a_day_the_slices_and_the_cfl_floor(tmp_path):
+    # the one judge of a step count, for config keys and command flags
+    # alike: each failure names the key it is given
+    cfg = parse_config(write(tmp_path, MINIMAL))
+    assert cfg.step("--spd", 36) == cfg.step("--spd", 36, 2400) == 2400
+    assert cfg.step("--spd", 32, 86400) == 2700           # the floor itself passes
+    with pytest.raises(ValidationError, match=r"^--spd: spd=77 is not an integer divisor of 86400$"):
+        cfg.step("--spd", 77)
+    with pytest.raises(ValidationError,
+                       match=r"^--spd: 2400s slices are not a multiple of its 3600s step$"):
+        cfg.step("--spd", 24, 2400)
+    with pytest.raises(ValidationError, match=r"^--spd: step of 3600s exceeds the CFL step "
+                                              r"floor of 2700s \(32 spd\) for this model$"):
+        cfg.step("--spd", 24, 86400)
 
 
 def test_fine_spd_listed_twice_rejected(tmp_path):

@@ -397,3 +397,65 @@ def test_spin_up_copied_where_hard_links_fail(small_config, monkeypatch):
     (shared,) = runs_root(small_config).rglob("spinup-*/init_43200.prcp")
     assert alias.read_bytes() == shared.read_bytes()
     assert spin_up(small_config).bit_equal(state)
+
+
+@pytest.mark.parametrize("crossings, aborted, flagged", [
+    ({"U": 1}, False, False),                      # no tracer monitored: nothing to flag
+    ({"U": 1, "T": 3, "S": 1}, False, True),       # T crosses after U
+    ({"U": 1, "T": 3, "S": 1}, True, False),       # an aborted run is skipped
+], ids=["U-only", "T-later", "aborted"])
+def test_tracer_anomaly_compares_monitored_tracers(crossings, aborted, flagged):
+    from paratide.harness import _tracer_anomaly
+
+    assert _tracer_anomaly([{"aborted": aborted, "first_crossing": crossings}]) is flagged
+
+
+def test_error_cells_undefined_on_zero_reference_field(grid8, tmp_path):
+    # V is identically zero in the reference: its relative error has no
+    # denominator, so its cells say so in both norm columns of the CSV
+    from paratide import ModelParams, ModelState, PararealConfig, PropagatorSpec, SliceLayout, run_parareal
+    from paratide.harness import _fine_run
+    from conftest import constant_state
+
+    layout = SliceLayout(t0=0, slice_length=600, n_slices=2)
+    cfg = PararealConfig(layout=layout, coarse=PropagatorSpec(144), fine=PropagatorSpec(288),
+                         epsilon=0.0, monitored_fields=(Field.U, Field.V))
+
+    def flow(state, n, k):
+        return ModelState(state.grid, state.data * 0.9, state.time + 600)
+
+    u0 = constant_state(grid8, u=1.0)
+    reference = [u0, flow(u0, 0, -1), flow(flow(u0, 0, -1), 1, -1)]
+    res = run_parareal(u0, cfg, ModelParams(), coarse_fn=flow, fine_fn=flow, reference=reference)
+    fr = _fine_run(res, cfg, 1e-2, "zero-nf288", reference[-1])
+    assert {(c["k"], c["field"]): c["status"] for c in fr["errors"]} == {
+        (0, "U"): "ok", (0, "V"): "undefined", (1, "U"): "ok", (1, "V"): "undefined"}
+    report = {
+        "run_id": "zero", "config_path": "", "config_hash": "x" * 12, "epsilon": 1e-2,
+        "n_slices": 2, "slice_length": 600, "coarse_spd": 144, "monitored": ["U", "V"],
+        "flags": {}, "fine_runs": [fr],
+    }
+    rows = [r.split(",") for r in emit_report(report, "csv", tmp_path).read_text().splitlines()]
+    assert [r[3:5] for r in rows[1:] if r[2] == "V"] == [["undefined", "undefined"]] * 2
+
+
+def test_time_averaged_study_defaults_to_the_configured_spds(small_config):
+    # avg-error without --spd-list: the coarse and fine step counts
+    series = time_averaged_study(small_config)
+    assert sorted(series) == [36, 72, 144, small_config.reference_spd]
+
+
+def test_studies_judge_steps_before_the_spin_up(small_config, monkeypatch, tmp_path):
+    # a step that divides the slices but breaks the CFL floor is refused
+    # by the config's judge, under the study's own name, before any work
+    from paratide import SliceLayout, harness
+
+    monkeypatch.setattr(harness, "spin_up", lambda config: pytest.fail("spun up"))
+    daily = dataclasses.replace(small_config, layout=SliceLayout(0, 86400, 2))
+    with pytest.raises(ValidationError, match=r"^time-averaged study: spd=24: step of 3600s "
+                                              r"exceeds the CFL step floor of 2700s"):
+        time_averaged_study(daily, spd_list=(24,))
+    with pytest.raises(ValidationError, match=r"^restart study: coarse_spd=24: step of 3600s "
+                                              r"exceeds the CFL step floor of 2700s"):
+        restart_consistency_study(dataclasses.replace(small_config, coarse_spd=24), (1, 2), 1.0)
+    assert not (tmp_path / "runs").exists()

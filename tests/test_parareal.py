@@ -870,3 +870,10 @@ def test_external_fine_faults_follow_on_blow_up(tmp_path, settled_state, params,
     coarse_fn = Propagator(cfg.coarse, params, layout)
     for n in range(2):
         assert res.iterates[1][n + 1].bit_equal(coarse_fn(res.iterates[1][n], n, 1))
+
+
+def test_run_refuses_u0_off_the_layout_start(grid8):
+    u0 = constant_state(grid8, time=600)
+    with pytest.raises(ValueError, match="u0 at t=600, layout starts at t=0"):
+        run_parareal(u0, small_cfg(), ModelParams(), coarse_fn=flow(0.5, 600),
+                     fine_fn=flow(0.5, 600))

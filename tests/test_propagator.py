@@ -290,3 +290,14 @@ def test_external_default_workdir_removed_after_spawn_failure(tmp_path, monkeypa
     with pytest.raises(SpawnFailureError):
         propagate(spec, StepHistory(settled_state), settled_state.time + 2400, params)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_spec_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown propagator mode 'remote'"):
+        PropagatorSpec(36, mode="remote")
+
+
+def test_serial_run_refuses_u0_off_the_layout_start(settled_state, params):
+    layout = SliceLayout(t0=0, slice_length=2400, n_slices=1)
+    with pytest.raises(StepMismatchError, match="u0 at t=600, layout starts at 0"):
+        restarted_serial_run(PropagatorSpec(36), settled_state.with_time(600), layout, params)

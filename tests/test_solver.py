@@ -693,3 +693,18 @@ def test_failing_lanes_stay_isolated(settled_state):
     assert outs[2].report.field_name is Field.T
     expected = roll_integrate_history(StepHistory(calm), step + 3, 1200, p).current
     assert outs[0].bit_equal(expected) and outs[3].bit_equal(expected)
+
+
+def test_batch_refuses_lanes_on_two_grids(grid8, params):
+    other = Grid(8, 8, 25_000.0, 25_000.0)
+    with pytest.raises(StepMismatchError, match="batch lanes must share one grid"):
+        integrate_batch([constant_state(grid8), constant_state(other)], 2400, 2400, params)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(nu_h=-1.0), "nu_h and kappa must be non-negative"),
+    (dict(forcing_wavenumber=2.5), "forcing_wavenumber must be an integer"),
+], ids=["nu_h-negative", "wavenumber-fraction"])
+def test_params_refuse_bad_values(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        ModelParams(**kwargs)

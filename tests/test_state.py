@@ -173,3 +173,13 @@ def test_step_history_invariants(grid8):
         StepHistory(s, ((2400, t), (0, t)))  # not increasing
     with pytest.raises(ValueError):
         StepHistory(s, ((0, t),) * 4)
+
+
+def test_state_data_coerced_to_frozen_float64(grid8):
+    s = ModelState(grid8, np.ones((5, 8, 8), dtype=np.float32), 0)
+    assert s.data.dtype == np.float64 and not s.data.flags.writeable
+
+
+def test_state_data_of_another_shape_refused(grid8):
+    with pytest.raises(ValueError, match=r"data shape \(5, 4, 4\) does not match grid \(8, 8\)"):
+        ModelState(grid8, np.zeros((5, 4, 4)), 0)
