@@ -27,8 +27,8 @@ import sys
 from pathlib import Path
 
 from .checkpoint import read_checkpoint, write_checkpoint
-from .config import int_list, parse_config, parse_model
-from .errors import BlowUpError, ConfigError, EngineError, IOFailureError
+from .config import int_list, judged, parse_config, parse_model, parsed
+from .errors import BlowUpError, EngineError, IOFailureError
 from .propagator import PropagatorSpec
 from .solver import ModelParams, integrate_history
 
@@ -80,21 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spd_step(spd: int) -> int:
-    """The step of --spd, checked by PropagatorSpec before any work."""
-    try:
-        return PropagatorSpec(spd).dt
-    except ValueError as err:
-        raise ConfigError(f"--spd: {err}") from err
-
-
-def _int_list(flag: str, text: str) -> tuple[int, ...]:
-    try:
-        return int_list(text)
-    except ValueError as err:
-        raise ConfigError(f"{flag}: cannot parse {text!r} ({err})") from err
-
-
 def _cmd_run(args) -> int:
     from . import harness
 
@@ -129,7 +114,7 @@ def _cmd_serial(args) -> int:
 
 
 def _cmd_single_shot(args) -> int:
-    dt = _spd_step(args.spd)
+    dt = judged("--spd: ", PropagatorSpec, args.spd).dt      # before any work
     if args.config:
         grid, params = parse_model(args.config)
     else:
@@ -149,12 +134,11 @@ def _cmd_speedup(args) -> int:
     from .metrics import max_profitable_iterations, speedup_bound, speedup_estimate
 
     ks = [args.k] if args.k is not None else list(range(1, args.nt + 1))
-    try:
-        rows = [f"{k} {speedup_estimate(k, args.nt, args.m):.6f} "
-                f"{speedup_bound(k, args.nt, args.m):.6f}" for k in ks]
-        best = max_profitable_iterations(args.m, args.nt)
-    except ValueError as err:
-        raise ConfigError(f"speedup: {err}") from err
+    rows, best = judged("speedup: ", lambda: (
+        [f"{k} {speedup_estimate(k, args.nt, args.m):.6f} "
+         f"{speedup_bound(k, args.nt, args.m):.6f}" for k in ks],
+        max_profitable_iterations(args.m, args.nt),
+    ))
     print(f"speedup model: N_t={args.nt} m={args.m:g}")
     print("\n".join(["k estimate bound", *rows, f"max profitable K: {best}"]))
     return EXIT_OK
@@ -163,7 +147,7 @@ def _cmd_speedup(args) -> int:
 def _cmd_restart_study(args) -> int:
     from . import harness
 
-    counts = _int_list("--slices", args.slices)
+    counts = parsed("--slices", int_list, args.slices)
     config = parse_config(args.config)
     report = harness.restart_consistency_study(config, counts, args.days)
     print(report.to_text(), end="")
@@ -173,7 +157,7 @@ def _cmd_restart_study(args) -> int:
 def _cmd_avg_error(args) -> int:
     from . import harness
 
-    spd_list = None if args.spd_list is None else _int_list("--spd-list", args.spd_list)
+    spd_list = None if args.spd_list is None else parsed("--spd-list", int_list, args.spd_list)
     config = parse_config(args.config)
     series = harness.time_averaged_study(config, spd_list)
     print(f"time-averaged errors vs {config.reference_spd} spd reference")

@@ -14,6 +14,8 @@ objects the engine runs on -- SliceLayout, a PropagatorSpec per step
 count, a PararealConfig per fine step count -- and reports their verdict
 on the step rules under the key at fault; ExperimentConfig.step, the CFL
 floor included, judges the config's steps and those a command is given.
+judged and parsed are the one translation of a bad outside value, a config
+key or a command-line flag, into a ValidationError that names it.
 parse_model reads only the grid and physics, for single-shot children.
 PararealConfig, the driver's settings, lives here rather than with the
 driver, so that a single-shot child, which parses configs, never loads
@@ -187,10 +189,7 @@ class ExperimentConfig:
         span and is no longer than the CFL floor of the model at rest (wave
         speed only: a check before any work, the live bound depends on the
         evolving velocities).  A ValidationError names key."""
-        try:
-            dt = PropagatorSpec(spd).dt
-        except ValueError as err:
-            raise ValidationError(f"{key}: {err}") from err
+        dt = judged(f"{key}: ", PropagatorSpec, spd).dt
         if span is not None and span % dt:
             raise ValidationError(f"{key}: {span}s slices are not a multiple of its {dt}s step")
         floor = cfl_max_dt(ModelState.zeros(self.grid), self.params)
@@ -227,7 +226,11 @@ def _parse_sections(path: Path) -> dict[str, _Section]:
         raise ParseError(f"{path}: no such config file")
     sections: dict[str, dict[str, str]] = {name: {} for name in _SECTIONS}
     current: str | None = None
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text ({err})") from err
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -263,35 +266,40 @@ class _Section:
             if default is _REQUIRED:
                 raise ValidationError(f"[{self.name}] {key}: required key is missing")
             return default
-        raw = self.values[key]
-        try:
-            return conv(raw)
-        except (TypeError, ValueError) as err:
-            raise ValidationError(f"[{self.name}] {key}: cannot parse {raw!r} ({err})") from err
+        return parsed(f"[{self.name}] {key}", conv, self.values[key])
 
     def given(self, convs: dict) -> dict:
         """The keys of convs that this section sets, converted."""
         return {key: self.get(key, conv) for key, conv in convs.items() if key in self.values}
 
 
-def _build(prefix: str, make, *args, **kwargs):
+def judged(prefix: str, make, *args, **kwargs):
     """make(*args, **kwargs), its ValueError reported as a ValidationError
-    after prefix."""
+    after prefix, which names the key or flag at fault."""
     try:
         return make(*args, **kwargs)
     except ValueError as err:
         raise ValidationError(f"{prefix}{err}") from err
 
 
+def parsed(label: str, conv, raw: str):
+    """conv(raw), a failure reported as a ValidationError:
+    '<label>: cannot parse <raw!r> (<err>)'."""
+    try:
+        return conv(raw)
+    except (TypeError, ValueError) as err:
+        raise ValidationError(f"{label}: cannot parse {raw!r} ({err})") from err
+
+
 def _model(model: _Section) -> tuple[Grid, ModelParams]:
-    grid = _build(
+    grid = judged(
         "[model] grid: ", Grid,
         nx=model.get("nx", int, 32),
         ny=model.get("ny", int, 32),
         dx=model.get("dx", float, DEFAULT_SPACING),
         dy=model.get("dy", float, DEFAULT_SPACING),
     )
-    return grid, _build("[model] params: ", ModelParams, **model.given(_PARAM_KEYS))
+    return grid, judged("[model] params: ", ModelParams, **model.given(_PARAM_KEYS))
 
 
 def parse_model(path: str | Path) -> tuple[Grid, ModelParams]:
@@ -308,7 +316,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     conf, io = sections["config"], sections["io"]
     coarse_spd = conf.get("coarse_spd", int)
     fine_spds = conf.get("fine_spd", int_list)
-    layout = _build(
+    layout = judged(
         "[config] layout: ", SliceLayout,
         t0=conf.get("t0", int, 0),
         slice_length=conf.get("slice_length", int),
@@ -326,7 +334,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ValidationError("[config] epsilon: must be positive and finite")
     if config.seed < 0:
         raise ValidationError("[config] seed: must be >= 0")
-    if not 0 <= config.spin_up_days < float("inf"):
+    if not 0 <= config.spin_up_days * SECONDS_PER_DAY < float("inf"):
         raise ValidationError("[config] spin_up_days: must be >= 0 and finite")
 
     config.step("[config] coarse_spd", coarse_spd)
@@ -338,6 +346,6 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     for i, nf in enumerate(fine_spds):
         if nf in fine_spds[:i]:
             raise ValidationError(f"[config] fine_spd: {nf} is listed twice")
-        _build("[config] fine_spd: ", PropagatorSpec, nf)
-        _build("[config] ", config.parareal_config, nf)     # its messages name the keys
+        judged("[config] fine_spd: ", PropagatorSpec, nf)
+        judged("[config] ", config.parareal_config, nf)     # its messages name the keys
     return config

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import read_checkpoint, write_checkpoint
-from .config import ExperimentConfig, PararealConfig
+from .config import ExperimentConfig, PararealConfig, judged
 from .errors import IOFailureError, ValidationError
 from .metrics import (
     ERROR_CSV_HEADER,
@@ -421,15 +421,14 @@ def restart_consistency_study(
     the whole window.  Warm chains must match bit-exactly, cold chains
     deviate.
     """
-    if not 0 < total_days < float("inf"):
+    seconds = total_days * SECONDS_PER_DAY
+    if not 0 < seconds < float("inf"):
         raise ValidationError(f"restart study: days={total_days!r} is not a positive finite span")
-    total = int(round(total_days * SECONDS_PER_DAY))
+    total = int(round(seconds))
     spd = config.coarse_spd
-    try:
-        window = SliceLayout(t0=config.layout.t0, slice_length=total, n_slices=1)
-        layouts = [window.split(n) for n in slice_counts]
-    except ValueError as err:
-        raise ValidationError(f"restart study: {err}") from err
+    window = judged("restart study: ", SliceLayout,
+                    t0=config.layout.t0, slice_length=total, n_slices=1)
+    layouts = [judged("restart study: ", window.split, n) for n in slice_counts]
     for layout in layouts:
         config.step(f"restart study: coarse_spd={spd}", spd, layout.slice_length)
     u0 = spin_up(config)

@@ -11,6 +11,7 @@ serial fine run.
 
 from __future__ import annotations
 
+import math
 import time as _time
 from typing import Mapping, Sequence
 
@@ -27,28 +28,27 @@ ERROR_CSV_HEADER = (
 )
 
 
-def rel_max_norm(approx: np.ndarray, ref: np.ndarray) -> float:
-    """max |approx - ref| / max |ref|."""
+def _relative(approx: np.ndarray, ref: np.ndarray, norm, name: str) -> float:
+    """norm(approx - ref) / norm(ref), both taken as float64 arrays of one
+    shape; a zero reference norm leaves the ratio undefined."""
     approx = np.asarray(approx, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
     if approx.shape != ref.shape:
         raise ValueError(f"shape mismatch: {approx.shape} vs {ref.shape}")
-    denom = float(np.max(np.abs(ref)))
+    denom = float(norm(ref))
     if denom == 0.0:
-        raise ZeroReferenceError("reference max norm is zero; relative error undefined")
-    return float(np.max(np.abs(approx - ref)) / denom)
+        raise ZeroReferenceError(f"reference {name} is zero; relative error undefined")
+    return float(norm(approx - ref) / denom)
+
+
+def rel_max_norm(approx: np.ndarray, ref: np.ndarray) -> float:
+    """max |approx - ref| / max |ref|."""
+    return _relative(approx, ref, lambda a: np.max(np.abs(a)), "max norm")
 
 
 def rel_l2_norm(approx: np.ndarray, ref: np.ndarray) -> float:
     """||approx - ref||_2 / ||ref||_2."""
-    approx = np.asarray(approx, dtype=np.float64)
-    ref = np.asarray(ref, dtype=np.float64)
-    if approx.shape != ref.shape:
-        raise ValueError(f"shape mismatch: {approx.shape} vs {ref.shape}")
-    denom = float(np.linalg.norm(ref.ravel()))
-    if denom == 0.0:
-        raise ZeroReferenceError("reference 2-norm is zero; relative error undefined")
-    return float(np.linalg.norm((approx - ref).ravel()) / denom)
+    return _relative(approx, ref, lambda a: np.linalg.norm(a.ravel()), "2-norm")
 
 
 def errors_at_final(
@@ -92,20 +92,10 @@ def speedup_bound(k: int, n_slices: int, m: float) -> float:
 def max_profitable_iterations(m: float, n_slices: int) -> int:
     """Largest k whose speedup bound still exceeds 1; 0 means never.
 
-    Computed from the definition by scanning k (the bound is decreasing in
-    k, so the scan can stop at the first failure).
+    min(m/(k+1), N_t/k) > 1 holds exactly when k + 1 < m and k < N_t.
     """
     _check_speedup_args(1, n_slices, m)
-    best = 0
-    k = 1
-    limit = max(n_slices, int(np.ceil(m))) + 2
-    while k <= limit:
-        if speedup_bound(k, n_slices, m) > 1.0:
-            best = k
-            k += 1
-        else:
-            break
-    return best
+    return max(0, min(n_slices - 1, math.ceil(m) - 2))
 
 
 def measure_runtime_ratio(

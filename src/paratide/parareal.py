@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 
 from .checkpoint import write_checkpoint
 from .config import ABORT, PararealConfig
-from .errors import BlowUpError
+from .errors import BlowUpError, NonFiniteError
 from .metrics import converged, errors_at_final
 from .propagator import PropagatorSpec, SliceLayout, propagate
 from .solver import ModelParams, integrate_batch
@@ -444,6 +444,8 @@ def run_parareal(
     """
     if u0.time != cfg.layout.t0:
         raise ValueError(f"u0 at t={u0.time}, layout starts at t={cfg.layout.t0}")
+    if not u0.is_finite():
+        raise NonFiniteError("u0 must be finite")
     monitoring = cfg.epsilon > 0
     if monitoring and reference is None:
         raise ValueError("epsilon stopping needs a reference trajectory")

@@ -41,6 +41,7 @@ from .errors import (
     CheckpointError,
     ExternalTimeoutError,
     GridMismatchError,
+    NonFiniteError,
     SpawnFailureError,
     StepMismatchError,
 )
@@ -278,6 +279,8 @@ def restarted_serial_run(
     """
     if u0.time != layout.t0:
         raise StepMismatchError(f"u0 at t={u0.time}, layout starts at {layout.t0}")
+    if not u0.is_finite():
+        raise NonFiniteError("u0 must be finite")
     warm = spec.restart_policy == "warm"
     states = [u0]
     h = StepHistory(u0)

@@ -188,26 +188,15 @@ def validate_state(s: ModelState, velocity_cap: float = DEFAULT_VELOCITY_CAP) ->
     component exceeds the cap in magnitude.  The healthy path is a pair of
     cheap whole-array checks; offender lookup only runs on failure.
     """
-    finite = np.isfinite(s.data)
-    if not finite.all():
-        flat = int(np.argmax(~finite))
-        f_idx, row, col = np.unravel_index(flat, s.data.shape)
-        return BlowUpReport(
-            field_name=FIELD_ORDER[f_idx],
-            index=(int(row), int(col)),
-            value=float(s.data[f_idx, row, col]),
-            reason="non_finite",
-        )
-    if np.abs(s.data[:2]).max() > velocity_cap:
-        for f in (Field.U, Field.V):
-            speed = np.abs(s.data[f.value])
-            if speed.max() > velocity_cap:
-                flat = int(np.argmax(speed > velocity_cap))
-                row, col = np.unravel_index(flat, speed.shape)
-                return BlowUpReport(
-                    field_name=f,
-                    index=(int(row), int(col)),
-                    value=float(s.data[f.value, row, col]),
-                    reason="velocity_cap",
-                )
+    masks = (("non_finite", ~np.isfinite(s.data)),
+             ("velocity_cap", np.abs(s.data[:2]) > velocity_cap))
+    for reason, bad in masks:
+        if bad.any():
+            f_idx, row, col = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            return BlowUpReport(
+                field_name=FIELD_ORDER[f_idx],
+                index=(int(row), int(col)),
+                value=float(s.data[f_idx, row, col]),
+                reason=reason,
+            )
     return None

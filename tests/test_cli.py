@@ -203,10 +203,13 @@ def test_bad_argument_exits_2_before_any_work(argv, small_conf, tmp_path, grid8,
     (["run", "{conf}"], ("[model]", "[model]\nforcing_amp = nan"), "f0 and forcing_amp"),
     (["run", "{conf}"], ("[model]", "[model]\nforcing_amp = -inf"), "f0 and forcing_amp"),
     (["run", "{conf}"], ("[model]", "[model]\nvelocity_cap = nan"), "velocity_cap"),
+    # finite, but a count of seconds 86400 times as large is not
+    (["restart-study", "{conf}", "--days", "1e308"], None, "days=1e+308"),
+    (["run", "{conf}"], ("spin_up_days = 0.25", "spin_up_days = 1e308"), "[config] spin_up_days:"),
 ], ids=["speedup-m-inf", "speedup-m-nan", "restart-days-nan", "restart-days-inf",
         "epsilon-nan", "epsilon-inf", "spin-up-days-nan", "spin-up-days-inf", "dx-nan",
         "dx-inf", "dy-inf", "H-nan", "f0-nan", "f0-inf", "forcing-amp-nan", "forcing-amp-inf",
-        "velocity-cap-nan"])
+        "velocity-cap-nan", "restart-days-1e308", "spin-up-days-1e308"])
 def test_non_finite_number_exits_2(argv, edit, named, small_conf, tmp_path, capsys):
     # NaN passes no "> 0" test, and inf becomes no count of seconds or steps
     if edit is not None:
@@ -214,6 +217,14 @@ def test_non_finite_number_exits_2(argv, edit, named, small_conf, tmp_path, caps
     assert main([str(small_conf) if a == "{conf}" else a for a in argv]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and named in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_non_utf8_config_exits_2(small_conf, tmp_path, capsys):
+    small_conf.write_bytes(small_conf.read_text().encode("utf-16"))
+    assert main(["serial", str(small_conf), "--spd", "72"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {small_conf}: not UTF-8 text")
     assert not (tmp_path / "runs").exists()
 
 

@@ -157,6 +157,14 @@ def test_garbage_line_names_line_number(tmp_path):
         parse_config(write(tmp_path, body))
 
 
+def test_non_utf8_file_names_its_path(tmp_path):
+    # a UTF-16 file starts with the bytes ff fe, which no UTF-8 text does
+    path = tmp_path / "bad.conf"
+    path.write_bytes(MINIMAL.encode("utf-16"))
+    with pytest.raises(ParseError, match=r"bad\.conf: not UTF-8 text"):
+        parse_config(path)
+
+
 def test_duplicate_key_rejected(tmp_path):
     body = MINIMAL + "seed = 1\nseed = 2\n"
     with pytest.raises(ParseError, match="duplicate"):

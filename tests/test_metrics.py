@@ -165,6 +165,15 @@ def test_profitable_iterations_matches_brute_force():
             assert got == max(0, min(m - 2, nt - 1)), (m, nt)
 
 
+def test_profitable_iterations_matches_brute_force_at_non_integer_m():
+    # the closed form rounds m up: k + 1 < m admits k = ceil(m) - 2, so
+    # values just past an integer gain an iteration and those just below
+    # do not
+    for m in (1.5, 2.0000001, 2.5, 3.1, 7.999, 8.0001, 12.75, 63.5, 64.0000001):
+        for nt in (1, 2, 3, 5, 8, 13, 21, 34, 64):
+            assert max_profitable_iterations(m, nt) == brute_force_profitable(m, nt), (m, nt)
+
+
 def test_first_crossing_helper():
     errors = {0: (0.5, 0.3), 1: (0.02, 0.2), 2: (0.001, 0.004), 3: (0.5, 0.5)}
     assert first_crossing_iteration(errors, 1e-2) == 2

@@ -2,6 +2,8 @@ import dataclasses
 import multiprocessing
 import os
 import pickle
+import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -16,8 +18,8 @@ from paratide import (
     SliceLayout,
     run_parareal,
 )
-from paratide.errors import BlowUpError
-from paratide import parareal
+from paratide.errors import BlowUpError, NonFiniteError
+from paratide import parareal, propagator
 from paratide.parareal import (
     coarse_init_sweep,
     correction_sweep,
@@ -29,6 +31,8 @@ from paratide.propagator import restarted_serial_run
 from paratide.solver import integrate
 
 from conftest import constant_state, faulty_command, random_state
+
+SINGLE_SHOT = (sys.executable, "-m", "paratide", "single-shot")
 
 
 def flow(factor, slice_length):
@@ -877,3 +881,25 @@ def test_run_refuses_u0_off_the_layout_start(grid8):
     with pytest.raises(ValueError, match="u0 at t=600, layout starts at t=0"):
         run_parareal(u0, small_cfg(), ModelParams(), coarse_fn=flow(0.5, 600),
                      fine_fn=flow(0.5, 600))
+
+
+@pytest.mark.parametrize("mode", ["internal", "external"])
+def test_non_finite_u0_refused_before_any_propagation(mode, monkeypatch, tmp_path, grid8):
+    # one exception in both modes, before any child starts or any
+    # temporary work directory is made
+    spawned = []
+    real_run = propagator.subprocess.run
+    monkeypatch.setattr(propagator.subprocess, "run",
+                        lambda *a, **kw: spawned.append(a) or real_run(*a, **kw))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    data = constant_state(grid8, u=1.0).data.copy()
+    data[Field.T.value, 3, 5] = np.nan
+    u0 = ModelState(grid8, data, 0)
+    kw = {"mode": "external", "command": SINGLE_SHOT} if mode == "external" else {}
+    cfg = small_cfg(n_slices=3, max_parallel_fine=2, coarse=PropagatorSpec(144, **kw),
+                    fine=PropagatorSpec(288, **kw))
+    with pytest.raises(NonFiniteError, match="^u0 must be finite$"):
+        restarted_serial_run(cfg.fine, u0, cfg.layout, ModelParams())
+    with pytest.raises(NonFiniteError, match="^u0 must be finite$"):
+        run_parareal(u0, cfg, ModelParams())
+    assert spawned == [] and list(tmp_path.iterdir()) == []

@@ -129,6 +129,37 @@ def test_validate_reports_velocity_cap(grid8):
     assert report.reason == "velocity_cap"
 
 
+def test_validate_reports_v_over_the_cap_while_u_is_fine(grid8):
+    report = validate_state(constant_state(grid8, u=1.0, v=-150.0))
+    assert (report.field_name, report.index, report.value, report.reason) == (
+        Field.V, (0, 0), -150.0, "velocity_cap")
+
+
+@pytest.mark.parametrize("offenders, first", [
+    ([(Field.S, 0, 0, np.nan), (Field.ETA, 5, 5, np.inf)], (Field.ETA, (5, 5))),
+    ([(Field.T, 4, 1, np.nan), (Field.T, 2, 7, np.inf)], (Field.T, (2, 7))),
+    ([(Field.U, 3, 6, 500.0), (Field.U, 3, 2, -500.0)], (Field.U, (3, 2))),
+    ([(Field.V, 0, 0, 500.0), (Field.U, 7, 7, 500.0)], (Field.U, (7, 7))),
+    ([(Field.U, 0, 0, 500.0), (Field.T, 1, 1, np.nan)], (Field.T, (1, 1))),
+], ids=["field-first", "row-before-column", "column", "u-before-v", "non-finite-before-cap"])
+def test_validate_reports_the_first_of_two_offenders(grid8, offenders, first):
+    # offenders are reported in (field, row, column) order, whatever the
+    # order they were written in
+    data = constant_state(grid8).data.copy()
+    for f, row, col, value in offenders:
+        data[f.value, row, col] = value
+    report = validate_state(ModelState(grid8, data, 0))
+    assert (report.field_name, report.index) == first
+
+
+def test_validate_reports_negative_infinity(grid8):
+    data = constant_state(grid8).data.copy()
+    data[Field.S.value, 6, 1] = -np.inf
+    report = validate_state(ModelState(grid8, data, 0))
+    assert (report.field_name, report.index, report.value, report.reason) == (
+        Field.S, (6, 1), -np.inf, "non_finite")
+
+
 def test_grid_invariants():
     with pytest.raises(ValueError):
         Grid(nx=3, ny=8, dx=1.0, dy=1.0)
