@@ -13,7 +13,8 @@ external run gets its own working directory holding in.prcp, out.prcp and
 run.log.  Because the child starts inside that directory, nothing handed
 to it may depend on the parent's current directory: the work directory and
 the --in/--out paths are absolute, and so is every PYTHONPATH entry of the
-environment the child inherits.  A relative executable path such as
+environment the child inherits, which holds OPENBLAS_NUM_THREADS=1 unless
+that is set (one BLAS thread per child).  A relative executable path such as
 ./model is anchored to the parent's directory too; every other argument of
 the command is passed verbatim, so a relative path among them is read by
 the child against its work directory.
@@ -116,14 +117,17 @@ class SliceLayout:
 
 
 def _child_env() -> dict[str, str]:
-    """This process's environment with PYTHONPATH made absolute.
+    """This process's environment, PYTHONPATH absolute, one OpenBLAS thread.
 
     Python reads relative PYTHONPATH entries, and empty ones, against the
     directory it starts in; the child starts in its work directory, so each
     entry is anchored to the parent's current directory instead.  An empty
-    PYTHONPATH as a whole means no entries and is left alone.
+    PYTHONPATH as a whole means no entries and is left alone.  The engine
+    caps its concurrent children, so OPENBLAS_NUM_THREADS defaults to 1 (a
+    set value wins): a per-CPU OpenBLAS pool in each would oversubscribe.
     """
     child = dict(os.environ)
+    child.setdefault("OPENBLAS_NUM_THREADS", "1")
     pythonpath = child.get("PYTHONPATH")
     if pythonpath:
         cwd = os.getcwd()
@@ -143,7 +147,8 @@ def run_external(
 
     stdout and stderr both go to run.log inside the working directory.
     The child gets this process's environment with its PYTHONPATH entries
-    made absolute against the parent's current directory.
+    made absolute against the parent's current directory and, unless set,
+    OPENBLAS_NUM_THREADS=1.
     A relative command[0] that contains a path separator (./model, bin/model)
     is anchored to the parent's current directory as well; a bare name is
     looked up on PATH and the other arguments are passed verbatim.

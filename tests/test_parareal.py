@@ -784,6 +784,30 @@ def test_exactness_propagation_internal(settled_state, params):
     assert res.final.bit_equal(reference[-1])
 
 
+# A coarse flow far from the fine one makes G + (F - G) round away from F,
+# so slices n <= k are bit-exact only through the correction's shortcut
+# (return F when the fresh coarse value equals the retained one), on the
+# barrier schedule (in-process fine lanes) and the pipelined one alike.
+@pytest.mark.parametrize("fine", ["in_process", "callable"])
+def test_exactness_with_distant_coarse(grid8, params, fine):
+    cfg = small_cfg(n_slices=4, max_parallel_fine=1)
+    u0 = random_state(grid8, np.random.default_rng(23))
+    if fine == "in_process":
+        fine_fn = None
+        reference = restarted_serial_run(cfg.fine, u0, cfg.layout, params)
+    else:
+        fine_fn = flow(1.0, cfg.layout.slice_length)
+        reference = [u0]
+        for n in range(cfg.layout.n_slices):
+            reference.append(fine_fn(reference[-1], n, 0))
+    res = run_parareal(u0, cfg, params, coarse_fn=flow(0.3, cfg.layout.slice_length),
+                       fine_fn=fine_fn)
+    assert res.iterations_run == cfg.layout.n_slices
+    for k in range(res.iterations_run + 1):
+        for n in range(k + 1):
+            assert res.iterates[k][n].bit_equal(reference[n]), (fine, k, n)
+
+
 def test_run_directory_checkpoints_and_manifest(tmp_path, grid8):
     cfg = small_cfg(n_slices=3, max_iterations=2)
     u0 = constant_state(grid8, u=1.0)

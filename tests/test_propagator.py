@@ -159,6 +159,25 @@ def test_run_external_child_pythonpath_is_absolute(tmp_path, monkeypatch):
     assert (tmp_path / "w" / "run.log").read_text().strip() == os.path.join(cwd, "other")
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/task")
+def test_run_external_child_gets_one_blas_thread(tmp_path, monkeypatch):
+    # the engine caps its concurrent children itself, so a child must not
+    # start an OpenBLAS pool of its own when it imports numpy; a user's
+    # value wins
+    show = [
+        sys.executable,
+        "-c",
+        "import numpy, os; "
+        "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))",
+    ]
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert run_external(show, tmp_path / "w") == 0
+    assert (tmp_path / "w" / "run.log").read_text().split() == ["1", "1"]
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert run_external(show, tmp_path / "w") == 0
+    assert (tmp_path / "w" / "run.log").read_text().split()[0] == "2"
+
+
 def test_run_external_concurrent_logs_are_complete(tmp_path):
     from concurrent.futures import ThreadPoolExecutor
 
