@@ -23,12 +23,10 @@ _EXPORTS = {
     "propagator": ("PropagatorSpec", "SliceLayout", "propagate", "run_external"),
     "solver": (
         "ModelParams",
-        "ab3_step",
         "cfl_max_dt",
         "integrate",
         "integrate_batch",
         "integrate_history",
-        "rhs",
     ),
     "state": (
         "Field",

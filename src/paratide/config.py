@@ -118,6 +118,9 @@ class PararealConfig:
         if not self.monitored_fields:
             raise ValueError("monitored_fields: must name a field; with none, "
                              "every epsilon test would pass at k = 0")
+        for i, f in enumerate(self.monitored_fields):
+            if f in self.monitored_fields[:i]:
+                raise ValueError(f"monitored_fields: {f.name} is listed twice")
 
     @property
     def iterations(self) -> int:

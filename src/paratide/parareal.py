@@ -449,6 +449,9 @@ def run_parareal(
     monitoring = cfg.epsilon > 0
     if monitoring and reference is None:
         raise ValueError("epsilon stopping needs a reference trajectory")
+    t_end = cfg.layout.t0 + cfg.layout.total_seconds
+    if reference is not None and not (reference and reference[-1].time == t_end):
+        raise ValueError(f"reference must end at the run's final time t={t_end}")
     run_dir = Path(run_dir) if run_dir is not None else None
     if coarse_fn is None:
         coarse_fn = Propagator(cfg.coarse, params, cfg.layout, run_dir, "coarse", timeout)

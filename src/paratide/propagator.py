@@ -20,7 +20,8 @@ the command is passed verbatim, so a relative path among them is read by
 the child against its work directory.
 
 Every way an external slice can fail on its own (nonzero exit, no output,
-an unreadable or wrong-grid or wrong-time output, a timeout) surfaces from
+an unreadable or wrong-grid or wrong-time output, an output that is not
+finite or breaks the velocity cap, a timeout) surfaces from
 propagate as a BlowUpError, which the Parareal driver handles by its
 on_blow_up policy.  A command that cannot be launched at all is a
 configuration fault and raises SpawnFailureError.
@@ -47,7 +48,7 @@ from .errors import (
     StepMismatchError,
 )
 from .solver import SECONDS_PER_DAY, ModelParams, StepHistory, _check_window, integrate_history
-from .state import ModelState
+from .state import ModelState, validate_state
 
 IN_FILE = "in.prcp"
 OUT_FILE = "out.prcp"
@@ -236,9 +237,9 @@ def propagate(
         "--spd", str(spec.spd),
     ]
 
-    def failed(message: str) -> BlowUpError:
+    def failed(message: str, report=None) -> BlowUpError:
         return BlowUpError(
-            message, slice_index=slice_index, iteration=iteration, log_path=wd / LOG_FILE
+            message, report, slice_index=slice_index, iteration=iteration, log_path=wd / LOG_FILE
         )
 
     try:
@@ -259,6 +260,9 @@ def propagate(
         raise failed(f"external propagator output unreadable: {err}") from err
     if ck.state.time != t_end:
         raise failed(f"external propagator returned t={ck.state.time}, expected {t_end}")
+    report = validate_state(ck.state, params.velocity_cap)
+    if report is not None:
+        raise failed(f"external propagator output diverged: {report}", report)
     if own_workdir:
         shutil.rmtree(wd)
     return ck.step_history(spec.dt)

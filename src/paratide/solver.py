@@ -214,12 +214,6 @@ class _Stepper:
         self.programs[(k, order, dt)] = ops
         return ops
 
-    def tendency(self) -> np.ndarray:
-        """Lane 0's tendency, in Field order."""
-        for fn, args in self._rhs_ops(self.state, self.ring[0]):
-            fn(*args)
-        return self.tendency_of(0)
-
     def run(self, priors: Sequence[np.ndarray], n_steps: int, dt: int, *,
             strict: bool = False, on_step=None) -> dict[int, tuple[int, np.ndarray]]:
         """Advance the loaded lanes n_steps steps of dt, warm from priors:
@@ -239,14 +233,14 @@ class _Stepper:
         with np.errstate():
             if not np.isfinite(self.state).all():
                 if strict:
-                    raise NonFiniteError("rhs requires a finite state")
+                    raise NonFiniteError("stepping requires a finite state")
                 np.seterr(over="ignore", invalid="ignore")
             for i in range(n_steps):
                 order = min(len(priors) + i, 2)
                 for fn, args in self._program(i % 3, order, dt):
                     fn(*args)
                 if strict and order == 0 and not np.isfinite(self.pred).all():
-                    raise NonFiniteError("rhs requires a finite state")
+                    raise NonFiniteError("stepping requires a finite state")
                 np.abs(self.state, self.work)
                 ok = peaks.max(axis=2) <= self.limits
                 if not ok.all():
@@ -288,20 +282,6 @@ def _blow_up(bad: ModelState, step: int, p: ModelParams) -> BlowUpError:
     return BlowUpError(f"step to t={bad.time} diverged: {report}", report, step=step)
 
 
-def rhs(s: ModelState, p: ModelParams) -> np.ndarray:
-    """Assemble the tendency of every field from the current state: a
-    frozen array laid out like ModelState.data.
-
-    Deterministic: identical input bits always produce identical output
-    bits (pure numpy elementwise arithmetic, fixed evaluation order).
-    """
-    if not s.is_finite():
-        raise NonFiniteError("rhs requires a finite state")
-    out = _Stepper(s.grid, p, 1).load([s.data]).tendency()
-    out.setflags(write=False)
-    return out
-
-
 def _check_window(span: int, dt: int) -> int:
     if dt <= 0 or SECONDS_PER_DAY % dt != 0:
         raise StepMismatchError(f"dt={dt} is not an integer divisor of 86400")
@@ -334,11 +314,6 @@ def integrate_history(
                   for i in range(max(n_steps - 3, 0), n_steps))
     _idle.stepper = stepper
     return StepHistory(ModelState(s.grid, stepper.lane(0), int(t_end)), (h.tendencies + fresh)[-3:])
-
-
-def ab3_step(h: StepHistory, dt: int, p: ModelParams) -> StepHistory:
-    """Advance one step (see integrate_history)."""
-    return integrate_history(h, h.current.time + int(dt), dt, p)
 
 
 def integrate(s: ModelState, t_end: int, dt: int, p: ModelParams, on_step=None) -> ModelState:

@@ -92,6 +92,14 @@ elif mode == "wrong-time":
     step = 86400 // int(args["--spd"])
     write_checkpoint(state.with_time(int(args["--t-end"]) - step), None, args["--out"])
     sys.exit(0)
+elif mode in ("non-finite", "over-cap"):
+    import numpy as np
+    from paratide import Field, ModelState, read_checkpoint, write_checkpoint
+    state = read_checkpoint(args["--in"]).state
+    data = state.data.copy()
+    data[Field.U.value, 1, 2] = np.nan if mode == "non-finite" else 1.0e3
+    write_checkpoint(ModelState(state.grid, data, int(args["--t-end"])), None, args["--out"])
+    sys.exit(0)
 open(args["--out"], "wb").write(out)
 """
 

@@ -86,6 +86,7 @@ def test_preset_hashes_pinned(name, config_hash):
     (MINIMAL + "[model]\nH = 0\n", "H"),
     (MINIMAL + "[model]\nnx = 3.5\n", "nx"),
     (MINIMAL + "monitored_fields =\n", "monitored_fields"),   # epsilon stopping would be vacuous
+    (MINIMAL + "monitored_fields = U,U,T\n", "monitored_fields"),   # every U error twice
     (MINIMAL + "spin_up_spd = 24\n", "spin_up_spd"),          # 3600 s steps past the 2700 s floor
     (MINIMAL + "reference_spd = 24\n", "reference_spd"),
     (MINIMAL.replace("72,144,288", "72,144,72"), "fine_spd"),
@@ -95,8 +96,8 @@ def test_preset_hashes_pinned(name, config_hash):
     (MINIMAL.replace("n_slices = 12", "n_slices = 0"), "n_slices"),
 ], ids=["on_blow_up", "max_parallel_fine", "spin_up_spd", "spin_up_days-step", "reference_spd",
         "coarse_spd", "max_iterations", "fine_spd-step", "nx-small", "H", "nx-float",
-        "monitored_fields-empty", "spin_up_spd-cfl", "reference_spd-cfl", "fine_spd-twice",
-        "seed-negative", "t0-negative", "slice_length-zero", "n_slices-zero"])
+        "monitored_fields-empty", "monitored_fields-twice", "spin_up_spd-cfl", "reference_spd-cfl",
+        "fine_spd-twice", "seed-negative", "t0-negative", "slice_length-zero", "n_slices-zero"])
 def test_rule_violation_names_its_key(tmp_path, body, key):
     # each rule is judged by the object that owns it; the error still
     # names the config key at fault

@@ -771,6 +771,26 @@ def test_empty_monitored_fields_refused_before_any_work(grid8):
         dataclasses.replace(small_cfg(n_slices=4, epsilon=1e-6), monitored_fields=())
 
 
+@pytest.mark.parametrize("ends", [[], [0], [0, 600, 1200]], ids=["empty", "at-t0", "short"])
+def test_reference_off_the_final_time_refused_before_any_work(grid8, tmp_path, ends):
+    # the norms compare the last iterate with the reference's last state:
+    # an empty reference or one that ends elsewhere is refused before any
+    # propagator runs or the run directory is made
+    calls = []
+
+    def counted(state, n, k):
+        calls.append((n, k))
+        return flow(0.9, 600)(state, n, k)
+
+    u0 = constant_state(grid8, u=1.0)
+    reference = [u0.with_time(t) for t in ends]
+    with pytest.raises(ValueError, match=r"^reference must end at the run's final time t=2400$"):
+        run_parareal(u0, small_cfg(n_slices=4, epsilon=1e-2), ModelParams(), reference=reference,
+                     coarse_fn=counted, fine_fn=counted, run_dir=tmp_path / "run")
+    assert calls == []
+    assert not (tmp_path / "run").exists()
+
+
 def test_exactness_propagation_internal(settled_state, params):
     layout = SliceLayout(t0=0, slice_length=2400, n_slices=6)
     cfg = PararealConfig(
@@ -872,11 +892,12 @@ def test_external_fine_kill_continues_uncorrected(tmp_path, settled_state, param
 
 
 @pytest.mark.parametrize("policy", ["continue_uncorrected", "abort"])
-@pytest.mark.parametrize("mode", ["junk", "truncated", "wrong-time", "sleep"])
+@pytest.mark.parametrize("mode", ["junk", "truncated", "wrong-time", "sleep",
+                                  "non-finite", "over-cap"])
 def test_external_fine_faults_follow_on_blow_up(tmp_path, settled_state, params, mode, policy):
-    # every fine child fails: unreadable output or a timeout is a slice
-    # failure like any other, flagged in continue mode and fatal in abort
-    # mode (the CLI maps the BlowUpError to exit 3)
+    # every fine child fails: unreadable, non-finite or over-cap output or
+    # a timeout is a slice failure like any other, flagged in continue mode
+    # and fatal in abort mode (the CLI maps the BlowUpError to exit 3)
     layout = SliceLayout(t0=0, slice_length=2400, n_slices=2)
     cfg = PararealConfig(
         layout=layout,

@@ -269,7 +269,8 @@ def test_run_external_relative_executable(tmp_path, monkeypatch):
     assert (tmp_path / "w" / "run.log").read_text().strip() == "ran arg"
 
 
-@pytest.mark.parametrize("mode", ["junk", "truncated", "wrong-grid", "wrong-time", "sleep"])
+@pytest.mark.parametrize("mode", ["junk", "truncated", "wrong-grid", "wrong-time", "sleep",
+                                  "non-finite", "over-cap"])
 def test_external_fault_is_blow_up_with_context(tmp_path, settled_state, params, mode):
     spec = PropagatorSpec(36, mode="external", command=faulty_command(tmp_path, mode))
     with pytest.raises(BlowUpError) as err:
@@ -281,6 +282,9 @@ def test_external_fault_is_blow_up_with_context(tmp_path, settled_state, params,
     assert err.value.slice_index == 4
     assert err.value.iteration == 1
     assert err.value.log_path == tmp_path / "w" / "run.log"
+    # a bad state read back is reported as the internal path reports it
+    reason = {"non-finite": "non_finite", "over-cap": "velocity_cap"}.get(mode)
+    assert getattr(err.value.report, "reason", None) == reason
 
 
 def test_external_default_workdir_removed_after_success(tmp_path, monkeypatch, settled_state, params):

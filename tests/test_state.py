@@ -191,9 +191,9 @@ def test_unpickled_state_is_frozen(grid8):
 
 def test_step_history_invariants(grid8):
     s = constant_state(grid8, time=4800)
-    from paratide.solver import rhs
     from paratide import ModelParams
-    t = rhs(s, ModelParams())
+    from test_solver import tendency
+    t = tendency(s, ModelParams())
     assert t.flags.writeable is False
     StepHistory(s, ((0, t), (2400, t)))
     with pytest.raises(ValueError):
