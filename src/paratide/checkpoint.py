@@ -48,10 +48,6 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIIIQiiB")
 _TRAILER = struct.Struct("<Q")
 
-# Grid spacing is configuration, not wire format; readers that do not pass
-# an explicit grid get the desk-scale default spacing.
-DEFAULT_SPACING = 50_000.0
-
 _CRC64_POLY = 0xC96C5795D7870F42
 _CRC64_ONES = 0xFFFFFFFFFFFFFFFF
 
@@ -153,14 +149,13 @@ def write_checkpoint(
         raise
 
 
-def read_checkpoint(path: str | Path, grid: Grid | None = None) -> Checkpoint:
-    """Read and verify a checkpoint.
+def read_checkpoint(path: str | Path, grid: Grid) -> Checkpoint:
+    """Read and verify a checkpoint of the caller's grid.
 
-    When a grid is supplied its cell counts must match the file header;
-    otherwise a grid with the default spacing is constructed from the
-    header.  Any integrity violation (bad magic, truncation, checksum)
-    raises CorruptCheckpointError; an unknown format version raises
-    VersionMismatchError.
+    The file stores cell counts, not spacing: they must match the grid's,
+    else GridMismatchError.  Any integrity violation (bad magic,
+    truncation, checksum) raises CorruptCheckpointError; an unknown format
+    version raises VersionMismatchError.
     """
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size + _TRAILER.size:
@@ -183,12 +178,7 @@ def read_checkpoint(path: str | Path, grid: Grid | None = None) -> Checkpoint:
     if crc64(blob[: -_TRAILER.size]) != stored_crc:
         raise CorruptCheckpointError(f"{path}: checksum mismatch")
 
-    if grid is None:
-        try:
-            grid = Grid(nx=int(nx), ny=int(ny), dx=DEFAULT_SPACING, dy=DEFAULT_SPACING)
-        except ValueError as err:
-            raise CorruptCheckpointError(f"{path}: {err}") from err
-    elif (grid.nx, grid.ny) != (nx, ny):
+    if (grid.nx, grid.ny) != (nx, ny):
         raise GridMismatchError(
             f"{path}: file is {nx}x{ny}, expected grid {grid.nx}x{grid.ny}"
         )

@@ -26,11 +26,13 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .checkpoint import read_checkpoint, write_checkpoint
 from .config import int_list, judged, parse_config, parse_model, parsed
-from .errors import BlowUpError, EngineError, IOFailureError
+from .errors import BlowUpError, EngineError, IOFailureError, NonFiniteError
 from .propagator import PropagatorSpec
-from .solver import ModelParams, integrate_history
+from .solver import integrate_history
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -56,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_single.add_argument("--out", dest="out_path", required=True)
     p_single.add_argument("--t-end", dest="t_end", type=int, required=True)
     p_single.add_argument("--spd", type=int, required=True)
-    p_single.add_argument("--config", default=None, help="model parameters (defaults otherwise)")
+    p_single.add_argument("--config", required=True, help="grid and model parameters")
 
     p_speed = sub.add_parser("speedup", help="speedup model table")
     p_speed.add_argument("--m", type=float, required=True)
@@ -115,13 +117,10 @@ def _cmd_serial(args) -> int:
 
 def _cmd_single_shot(args) -> int:
     dt = judged("--spd: ", PropagatorSpec, args.spd).dt      # before any work
-    if args.config:
-        grid, params = parse_model(args.config)
-    else:
-        # shape comes from the file header, spacing from the defaults
-        grid, params = None, ModelParams()
-
+    grid, params = parse_model(args.config)
     ck = read_checkpoint(args.in_path, grid=grid)
+    if not all(np.isfinite(a).all() for a in (ck.state.data, *ck.history)):
+        raise NonFiniteError(f"{args.in_path}: state or history is not finite")
     h = integrate_history(ck.step_history(dt), args.t_end, dt, params)
     write_checkpoint(
         h.current, h, args.out_path,

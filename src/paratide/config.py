@@ -8,12 +8,12 @@ Three sections mirror the usual model/run/output split:
 
 Unknown sections or keys and missing required keys are reported with the
 offending line or key named.  A key left out takes the default of what it
-sets (ModelParams, PararealConfig, ExperimentConfig;
-checkpoint.DEFAULT_SPACING for dx and dy).  parse_config builds the
-objects the engine runs on -- SliceLayout, a PropagatorSpec per step
-count, a PararealConfig per fine step count -- and reports their verdict
-on the step rules under the key at fault; ExperimentConfig.step, the CFL
-floor included, judges the config's steps and those a command is given.
+sets (ModelParams, PararealConfig, ExperimentConfig; DEFAULT_SPACING for
+dx and dy).  parse_config builds the objects the engine runs on --
+SliceLayout, a PropagatorSpec per step count, a PararealConfig per fine
+step count -- and reports their verdict on the step rules under the key
+at fault; ExperimentConfig.step, the CFL floor included, judges the
+config's steps and those a command is given.
 judged and parsed are the one translation of a bad outside value, a config
 key or a command-line flag, into a ValidationError that names it.
 parse_model reads only the grid and physics, for single-shot children.
@@ -29,13 +29,13 @@ from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import ClassVar
 
-from .checkpoint import DEFAULT_SPACING
 from .errors import ParseError, ValidationError
 from .propagator import PropagatorSpec, SliceLayout
 from .solver import SECONDS_PER_DAY, ModelParams, cfl_max_dt
 from .state import Field, Grid, ModelState
 
 _FIELD_NAMES = {f.name: f for f in Field}
+DEFAULT_SPACING = 50_000.0   # m, dx and dy when [model] leaves them out
 
 
 def int_list(text: str) -> tuple[int, ...]:

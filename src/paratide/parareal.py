@@ -45,9 +45,9 @@ from typing import Callable, Sequence
 
 from .checkpoint import write_checkpoint
 from .config import ABORT, PararealConfig
-from .errors import BlowUpError, NonFiniteError
+from .errors import BlowUpError
 from .metrics import converged, errors_at_final
-from .propagator import PropagatorSpec, SliceLayout, propagate
+from .propagator import PropagatorSpec, SliceLayout, check_start, propagate
 from .solver import ModelParams, integrate_batch
 from .state import Field, ModelState, StepHistory, state_add, state_diff
 
@@ -442,10 +442,7 @@ def run_parareal(
     It always stops at max_iterations (at iteration N_t the fine
     trajectory is reproduced outright).
     """
-    if u0.time != cfg.layout.t0:
-        raise ValueError(f"u0 at t={u0.time}, layout starts at t={cfg.layout.t0}")
-    if not u0.is_finite():
-        raise NonFiniteError("u0 must be finite")
+    check_start(u0, cfg.layout)
     monitoring = cfg.epsilon > 0
     if monitoring and reference is None:
         raise ValueError("epsilon stopping needs a reference trajectory")

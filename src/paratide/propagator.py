@@ -20,11 +20,11 @@ the command is passed verbatim, so a relative path among them is read by
 the child against its work directory.
 
 Every way an external slice can fail on its own (nonzero exit, no output,
-an unreadable or wrong-grid or wrong-time output, an output that is not
-finite or breaks the velocity cap, a timeout) surfaces from
-propagate as a BlowUpError, which the Parareal driver handles by its
-on_blow_up policy.  A command that cannot be launched at all is a
-configuration fault and raises SpawnFailureError.
+an unreadable or wrong-grid or wrong-time output, an output state that is
+not finite or breaks the velocity cap, a non-finite output history, a
+timeout) surfaces from propagate as a BlowUpError, which the Parareal
+driver handles by its on_blow_up policy.  A command that cannot be
+launched at all is a configuration fault and raises SpawnFailureError.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import (
@@ -170,7 +172,7 @@ def run_external(
                 env=_child_env(),
                 timeout=timeout,
             )
-    except (FileNotFoundError, PermissionError) as err:
+    except OSError as err:       # no such file, no permission, no valid executable
         raise SpawnFailureError(f"cannot launch {command[0]!r}: {err}") from err
     except subprocess.TimeoutExpired as err:
         raise ExternalTimeoutError(f"{command[0]!r} exceeded {timeout}s and was killed") from err
@@ -263,9 +265,20 @@ def propagate(
     report = validate_state(ck.state, params.velocity_cap)
     if report is not None:
         raise failed(f"external propagator output diverged: {report}", report)
+    if not all(np.isfinite(t).all() for t in ck.history):
+        raise failed("external propagator output history is not finite")
     if own_workdir:
         shutil.rmtree(wd)
     return ck.step_history(spec.dt)
+
+
+def check_start(u0: ModelState, layout: SliceLayout) -> None:
+    """Refuse a u0 that is off the layout's start (StepMismatchError) or not
+    finite (NonFiniteError): the start check of every chain of slices."""
+    if u0.time != layout.t0:
+        raise StepMismatchError(f"u0 at t={u0.time}, layout starts at t={layout.t0}")
+    if not u0.is_finite():
+        raise NonFiniteError("u0 must be finite")
 
 
 def restarted_serial_run(
@@ -286,10 +299,7 @@ def restarted_serial_run(
     parallel-in-time run converges to, since every slice there starts from
     a bare state as well.  Returns states at all n_slices + 1 boundaries.
     """
-    if u0.time != layout.t0:
-        raise StepMismatchError(f"u0 at t={u0.time}, layout starts at {layout.t0}")
-    if not u0.is_finite():
-        raise NonFiniteError("u0 must be finite")
+    check_start(u0, layout)
     warm = spec.restart_policy == "warm"
     states = [u0]
     h = StepHistory(u0)

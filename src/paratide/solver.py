@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BlowUpError, CFLImpossibleError, NonFiniteError, StepMismatchError
+from .errors import BlowUpError, CFLImpossibleError, StepMismatchError
 from .state import (
     DEFAULT_VELOCITY_CAP,
     N_FIELDS,
@@ -83,7 +83,7 @@ class _Stepper:
     numpy call on a contiguous run; each step phase is compiled once per dt
     into a list of such calls.  Unwritten halo or scratch cells that a run
     reads land only in halos, which it refreshes, so a stepper can be
-    loaded again (_stepper).  The operation order is frozen: it gives every
+    loaded again (_step).  The operation order is frozen: it gives every
     lane the bits of a state stepped alone.  See README, "Time stepping".
     """
 
@@ -214,15 +214,15 @@ class _Stepper:
         self.programs[(k, order, dt)] = ops
         return ops
 
-    def run(self, priors: Sequence[np.ndarray], n_steps: int, dt: int, *,
-            strict: bool = False, on_step=None) -> dict[int, tuple[int, np.ndarray]]:
+    def run(self, priors: Sequence[np.ndarray], n_steps: int, dt: int,
+            on_step=None) -> dict[int, tuple[int, np.ndarray]]:
         """Advance the loaded lanes n_steps steps of dt, warm from priors:
         the last two or fewer (L, 5, ny, nx) tendencies, oldest first.
 
         Returns {lane: (step, fields)} for each lane at its first step that
-        turned non-finite or broke the velocity cap; stepping stops once all
-        lanes have failed.  strict: a non-finite input or trapezoid predictor
-        raises NonFiniteError.  on_step gets lane 0's fields after each step.
+        turned non-finite or broke the velocity cap, a non-finite input
+        included (it fails at step 0); stepping stops once all lanes have
+        failed.  on_step gets lane 0's fields after each step.
         """
         for k, prior in zip((1, 2)[2 - len(priors):], priors):
             self._planes(self.ring[k])[..., 1:-1, 1:-1] = prior.swapaxes(0, 1)[_FIELD, ...]
@@ -232,15 +232,10 @@ class _Stepper:
         # discarded): np.seterr silences that numpy noise until the run ends.
         with np.errstate():
             if not np.isfinite(self.state).all():
-                if strict:
-                    raise NonFiniteError("stepping requires a finite state")
                 np.seterr(over="ignore", invalid="ignore")
             for i in range(n_steps):
-                order = min(len(priors) + i, 2)
-                for fn, args in self._program(i % 3, order, dt):
+                for fn, args in self._program(i % 3, min(len(priors) + i, 2), dt):
                     fn(*args)
-                if strict and order == 0 and not np.isfinite(self.pred).all():
-                    raise NonFiniteError("stepping requires a finite state")
                 np.abs(self.state, self.work)
                 ok = peaks.max(axis=2) <= self.limits
                 if not ok.all():
@@ -266,22 +261,6 @@ class _Stepper:
 _idle = threading.local()   # per thread: the last one-lane stepper whose run stayed finite
 
 
-def _stepper(grid: Grid, p: ModelParams, lanes: Sequence[np.ndarray]) -> _Stepper:
-    """A stepper loaded with the lanes.  One lane reuses this thread's idle
-    stepper, compiled programs and all, when grid and params match; it is
-    taken out meanwhile, so a call made from on_step builds its own."""
-    if len(lanes) == 1:
-        idle = _idle.__dict__.pop("stepper", None)
-        if idle is not None and idle.grid == grid and idle.p == p:
-            return idle.load(lanes)
-    return _Stepper(grid, p, len(lanes)).load(lanes)
-
-
-def _blow_up(bad: ModelState, step: int, p: ModelParams) -> BlowUpError:
-    report = validate_state(bad, p.velocity_cap)
-    return BlowUpError(f"step to t={bad.time} diverged: {report}", report, step=step)
-
-
 def _check_window(span: int, dt: int) -> int:
     if dt <= 0 or SECONDS_PER_DAY % dt != 0:
         raise StepMismatchError(f"dt={dt} is not an integer divisor of 86400")
@@ -290,30 +269,54 @@ def _check_window(span: int, dt: int) -> int:
     return span // dt
 
 
+def _step(grid: Grid, p: ModelParams, states: Sequence[ModelState], n_steps: int, dt: int,
+          priors: Sequence[np.ndarray] = (), on_step=None) -> tuple[_Stepper, list]:
+    """Step the states n_steps of dt as the lanes of one stepper; return it
+    with each lane's new state or, for a failed lane, its BlowUpError.  One
+    lane reuses this thread's idle stepper, compiled programs and all, when
+    grid and params match, and leaves it idle again if its run stayed
+    finite; it is taken out meanwhile, so a call made from on_step builds
+    its own."""
+    stepper = _idle.__dict__.pop("stepper", None) if len(states) == 1 else None
+    if stepper is None or (stepper.grid, stepper.p) != (grid, p):
+        stepper = _Stepper(grid, p, len(states))
+    failures = stepper.load([s.data for s in states]).run(priors, n_steps, dt, on_step)
+    results: list[ModelState | BlowUpError] = []
+    for lane, s in enumerate(states):
+        if lane in failures:
+            step, data = failures[lane]
+            bad = ModelState(grid, data, s.time + (step + 1) * dt)
+            report = validate_state(bad, p.velocity_cap)
+            results.append(BlowUpError(f"step to t={bad.time} diverged: {report}", report, step=step))
+        else:
+            results.append(ModelState(grid, stepper.lane(lane), s.time + n_steps * dt))
+    if stepper.lanes == 1 and not failures:
+        _idle.stepper = stepper
+    return stepper, results
+
+
 def integrate_history(
     h: StepHistory, t_end: int, dt: int, p: ModelParams, on_step=None
 ) -> StepHistory:
     """Step an existing history forward to t_end (warm continuation).
 
     With no prior tendency a step is an explicit trapezoid (Heun) step, with
-    one AB2, with two or more AB3.  A failing step raises BlowUpError with
-    its index.  on_step, if given, gets a copy of each new state's fields.
+    one AB2, with two or more AB3.  The first failing step (step 0 for a
+    non-finite input) raises BlowUpError with its index.  on_step, if
+    given, gets a copy of each new state's fields.
     """
     s, dt = h.current, int(dt)
     n_steps = _check_window(int(t_end) - s.time, dt)
     if h.tendencies and h.tendencies[-1][0] != s.time - dt:
         raise StepMismatchError(f"history was built at a different step size: last tendency "
                                 f"at t={h.tendencies[-1][0]}, expected t={s.time - dt}")
-    stepper = _stepper(s.grid, p, [s.data])
     priors = [t[None] for _, t in h.tendencies[-2:]]
-    failures = stepper.run(priors, n_steps, dt, strict=True, on_step=on_step)
-    if failures:
-        step, data = failures[0]
-        raise _blow_up(ModelState(s.grid, data, s.time + (step + 1) * dt), step, p)
+    stepper, (result,) = _step(s.grid, p, [s], n_steps, dt, priors, on_step)
+    if isinstance(result, BlowUpError):
+        raise result
     fresh = tuple((s.time + i * dt, stepper.tendency_of(i))
                   for i in range(max(n_steps - 3, 0), n_steps))
-    _idle.stepper = stepper
-    return StepHistory(ModelState(s.grid, stepper.lane(0), int(t_end)), (h.tendencies + fresh)[-3:])
+    return StepHistory(result, (h.tendencies + fresh)[-3:])
 
 
 def integrate(s: ModelState, t_end: int, dt: int, p: ModelParams, on_step=None) -> ModelState:
@@ -332,8 +335,8 @@ def integrate_batch(
     """Cold-start integration of independent states, stacked along a lane axis.
 
     Bit-identical to integrate on each state (the dynamics are autonomous,
-    so time stamps may differ).  A lane that blows up comes back as a
-    BlowUpError with the failing step index; the other lanes go on.
+    so time stamps may differ).  A lane that blows up comes back as the
+    BlowUpError integrate would raise; the other lanes go on.
     """
     states = list(states)
     if not states:
@@ -341,20 +344,7 @@ def integrate_batch(
     grid = states[0].grid
     if any(s.grid != grid for s in states):
         raise StepMismatchError("batch lanes must share one grid")
-    duration, dt = int(duration), int(dt)
-    n_steps = _check_window(duration, dt)
-    stepper = _stepper(grid, p, [s.data for s in states])
-    failures = stepper.run((), n_steps, dt)
-    results: list[ModelState | BlowUpError] = []
-    for lane, s in enumerate(states):
-        if lane in failures:
-            step, data = failures[lane]
-            results.append(_blow_up(ModelState(grid, data, s.time + (step + 1) * dt), step, p))
-        else:
-            results.append(ModelState(grid, stepper.lane(lane), s.time + duration))
-    if stepper.lanes == 1 and not failures:
-        _idle.stepper = stepper
-    return results
+    return _step(grid, p, states, _check_window(int(duration), int(dt)), int(dt))[1]
 
 
 def cfl_max_dt(s: ModelState, p: ModelParams) -> int:

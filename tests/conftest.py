@@ -69,12 +69,20 @@ def constant_state(grid, u=0.0, v=0.0, eta=0.0, temp=10.0, salt=35.0, time=0):
 # A stand-in model that fails in one of the ways a real one can: its first
 # argument picks the fault, the rest is the usual --in/--out/--t-end/--spd.
 FAULTY_MODEL = """
-import sys, time
+import struct, sys, time
 mode = sys.argv[1]
 args = dict(zip(sys.argv[2::2], sys.argv[3::2]))
 if mode == "sleep":
     time.sleep(60)
 data = open(args["--in"], "rb").read()
+
+
+def read_in():
+    from paratide import Grid, read_checkpoint
+    nx, ny = struct.unpack_from("<II", data, 8)     # the grid of the file header
+    return read_checkpoint(args["--in"], Grid(nx, ny, 50000.0, 50000.0))
+
+
 if mode == "junk":
     out = b"this is not a checkpoint"
 elif mode == "truncated":
@@ -87,18 +95,28 @@ elif mode == "wrong-grid":
     write_checkpoint(state, None, args["--out"])
     sys.exit(0)
 elif mode == "wrong-time":
-    from paratide import read_checkpoint, write_checkpoint
-    state = read_checkpoint(args["--in"]).state
+    from paratide import write_checkpoint
+    state = read_in().state
     step = 86400 // int(args["--spd"])
     write_checkpoint(state.with_time(int(args["--t-end"]) - step), None, args["--out"])
     sys.exit(0)
 elif mode in ("non-finite", "over-cap"):
     import numpy as np
-    from paratide import Field, ModelState, read_checkpoint, write_checkpoint
-    state = read_checkpoint(args["--in"]).state
+    from paratide import Field, ModelState, write_checkpoint
+    state = read_in().state
     data = state.data.copy()
     data[Field.U.value, 1, 2] = np.nan if mode == "non-finite" else 1.0e3
     write_checkpoint(ModelState(state.grid, data, int(args["--t-end"])), None, args["--out"])
+    sys.exit(0)
+elif mode == "non-finite-tendency":
+    # a healthy state handed back with a NaN in its newest tendency
+    import numpy as np
+    from paratide import StepHistory, write_checkpoint
+    state = read_in().state.with_time(int(args["--t-end"]))
+    tendency = np.zeros_like(state.data)
+    tendency[3, 2, 1] = np.nan
+    step = 86400 // int(args["--spd"])
+    write_checkpoint(state, StepHistory(state, ((state.time - step, tendency),)), args["--out"])
     sys.exit(0)
 open(args["--out"], "wb").write(out)
 """

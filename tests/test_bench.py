@@ -95,7 +95,8 @@ def test_bench_tracer_reads_every_span_of_a_run(monkeypatch, tmp_path):
         parareal.run_parareal(u0, exp.parareal_config(288), exp.params, run_dir=tmp_path / "run")
         propagator.restarted_serial_run(PropagatorSpec(288), u0, exp.layout, exp.params)
         external = PropagatorSpec(288, mode="external",
-                                  command=(sys.executable, "-m", "paratide", "single-shot"))
+                                  command=(sys.executable, "-m", "paratide", "single-shot",
+                                           "--config", str(tmp_path / "traced.conf")))
         propagator.propagate(external, StepHistory(u0), 600, exp.params,
                              workdir=tmp_path / "external")
     finally:

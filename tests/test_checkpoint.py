@@ -129,16 +129,6 @@ def test_header_layout_is_as_documented(tmp_path, grid8, sample):
     assert stored == crc64(blob[:-8])
 
 
-def test_default_grid_spacing_used_without_grid(tmp_path):
-    g = Grid(32, 32, 50_000.0, 50_000.0)
-    rng = np.random.default_rng(3)
-    s = random_state(g, rng)
-    path = tmp_path / "d.prcp"
-    write_checkpoint(s, None, path)
-    ck = read_checkpoint(path)
-    assert ck.state.grid == g
-
-
 def crc_paths(monkeypatch):
     """Yield once per CRC path: liblzma's lzma_crc64 where this Python
     reaches it, then the byte loop that platforms without it fall back to."""
@@ -252,20 +242,21 @@ def _sealed(header: bytes, payload: bytes) -> bytes:
     return body + struct.pack("<Q", crc64(body))
 
 
-def test_history_count_above_three_rejected(tmp_path):
+def test_history_count_above_three_rejected(tmp_path, grid8):
     path = tmp_path / "h4.prcp"
     path.write_bytes(_sealed(checkpoint._HEADER.pack(MAGIC, FORMAT_VERSION, 8, 8, 0, -1, -1, 4), b""))
     with pytest.raises(CorruptCheckpointError, match="history count 4 out of range"):
-        read_checkpoint(path)
+        read_checkpoint(path, grid=grid8)
 
 
-def test_header_grid_under_four_cells_rejected_without_grid(tmp_path):
-    # a well-formed 2x2 file: only the grid built from its header refuses it
+def test_header_grid_under_four_cells_rejected_without_grid(tmp_path, grid8):
+    # a well-formed 2x2 file: no grid is built from a header, so the
+    # caller's grid, which no 2x2 grid can be, refuses it
     path = tmp_path / "tiny.prcp"
     path.write_bytes(_sealed(checkpoint._HEADER.pack(MAGIC, FORMAT_VERSION, 2, 2, 0, -1, -1, 0),
                              bytes(5 * 2 * 2 * 8)))
-    with pytest.raises(CorruptCheckpointError, match="nx and ny must be at least 4"):
-        read_checkpoint(path)
+    with pytest.raises(GridMismatchError, match="file is 2x2, expected grid 8x8"):
+        read_checkpoint(path, grid=grid8)
 
 
 def test_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch, sample):

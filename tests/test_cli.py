@@ -24,6 +24,15 @@ ny = 16
 
 
 @pytest.fixture
+def conf8(tmp_path):
+    """A config for grid8 and the default physics: [model] is all that
+    single-shot reads."""
+    path = tmp_path / "grid8.conf"
+    path.write_text("[model]\nnx = 8\nny = 8\n")
+    return path
+
+
+@pytest.fixture
 def small_conf(tmp_path, monkeypatch):
     monkeypatch.setenv("PARAREAL_RUNS_DIR", str(tmp_path / "runs"))
     path = tmp_path / "small.conf"
@@ -56,26 +65,30 @@ def test_run_subcommand(small_conf, tmp_path, capsys):
 
 
 def test_serial_subcommand(small_conf, tmp_path, capsys):
+    from paratide.config import parse_config
+
     out_file = tmp_path / "final.prcp"
     assert main(["serial", str(small_conf), "--spd", "72", "--out", str(out_file)]) == 0
     assert out_file.exists()
-    ck = read_checkpoint(out_file)
+    ck = read_checkpoint(out_file, grid=parse_config(small_conf).grid)
     assert ck.state.time == 4 * 2400
 
 
-def test_single_shot_round_trip(tmp_path, grid8, params):
+def test_single_shot_round_trip(tmp_path, grid8, conf8):
     rng = np.random.default_rng(17)
     s = random_state(grid8, rng)
     in_path = tmp_path / "in.prcp"
     out_path = tmp_path / "out.prcp"
     write_checkpoint(s, None, in_path)
-    rc = main([
-        "single-shot", "--in", str(in_path), "--out", str(out_path),
-        "--t-end", "4800", "--spd", "36",
-    ])
-    assert rc == 0
+    argv = ["single-shot", "--in", str(in_path), "--out", str(out_path),
+            "--t-end", "4800", "--spd", "36"]
+    # the model comes from a config or not at all: no default physics
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    assert not out_path.exists()
+    assert main([*argv, "--config", str(conf8)]) == 0
     ck = read_checkpoint(out_path, grid=grid8)
-    # default model parameters apply when no config is given
     assert ck.state.bit_equal(integrate(s, 4800, 2400, ModelParams()))
     assert len(ck.history) > 0
 
@@ -97,35 +110,43 @@ def test_single_shot_with_config(small_conf, tmp_path):
     assert ck.state.bit_equal(integrate(s, 2400, 2400, config.params))
 
 
-def test_single_shot_blow_up_exits_3(tmp_path, grid8):
+def test_single_shot_blow_up_exits_3(tmp_path, grid8, conf8):
     # velocities already over the cap: the very first step reports a blow-up
     s = constant_state(grid8, u=500.0)
     in_path = tmp_path / "in.prcp"
     write_checkpoint(s, None, in_path)
     rc = main([
         "single-shot", "--in", str(in_path), "--out", str(tmp_path / "o.prcp"),
-        "--t-end", "2400", "--spd", "36",
+        "--t-end", "2400", "--spd", "36", "--config", str(conf8),
     ])
     assert rc == 3
     assert not (tmp_path / "o.prcp").exists()
 
 
-def test_single_shot_non_finite_input_exits_2(tmp_path, grid8, capsys):
-    # a non-finite input is rejected before any step, not reported as a
-    # blow-up of the integration
+def test_single_shot_non_finite_input_exits_2(tmp_path, grid8, conf8, params, capsys):
+    # a non-finite input state, or a finite one with a non-finite tendency,
+    # is rejected before any step, not reported as a blow-up of the
+    # integration
     data = random_state(grid8, np.random.default_rng(3)).data.copy()
     data[2, 4, 4] = np.nan
-    write_checkpoint(ModelState(grid8, data, 0), None, tmp_path / "in.prcp")
-    rc = main([
-        "single-shot", "--in", str(tmp_path / "in.prcp"), "--out", str(tmp_path / "o.prcp"),
-        "--t-end", "2400", "--spd", "36",
-    ])
-    assert rc == 2
-    assert "finite" in capsys.readouterr().err
-    assert not (tmp_path / "o.prcp").exists()
+    h = integrate_history(StepHistory(random_state(grid8, np.random.default_rng(3))),
+                          2 * 2400, 2400, params)
+    (t, newest), older = h.tendencies[-1], h.tendencies[:-1]
+    bad = newest.copy()
+    bad[4, 1, 6] = np.inf
+    for state, history in ((ModelState(grid8, data, 0), None),
+                           (h.current, StepHistory(h.current, (*older, (t, bad))))):
+        write_checkpoint(state, history, tmp_path / "in.prcp")
+        rc = main([
+            "single-shot", "--in", str(tmp_path / "in.prcp"), "--out", str(tmp_path / "o.prcp"),
+            "--t-end", str(state.time + 2400), "--spd", "36", "--config", str(conf8),
+        ])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "o.prcp").exists()
 
 
-def test_single_shot_warm_history_round_trip(tmp_path, grid8, params):
+def test_single_shot_warm_history_round_trip(tmp_path, grid8, conf8, params):
     # a checkpoint with tendencies continues warm, bit-identical to the
     # unsplit run, and writes the last three tendencies back
     s = random_state(grid8, np.random.default_rng(6))
@@ -133,7 +154,7 @@ def test_single_shot_warm_history_round_trip(tmp_path, grid8, params):
     write_checkpoint(h.current, h, tmp_path / "in.prcp")
     rc = main([
         "single-shot", "--in", str(tmp_path / "in.prcp"), "--out", str(tmp_path / "o.prcp"),
-        "--t-end", str(4 * 2400), "--spd", "36",
+        "--t-end", str(4 * 2400), "--spd", "36", "--config", str(conf8),
     ])
     assert rc == 0
     whole = integrate_history(StepHistory(s), 4 * 2400, 2400, params)
@@ -142,12 +163,13 @@ def test_single_shot_warm_history_round_trip(tmp_path, grid8, params):
     assert (tmp_path / "o.prcp").read_bytes() == expected.read_bytes()
 
 
-def test_single_shot_bad_spd_exits_2(tmp_path, grid8):
+def test_single_shot_bad_spd_exits_2(tmp_path, grid8, conf8):
     s = constant_state(grid8)
     write_checkpoint(s, None, tmp_path / "in.prcp")
     rc = main([
         "single-shot", "--in", str(tmp_path / "in.prcp"),
         "--out", str(tmp_path / "o.prcp"), "--t-end", "2400", "--spd", "77",
+        "--config", str(conf8),
     ])
     assert rc == 2
 
@@ -159,7 +181,8 @@ def test_single_shot_bad_spd_exits_2(tmp_path, grid8):
     ["serial", "{conf}", "--spd", "0"],
     ["serial", "{conf}", "--spd", "-5"],       # 86400 % -5 == 0
     ["serial", "{conf}", "--spd", "24"],       # its 3600s step does not divide 2400s slices
-    ["single-shot", "--in", "{in}", "--out", "{out}", "--t-end", "2400", "--spd", "0"],
+    ["single-shot", "--in", "{in}", "--out", "{out}", "--t-end", "2400", "--spd", "0",
+     "--config", "{conf}"],
     ["restart-study", "{conf}", "--slices", "0"],
     ["restart-study", "{conf}", "--slices", "a"],
     ["restart-study", "{conf}", "--slices", ","],
@@ -346,12 +369,6 @@ def _single_shot_loads(tmp_path, grid8, *extra):
     ).stdout
     assert read_checkpoint(tmp_path / "out.prcp", grid=grid8).state.time == 4800
     return out.strip()
-
-
-def test_single_shot_imports_only_what_it_uses(tmp_path, grid8):
-    # one single-shot child runs per external slice, so its start-up must
-    # not pay for the driver, the harness, the metrics or a thread pool
-    assert _single_shot_loads(tmp_path, grid8) == "0 [] []"
 
 
 def test_single_shot_with_config_imports_only_what_it_uses(tmp_path, grid8):

@@ -18,7 +18,7 @@ from paratide import (
     SliceLayout,
     run_parareal,
 )
-from paratide.errors import BlowUpError, NonFiniteError
+from paratide.errors import BlowUpError, NonFiniteError, StepMismatchError
 from paratide import parareal, propagator
 from paratide.parareal import (
     coarse_init_sweep,
@@ -30,9 +30,10 @@ from paratide.metrics import first_crossing_iteration
 from paratide.propagator import restarted_serial_run
 from paratide.solver import integrate
 
-from conftest import constant_state, faulty_command, random_state
+from conftest import CONFIG_DIR, constant_state, faulty_command, random_state
 
-SINGLE_SHOT = (sys.executable, "-m", "paratide", "single-shot")
+SINGLE_SHOT = (sys.executable, "-m", "paratide", "single-shot",
+               "--config", str(CONFIG_DIR / "exp1.conf"))
 
 
 def flow(factor, slice_length):
@@ -376,7 +377,9 @@ def test_external_fine_phase_runs_on_threads(monkeypatch, tmp_path, grid8, param
         raise AssertionError("a process pool was created for an external fine phase")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_process_pool)
-    command = (sys.executable, "-m", "paratide", "single-shot")
+    conf = tmp_path / "model.conf"
+    conf.write_text("[model]\nnx = 8\nny = 8\n")      # grid8, default physics
+    command = (sys.executable, "-m", "paratide", "single-shot", "--config", str(conf))
     cfg = small_cfg(n_slices=2, max_iterations=1, max_parallel_fine=2,
                     fine=PropagatorSpec(288, mode="external", command=command))
     u0 = random_state(grid8, np.random.default_rng(13))
@@ -873,7 +876,8 @@ def test_external_fine_kill_continues_uncorrected(tmp_path, settled_state, param
         "import os, sys\n"
         "if 'slice1' in os.getcwd():\n"
         "    sys.exit(7)\n"
-        "os.execv(sys.executable, [sys.executable, '-m', 'paratide', 'single-shot'] + sys.argv[1:])\n"
+        "os.execv(sys.executable, [sys.executable, '-m', 'paratide', 'single-shot',\n"
+        f"    '--config', {str(CONFIG_DIR / 'exp1.conf')!r}] + sys.argv[1:])\n"
     )
     layout = SliceLayout(t0=0, slice_length=2400, n_slices=3)
     cfg = PararealConfig(
@@ -923,7 +927,7 @@ def test_external_fine_faults_follow_on_blow_up(tmp_path, settled_state, params,
 
 def test_run_refuses_u0_off_the_layout_start(grid8):
     u0 = constant_state(grid8, time=600)
-    with pytest.raises(ValueError, match="u0 at t=600, layout starts at t=0"):
+    with pytest.raises(StepMismatchError, match="u0 at t=600, layout starts at t=0"):
         run_parareal(u0, small_cfg(), ModelParams(), coarse_fn=flow(0.5, 600),
                      fine_fn=flow(0.5, 600))
 

@@ -3,11 +3,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import paratide
 from paratide import propagator
 from paratide import (
+    Grid,
+    ModelParams,
     PropagatorSpec,
     SliceLayout,
     propagate,
@@ -24,9 +27,11 @@ from paratide.propagator import restarted_serial_run
 from paratide.solver import integrate
 from paratide.state import FIELD_ORDER, StepHistory
 
-from conftest import faulty_command
+from conftest import CONFIG_DIR, faulty_command, random_state
 
-SINGLE_SHOT = (sys.executable, "-m", "paratide", "single-shot")
+# exp1's [model] is the 32x32 grid and default physics of settled_state
+SINGLE_SHOT = (sys.executable, "-m", "paratide", "single-shot",
+               "--config", str(CONFIG_DIR / "exp1.conf"))
 # the directory this process imported paratide from, as an absolute path
 PARATIDE_ROOT = str(Path(paratide.__file__).resolve().parents[1])
 
@@ -209,6 +214,27 @@ def test_external_propagate_matches_internal(tmp_path, settled_state, params):
     assert (tmp_path / "w" / "run.log").exists()
 
 
+def test_external_child_integrates_the_parents_model(tmp_path):
+    # the child takes its grid and physics from --config, so an external
+    # slice off the defaults matches the internal one bit for bit; without
+    # a config it refuses to run rather than integrate default physics
+    grid, params = Grid(8, 8, 25e3, 25e3), ModelParams(nu_h=10.0)
+    conf = tmp_path / "model.conf"
+    conf.write_text("[model]\nnx = 8\nny = 8\ndx = 25000\ndy = 25000\nnu_h = 10\n")
+    s = random_state(grid, np.random.default_rng(21))
+    internal = propagate(PropagatorSpec(72), StepHistory(s), 2400, params)
+    child = (sys.executable, "-m", "paratide", "single-shot")
+    spec = PropagatorSpec(72, mode="external", command=(*child, "--config", str(conf)))
+    external = propagate(spec, StepHistory(s), 2400, params, workdir=tmp_path / "w")
+    assert external.current.bit_equal(internal.current)
+    assert [(t, d.tobytes()) for t, d in external.tendencies] == \
+        [(t, d.tobytes()) for t, d in internal.tendencies]
+    bare = PropagatorSpec(72, mode="external", command=child)
+    with pytest.raises(BlowUpError, match="exited 2"):
+        propagate(bare, StepHistory(s), 2400, params, workdir=tmp_path / "bare")
+    assert not (tmp_path / "bare" / "out.prcp").exists()
+
+
 def test_external_warm_split_matches_consecutive(settled_state, params):
     spec = PropagatorSpec(36, mode="external", command=SINGLE_SHOT, restart_policy="warm")
     layout = SliceLayout(t0=settled_state.time, slice_length=7200, n_slices=2)
@@ -270,7 +296,7 @@ def test_run_external_relative_executable(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["junk", "truncated", "wrong-grid", "wrong-time", "sleep",
-                                  "non-finite", "over-cap"])
+                                  "non-finite", "over-cap", "non-finite-tendency"])
 def test_external_fault_is_blow_up_with_context(tmp_path, settled_state, params, mode):
     spec = PropagatorSpec(36, mode="external", command=faulty_command(tmp_path, mode))
     with pytest.raises(BlowUpError) as err:
@@ -307,12 +333,19 @@ def test_external_default_workdir_removed_after_success(tmp_path, monkeypatch, s
 
 def test_external_default_workdir_removed_after_spawn_failure(tmp_path, monkeypatch, settled_state, params):
     # a command that cannot start leaves no log for an error to point at,
-    # so the temporary directory goes with it
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    spec = PropagatorSpec(72, mode="external", command=("/no/such/binary",))
-    with pytest.raises(SpawnFailureError):
-        propagate(spec, StepHistory(settled_state), settled_state.time + 2400, params)
-    assert list(tmp_path.iterdir()) == []
+    # so the temporary directory goes with it: a missing binary, and an
+    # executable file that exec refuses (a script without a #! line)
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    no_shebang = tmp_path / "no-shebang"
+    no_shebang.write_text("echo never run\n")
+    no_shebang.chmod(0o755)
+    for command in (("/no/such/binary",), (str(no_shebang),)):
+        spec = PropagatorSpec(72, mode="external", command=command)
+        with pytest.raises(SpawnFailureError):
+            propagate(spec, StepHistory(settled_state), settled_state.time + 2400, params)
+        assert list(tmp.iterdir()) == []
 
 
 def test_spec_refuses_an_unknown_mode():
@@ -322,5 +355,5 @@ def test_spec_refuses_an_unknown_mode():
 
 def test_serial_run_refuses_u0_off_the_layout_start(settled_state, params):
     layout = SliceLayout(t0=0, slice_length=2400, n_slices=1)
-    with pytest.raises(StepMismatchError, match="u0 at t=600, layout starts at 0"):
+    with pytest.raises(StepMismatchError, match="u0 at t=600, layout starts at t=0"):
         restarted_serial_run(PropagatorSpec(36), settled_state.with_time(600), layout, params)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from paratide import Field, Grid, ModelParams, ModelState, cfl_max_dt
+from paratide import Field, Grid, ModelParams, ModelState, PropagatorSpec, cfl_max_dt, propagate
 from paratide import solver
 from paratide.errors import BlowUpError, CFLImpossibleError, NonFiniteError, StepMismatchError
 from paratide.solver import (
@@ -656,27 +656,40 @@ def test_non_finite_blow_up_matches_oracle(grid8):
     assert_same_blow_up(new.value, old.value)
 
 
-def test_non_finite_input_raises_non_finite_error(grid8, params):
+def assert_blows_up_like_a_lane(s, p):
+    """integrate and an internal propagate fail at step 0 with the error
+    that integrate_batch gives the same state as a lane beside healthy
+    ones; propagate adds its slice context."""
+    calm = constant_state(s.grid)
+    with pytest.raises(BlowUpError) as err:
+        integrate(s, 2400, 2400, p)
+    with pytest.raises(BlowUpError) as sliced:
+        propagate(PropagatorSpec(36), StepHistory(s), 2400, p, slice_index=3, iteration=1)
+    calm_out, lane, _ = integrate_batch([calm, s, calm], 2400, 2400, p)
+    assert isinstance(calm_out, ModelState) and isinstance(lane, BlowUpError)
+    assert err.value.step == 0
+    assert_same_blow_up(err.value, lane)
+    assert_same_blow_up(sliced.value, lane)
+    assert (sliced.value.slice_index, sliced.value.iteration) == (3, 1)
+
+
+def test_non_finite_input_blows_up_at_step_zero(grid8, params):
     data = random_state(grid8, np.random.default_rng(3)).data.copy()
     data[Field.S.value, 2, 5] = np.nan
     s = ModelState(grid8, data, 0)
-    with pytest.raises(NonFiniteError):
-        integrate(s, 2400, 2400, params)
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(BlowUpError):
         tendency(s, params)
+    assert_blows_up_like_a_lane(s, params)
 
 
-def test_non_finite_predictor_raises_non_finite_error(grid8, params):
+def test_non_finite_predictor_blows_up_at_step_zero(grid8, params):
     # Finite input whose tendency overflows: the trapezoid predictor is not
-    # finite, which the oracle reported as a NonFiniteError, not a blow-up.
+    # finite, and neither is the state after step 0.
     data = constant_state(grid8).data.copy()
     data[Field.U.value] = 1e200 * np.random.default_rng(4).standard_normal(grid8.shape)
     s = ModelState(grid8, data, 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteError):
-            roll_integrate_history(StepHistory(s), 1, 2400, params)
-        with pytest.raises(NonFiniteError):
-            integrate(s, 2400, 2400, params)
+        assert_blows_up_like_a_lane(s, params)
 
 
 def test_failing_lanes_stay_isolated(settled_state):
