@@ -30,7 +30,7 @@ import numpy as np
 
 from .checkpoint import read_checkpoint, write_checkpoint
 from .config import int_list, judged, parse_config, parse_model, parsed
-from .errors import BlowUpError, EngineError, IOFailureError, NonFiniteError
+from .errors import BlowUpError, EngineError, IOFailureError, NonFiniteError, ValidationError
 from .propagator import PropagatorSpec
 from .solver import integrate_history
 
@@ -40,8 +40,13 @@ EXIT_BLOW_UP = 3
 EXIT_IO = 4
 
 
+class _Parser(argparse.ArgumentParser):   # add_subparsers makes its parsers of this class
+    def error(self, message):   # to main, which exits 2 as for every bad flag
+        raise ValidationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="paratide")
+    parser = _Parser(prog="paratide")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run the configured experiment")
@@ -196,8 +201,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except BlowUpError as err:
         print(f"blow-up: {err}", file=sys.stderr)

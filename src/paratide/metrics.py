@@ -118,8 +118,6 @@ def measure_runtime_ratio(
         raise ValueError("runtime-ratio measurement requires internal propagators")
     if repetitions < 5:
         raise ValueError("need at least 5 repetitions for a stable median")
-    if slice_seconds % coarse.dt or slice_seconds % fine.dt:
-        raise ValueError("slice must be a multiple of both step sizes")
 
     def timed(spec: PropagatorSpec) -> float:
         start = _time.perf_counter()

@@ -447,8 +447,9 @@ def run_parareal(
     if monitoring and reference is None:
         raise ValueError("epsilon stopping needs a reference trajectory")
     t_end = cfg.layout.t0 + cfg.layout.total_seconds
-    if reference is not None and not (reference and reference[-1].time == t_end):
-        raise ValueError(f"reference must end at the run's final time t={t_end}")
+    if reference is not None and not (
+            reference and reference[-1].time == t_end and reference[-1].grid == u0.grid):
+        raise ValueError(f"reference must end at the run's final time t={t_end} on u0's grid")
     run_dir = Path(run_dir) if run_dir is not None else None
     if coarse_fn is None:
         coarse_fn = Propagator(cfg.coarse, params, cfg.layout, run_dir, "coarse", timeout)
@@ -544,6 +545,5 @@ def _write_manifest(run_dir: Path, run_id: str, cfg: PararealConfig, result: Par
             for rec in result.records
         ],
     }
-    run_dir.mkdir(parents=True, exist_ok=True)
     path = run_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

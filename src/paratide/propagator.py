@@ -205,7 +205,7 @@ def propagate(
     """
     t_end = int(t_end)
     state = h.current
-    _check_window(t_end - state.time, spec.dt)      # before any child is spawned
+    _check_window(t_end - state.time, spec.dt, h)      # before any child is spawned
 
     if spec.mode == "internal":
         try:
@@ -222,7 +222,6 @@ def propagate(
     if own_workdir:
         workdir = tempfile.mkdtemp(prefix="paratide-run-")
     wd = Path(workdir).absolute()
-    wd.mkdir(parents=True, exist_ok=True)
     in_path = wd / IN_FILE
     out_path = wd / OUT_FILE
     write_checkpoint(

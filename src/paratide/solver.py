@@ -261,11 +261,14 @@ class _Stepper:
 _idle = threading.local()   # per thread: the last one-lane stepper whose run stayed finite
 
 
-def _check_window(span: int, dt: int) -> int:
+def _check_window(span: int, dt: int, h: StepHistory | None = None) -> int:
     if dt <= 0 or SECONDS_PER_DAY % dt != 0:
         raise StepMismatchError(f"dt={dt} is not an integer divisor of 86400")
     if span <= 0 or span % dt != 0:
         raise StepMismatchError(f"window of {span}s is not a positive multiple of dt={dt}")
+    if h is not None and h.tendencies and h.tendencies[-1][0] != h.current.time - dt:
+        raise StepMismatchError(f"history was built at a different step size: last tendency "
+                                f"at t={h.tendencies[-1][0]}, expected t={h.current.time - dt}")
     return span // dt
 
 
@@ -306,10 +309,7 @@ def integrate_history(
     given, gets a copy of each new state's fields.
     """
     s, dt = h.current, int(dt)
-    n_steps = _check_window(int(t_end) - s.time, dt)
-    if h.tendencies and h.tendencies[-1][0] != s.time - dt:
-        raise StepMismatchError(f"history was built at a different step size: last tendency "
-                                f"at t={h.tendencies[-1][0]}, expected t={s.time - dt}")
+    n_steps = _check_window(int(t_end) - s.time, dt, h)
     priors = [t[None] for _, t in h.tendencies[-2:]]
     stepper, (result,) = _step(s.grid, p, [s], n_steps, dt, priors, on_step)
     if isinstance(result, BlowUpError):

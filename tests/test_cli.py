@@ -83,9 +83,7 @@ def test_single_shot_round_trip(tmp_path, grid8, conf8):
     argv = ["single-shot", "--in", str(in_path), "--out", str(out_path),
             "--t-end", "4800", "--spd", "36"]
     # the model comes from a config or not at all: no default physics
-    with pytest.raises(SystemExit) as exited:
-        main(argv)
-    assert exited.value.code == 2
+    assert main(argv) == 2
     assert not out_path.exists()
     assert main([*argv, "--config", str(conf8)]) == 0
     ck = read_checkpoint(out_path, grid=grid8)
@@ -192,11 +190,18 @@ def test_single_shot_bad_spd_exits_2(tmp_path, grid8, conf8):
     ["avg-error", "{conf}", "--spd-list", "x"],
     ["avg-error", "{conf}", "--spd-list", "7"],
     ["avg-error", "{conf}", "--spd-list", ","],
+    # argparse's own refusals: a missing flag or argument, a bad int, an unknown command
+    ["single-shot", "--in", "{in}", "--out", "{out}", "--t-end", "2400", "--spd", "36"],
+    ["run"],
+    ["serial", "{conf}", "--spd", "x"],
+    ["bogus", "{conf}"],
 ], ids=["speedup-m", "speedup-nt", "speedup-k", "serial-spd0", "serial-spd-neg", "serial-spd24",
         "single-shot-spd0",
         "restart-slices0", "restart-slices-a", "restart-slices-empty", "restart-days0",
         "restart-slices-step",
-        "avg-spd0", "avg-spd-x", "avg-spd7", "avg-spd-empty"])
+        "avg-spd0", "avg-spd-x", "avg-spd7", "avg-spd-empty",
+        "parser-single-shot-no-config", "parser-run-no-config", "parser-serial-spd-x",
+        "parser-unknown-command"])
 def test_bad_argument_exits_2_before_any_work(argv, small_conf, tmp_path, grid8, capsys):
     write_checkpoint(constant_state(grid8), None, tmp_path / "in.prcp")
     paths = {"{conf}": str(small_conf), "{in}": str(tmp_path / "in.prcp"),
@@ -206,6 +211,13 @@ def test_bad_argument_exits_2_before_any_work(argv, small_conf, tmp_path, grid8,
     assert out == "" and err.startswith("error: ")
     # no spin-up, no reference, no output
     assert not (tmp_path / "runs").exists() and not (tmp_path / "o.prcp").exists()
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["single-shot", "--help"])
+    assert exited.value.code == 0
+    assert "--config" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv, edit, named", [

@@ -15,7 +15,7 @@ from paratide import (
     speedup_estimate,
     parse_config,
 )
-from paratide.errors import ZeroReferenceError
+from paratide.errors import StepMismatchError, ZeroReferenceError
 from paratide.metrics import first_crossing_iteration
 
 
@@ -212,6 +212,16 @@ def test_runtime_ratio_requires_internal(ratio_state):
     ext = PropagatorSpec(72, mode="external", command=("true",))
     with pytest.raises(ValueError):
         measure_runtime_ratio(PropagatorSpec(36), ext, ratio_state, 86400, ModelParams())
+
+
+@pytest.mark.parametrize("fine_spd, slice_seconds", [(72, 3600), (27, 4800)],
+                         ids=["off-coarse", "off-fine"])
+def test_runtime_ratio_window_judged_by_the_stepper(ratio_state, fine_spd, slice_seconds):
+    # a slice off the coarse 2400 s step, or off the fine 3200 s one: integrate
+    # refuses the window on the first timed call of that side
+    with pytest.raises(StepMismatchError, match=f"window of {slice_seconds}s"):
+        measure_runtime_ratio(PropagatorSpec(36), PropagatorSpec(fine_spd), ratio_state,
+                              slice_seconds, ModelParams())
 
 
 # --------------------------------------------------------------------------

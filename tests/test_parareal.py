@@ -11,6 +11,7 @@ import pytest
 
 from paratide import (
     Field,
+    Grid,
     ModelParams,
     ModelState,
     PararealConfig,
@@ -18,7 +19,7 @@ from paratide import (
     SliceLayout,
     run_parareal,
 )
-from paratide.errors import BlowUpError, NonFiniteError, StepMismatchError
+from paratide.errors import BlowUpError, NonFiniteError, SpawnFailureError, StepMismatchError
 from paratide import parareal, propagator
 from paratide.parareal import (
     coarse_init_sweep,
@@ -787,9 +788,32 @@ def test_reference_off_the_final_time_refused_before_any_work(grid8, tmp_path, e
 
     u0 = constant_state(grid8, u=1.0)
     reference = [u0.with_time(t) for t in ends]
-    with pytest.raises(ValueError, match=r"^reference must end at the run's final time t=2400$"):
+    with pytest.raises(ValueError,
+                       match=r"^reference must end at the run's final time t=2400 on u0's grid$"):
         run_parareal(u0, small_cfg(n_slices=4, epsilon=1e-2), ModelParams(), reference=reference,
                      coarse_fn=counted, fine_fn=counted, run_dir=tmp_path / "run")
+    assert calls == []
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("grid", [Grid(8, 8, 25e3, 25e3), Grid(16, 16, 50e3, 50e3)],
+                         ids=["spacing", "shape"])
+def test_reference_on_another_grid_refused_before_any_work(grid8, tmp_path, grid):
+    # a reference on other spacing would be compared silently, one of
+    # another shape would fail only after the init sweep: both are refused
+    # before any propagator runs or the run directory is made
+    calls = []
+
+    def counted(state, n, k):
+        calls.append((n, k))
+        return flow(0.9, 2400)(state, n, k)
+
+    u0 = constant_state(grid8, u=1.0)
+    reference = [constant_state(grid, u=1.0, time=7200)]
+    with pytest.raises(ValueError, match="on u0's grid$"):
+        run_parareal(u0, small_cfg(n_slices=3, slice_length=2400), ModelParams(),
+                     reference=reference, coarse_fn=counted, fine_fn=counted,
+                     run_dir=tmp_path / "run")
     assert calls == []
     assert not (tmp_path / "run").exists()
 
@@ -923,6 +947,20 @@ def test_external_fine_faults_follow_on_blow_up(tmp_path, settled_state, params,
     coarse_fn = Propagator(cfg.coarse, params, layout)
     for n in range(2):
         assert res.iterates[1][n + 1].bit_equal(coarse_fn(res.iterates[1][n], n, 1))
+
+
+def test_spawn_failure_raises_under_continue_uncorrected(monkeypatch, tmp_path, grid8):
+    # a fine command that cannot start is a configuration fault, not a slice
+    # failure: it raises whatever on_blow_up says, and leaves no temporary
+    # work directory behind
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    cfg = small_cfg(n_slices=3, slice_length=2400, coarse=PropagatorSpec(36),
+                    fine=PropagatorSpec(72, mode="external", command=("/no/such/binary",)),
+                    on_blow_up="continue_uncorrected")
+    u0 = random_state(grid8, np.random.default_rng(5))
+    with pytest.raises(SpawnFailureError):
+        run_parareal(u0, cfg, ModelParams())
+    assert list(tmp_path.glob("paratide-run-*")) == []
 
 
 def test_run_refuses_u0_off_the_layout_start(grid8):

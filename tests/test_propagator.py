@@ -24,7 +24,7 @@ from paratide.errors import (
     StepMismatchError,
 )
 from paratide.propagator import restarted_serial_run
-from paratide.solver import integrate
+from paratide.solver import integrate, integrate_history
 from paratide.state import FIELD_ORDER, StepHistory
 
 from conftest import CONFIG_DIR, faulty_command, random_state
@@ -346,6 +346,27 @@ def test_external_default_workdir_removed_after_spawn_failure(tmp_path, monkeypa
         with pytest.raises(SpawnFailureError):
             propagate(spec, StepHistory(settled_state), settled_state.time + 2400, params)
         assert list(tmp.iterdir()) == []
+
+
+def test_history_of_another_step_refused_before_any_work(tmp_path, monkeypatch, settled_state,
+                                                         params):
+    # tendencies stamped 300 s apart, continued at 600 s: integrate_history,
+    # an internal and an external spec refuse it with one message, the
+    # external one before a work directory or a child exists
+    h = integrate_history(StepHistory(settled_state), 600, 300, params)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(propagator, "run_external", lambda *a, **kw: pytest.fail("child started"))
+    external = PropagatorSpec(144, mode="external", command=SINGLE_SHOT)
+    calls = [lambda: integrate_history(h, 1200, 600, params),
+             lambda: propagate(PropagatorSpec(144), h, 1200, params),
+             lambda: propagate(external, h, 1200, params),
+             lambda: propagate(external, h, 1200, params, workdir=tmp_path / "w")]
+    for call in calls:
+        with pytest.raises(StepMismatchError) as err:
+            call()
+        assert str(err.value) == ("history was built at a different step size: "
+                                  "last tendency at t=300, expected t=0")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_spec_refuses_an_unknown_mode():
