@@ -266,9 +266,12 @@ def _check_window(span: int, dt: int, h: StepHistory | None = None) -> int:
         raise StepMismatchError(f"dt={dt} is not an integer divisor of 86400")
     if span <= 0 or span % dt != 0:
         raise StepMismatchError(f"window of {span}s is not a positive multiple of dt={dt}")
-    if h is not None and h.tendencies and h.tendencies[-1][0] != h.current.time - dt:
-        raise StepMismatchError(f"history was built at a different step size: last tendency "
-                                f"at t={h.tendencies[-1][0]}, expected t={h.current.time - dt}")
+    if h is not None and h.tendencies:
+        # StepHistory keeps its stamps evenly spaced, so its two ends pin them all
+        for which, i, k in (("last", -1, 1), ("first", 0, len(h.tendencies))):
+            if h.tendencies[i][0] != (want := h.current.time - k * dt):
+                raise StepMismatchError(f"history was built at a different step size: {which} "
+                                        f"tendency at t={h.tendencies[i][0]}, expected t={want}")
     return span // dt
 
 

@@ -391,6 +391,36 @@ def test_single_shot_with_config_imports_only_what_it_uses(tmp_path, grid8):
     assert _single_shot_loads(tmp_path, grid8, "--config", str(conf)) == "0 [] []"
 
 
+def test_module_entry_freezes_its_imports_and_collects_during_the_command():
+    # `python -m paratide`, the external child's command, pauses the cyclic
+    # collector while it imports and freezes what the imports built; the
+    # command itself runs with the collector on
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import paratide
+
+    script = (
+        "import gc, runpy, sys\n"
+        "sys.argv = ['paratide', 'speedup', '--m', '4', '--nt', '12']\n"
+        "try:\n"
+        "    runpy.run_module('paratide', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as stop:\n"
+        "    code = stop.code\n"
+        "print(code, gc.isenabled(), gc.get_freeze_count(), file=sys.stderr)\n"
+    )
+    root = str(Path(paratide.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                         check=True)
+    assert out.stdout.startswith("speedup model: N_t=12 m=4")
+    code, enabled, frozen = out.stderr.split()
+    assert (code, enabled) == ("0", "True")
+    assert int(frozen) > 10_000
+
+
 def test_public_names_resolve_lazily():
     import paratide
 

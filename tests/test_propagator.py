@@ -369,6 +369,29 @@ def test_history_of_another_step_refused_before_any_work(tmp_path, monkeypatch, 
     assert list(tmp_path.iterdir()) == []
 
 
+def test_history_spaced_at_another_step_refused_by_its_oldest_stamp(tmp_path, monkeypatch, grid8,
+                                                                   params):
+    # stamps 0 and 600 at t = 900: the newest sits one 300-s step before the
+    # state, but the two are 600 s apart, so AB3 at dt = 300 would misread
+    # them; every path refuses before any work, wherever the window ends
+    s = random_state(grid8, np.random.default_rng(28), time=900)
+    h = StepHistory(s, ((0, np.zeros_like(s.data)), (600, np.ones_like(s.data))))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(propagator, "run_external", lambda *a, **kw: pytest.fail("child started"))
+    external = PropagatorSpec(288, mode="external", command=SINGLE_SHOT)
+    for t_end in (1200, 1800):
+        calls = [lambda: integrate_history(h, t_end, 300, params),
+                 lambda: propagate(PropagatorSpec(288), h, t_end, params),
+                 lambda: propagate(external, h, t_end, params),
+                 lambda: propagate(external, h, t_end, params, workdir=tmp_path / "w")]
+        for call in calls:
+            with pytest.raises(StepMismatchError) as err:
+                call()
+            assert str(err.value) == ("history was built at a different step size: "
+                                      "first tendency at t=0, expected t=300")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_spec_refuses_an_unknown_mode():
     with pytest.raises(ValueError, match="unknown propagator mode 'remote'"):
         PropagatorSpec(36, mode="remote")
