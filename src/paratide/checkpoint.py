@@ -20,10 +20,10 @@ Byte layout, all little-endian:
                              ECMA-182 polynomial, init/xorout all-ones)
                              of every preceding byte
 
-History entries are ordered oldest to newest.  Their time stamps are not
-stored: by the history invariant they sit at fixed step offsets behind the
-state time, so the reader reconstructs them once it knows the step size
-(always supplied out-of-band, e.g. via --spd on the single-shot contract).
+History blocks run oldest to newest, one step apart, the newest one step
+behind the state time; the step size is supplied out of band (--spd on the
+single-shot contract).  The engine writes at most two blocks, the ones the
+next step reads, and keeps the newest two of a file with three.
 
 Writes go to a temp file in the target directory followed by an atomic
 rename, so a half-written checkpoint can never be picked up by a reader.
@@ -85,8 +85,8 @@ def crc64(data: bytes | bytearray | memoryview) -> int:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """Decoded checkpoint: state, raw history tendencies (frozen arrays laid
-    out like the state's data), clock record."""
+    """Decoded checkpoint: state, the file's up to three history blocks
+    (frozen arrays laid out like the state's data), clock record."""
 
     state: ModelState
     history: tuple[np.ndarray, ...]
@@ -94,11 +94,8 @@ class Checkpoint:
     iteration: int
 
     def step_history(self, dt: int) -> StepHistory:
-        """Rebuild the multistep memory, re-stamping entries at spacing dt."""
-        dt = int(dt)
-        n = len(self.history)
-        stamps = [self.state.time - (n - i) * dt for i in range(n)]
-        return StepHistory(self.state, tuple(zip(stamps, self.history)))
+        """The multistep memory: the newest two blocks, taken at dt."""
+        return StepHistory(self.state, self.history[-2:], dt if self.history else None)
 
 
 def _field_bytes(data: np.ndarray) -> bytes:
@@ -114,7 +111,7 @@ def write_checkpoint(
     iteration: int = -1,
 ) -> None:
     """Serialize a state (and optional history) atomically to path."""
-    tendencies = () if history is None else tuple(t for _, t in history.tendencies)
+    tendencies = () if history is None else history.tendencies
     if history is not None and history.current.data.shape != state.data.shape:
         raise GridMismatchError("history tendencies must share the state grid")
 

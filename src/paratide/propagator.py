@@ -194,18 +194,19 @@ def propagate(
     and return the new history.
 
     Internal and external specs keep one contract, the single-shot child's:
-    the tendencies handed in go into in.prcp, and those of out.prcp come
-    back.  The restart policy does not act here; a cold start is a history
-    with no tendencies, StepHistory(state).
+    the tendencies handed in go into in.prcp, and the newest two of
+    out.prcp come back, taken at spec.dt.  A history of another dt or a
+    window not whole steps of it raises StepMismatchError before any work.
+    The restart policy does not act here; a cold start is StepHistory(state).
 
     An external run without a workdir works in a fresh temporary directory,
     removed once its output has been read; after a BlowUpError it is kept,
     since the error's log_path points into it, and after a SpawnFailureError,
     which points nowhere, it is removed.
     """
-    t_end = int(t_end)
     state = h.current
     _check_window(t_end - state.time, spec.dt, h)      # before any child is spawned
+    t_end = int(t_end)
 
     if spec.mode == "internal":
         try:

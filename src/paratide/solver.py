@@ -55,10 +55,10 @@ class ModelParams:
     velocity_cap: float = DEFAULT_VELOCITY_CAP   # |u|,|v| beyond this is a blow-up
 
     def __post_init__(self):
-        if not (self.H > 0 and self.g > 0 and self.g * self.H > 0):   # no underflow
-            raise ValueError("H and g must be positive, and so must g*H")
-        if not (self.nu_h >= 0 and self.kappa >= 0):
-            raise ValueError("nu_h and kappa must be non-negative")
+        if not (0 < self.H < np.inf and 0 < self.g < np.inf and self.g * self.H > 0):  # no underflow
+            raise ValueError("H and g must be positive and finite, and so must g*H")
+        if not (0 <= self.nu_h < np.inf and 0 <= self.kappa < np.inf):
+            raise ValueError("nu_h and kappa must be non-negative and finite")
         if int(self.forcing_wavenumber) != self.forcing_wavenumber:
             raise ValueError("forcing_wavenumber must be an integer")
         if not (abs(self.f0) < np.inf and abs(self.forcing_amp) < np.inf):
@@ -217,7 +217,8 @@ class _Stepper:
     def run(self, priors: Sequence[np.ndarray], n_steps: int, dt: int,
             on_step=None) -> dict[int, tuple[int, np.ndarray]]:
         """Advance the loaded lanes n_steps steps of dt, warm from priors:
-        the last two or fewer (L, 5, ny, nx) tendencies, oldest first.
+        a history's tendencies, at most two (L, 5, ny, nx) arrays taken at
+        dt, oldest first.
 
         Returns {lane: (step, fields)} for each lane at its first step that
         turned non-finite or broke the velocity cap, a non-finite input
@@ -261,18 +262,15 @@ class _Stepper:
 _idle = threading.local()   # per thread: the last one-lane stepper whose run stayed finite
 
 
-def _check_window(span: int, dt: int, h: StepHistory | None = None) -> int:
+def _check_window(span, dt, h: StepHistory | None = None) -> int:
+    # a span or dt of any type that is not whole seconds fails a divisibility test
     if dt <= 0 or SECONDS_PER_DAY % dt != 0:
         raise StepMismatchError(f"dt={dt} is not an integer divisor of 86400")
     if span <= 0 or span % dt != 0:
         raise StepMismatchError(f"window of {span}s is not a positive multiple of dt={dt}")
-    if h is not None and h.tendencies:
-        # StepHistory keeps its stamps evenly spaced, so its two ends pin them all
-        for which, i, k in (("last", -1, 1), ("first", 0, len(h.tendencies))):
-            if h.tendencies[i][0] != (want := h.current.time - k * dt):
-                raise StepMismatchError(f"history was built at a different step size: {which} "
-                                        f"tendency at t={h.tendencies[i][0]}, expected t={want}")
-    return span // dt
+    if h is not None and h.dt not in (None, dt):
+        raise StepMismatchError(f"history was built at dt={h.dt}, continued at dt={dt}")
+    return int(span // dt)
 
 
 def _step(grid: Grid, p: ModelParams, states: Sequence[ModelState], n_steps: int, dt: int,
@@ -307,19 +305,18 @@ def integrate_history(
     """Step an existing history forward to t_end (warm continuation).
 
     With no prior tendency a step is an explicit trapezoid (Heun) step, with
-    one AB2, with two or more AB3.  The first failing step (step 0 for a
-    non-finite input) raises BlowUpError with its index.  on_step, if
-    given, gets a copy of each new state's fields.
+    one AB2, with two AB3; the newest two come back.  The first failing
+    step (step 0 for a non-finite input) raises BlowUpError with its index.
+    on_step, if given, gets a copy of each new state's fields.
     """
-    s, dt = h.current, int(dt)
-    n_steps = _check_window(int(t_end) - s.time, dt, h)
-    priors = [t[None] for _, t in h.tendencies[-2:]]
+    s = h.current
+    n_steps, dt = _check_window(t_end - s.time, dt, h), int(dt)
+    priors = [t[None] for t in h.tendencies]
     stepper, (result,) = _step(s.grid, p, [s], n_steps, dt, priors, on_step)
     if isinstance(result, BlowUpError):
         raise result
-    fresh = tuple((s.time + i * dt, stepper.tendency_of(i))
-                  for i in range(max(n_steps - 3, 0), n_steps))
-    return StepHistory(result, (h.tendencies + fresh)[-3:])
+    fresh = tuple(stepper.tendency_of(i) for i in range(max(n_steps - 2, 0), n_steps))
+    return StepHistory(result, (h.tendencies + fresh)[-2:], dt)
 
 
 def integrate(s: ModelState, t_end: int, dt: int, p: ModelParams, on_step=None) -> ModelState:
@@ -347,7 +344,7 @@ def integrate_batch(
     grid = states[0].grid
     if any(s.grid != grid for s in states):
         raise StepMismatchError("batch lanes must share one grid")
-    return _step(grid, p, states, _check_window(int(duration), int(dt)), int(dt))[1]
+    return _step(grid, p, states, _check_window(duration, dt), int(dt))[1]
 
 
 def cfl_max_dt(s: ModelState, p: ModelParams) -> int:

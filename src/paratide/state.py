@@ -9,7 +9,7 @@ state, so states can be shared freely between concurrent workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -117,33 +117,30 @@ class ModelState:
 
 @dataclass(frozen=True)
 class StepHistory:
-    """Current state plus up to three prior tendency evaluations.
+    """Current state plus the tendencies its next step reads.
 
-    Each entry is (time stamp, tendency), the tendency a frozen array laid
-    out like ModelState.data; stamps are strictly increasing,
-    uniformly spaced by the active step size, and the most recent entry was
-    evaluated exactly one step before ``current.time``.  This is precisely
-    the multistep memory a warm restart preserves and a cold restart drops.
+    tendencies holds at most two frozen arrays laid out like
+    ModelState.data, oldest first, taken one step of dt apart, the newest
+    one step before ``current.time``; dt is None exactly when there are
+    none (a cold start).  This is the multistep memory a warm restart
+    preserves and a cold restart drops.
     """
 
     current: ModelState
-    tendencies: tuple[tuple[int, np.ndarray], ...] = field(default=())
+    tendencies: tuple[np.ndarray, ...] = ()
+    dt: int | None = None
 
     def __post_init__(self):
-        if len(self.tendencies) > 3:
-            raise ValueError("history holds at most 3 tendencies")
-        for _, data in self.tendencies:
+        if len(self.tendencies) > 2:
+            raise ValueError("history holds at most 2 tendencies")
+        if (self.dt is None) != (not self.tendencies):
+            raise ValueError("a history has a step size exactly when it has tendencies")
+        for data in self.tendencies:
             if data.shape != self.current.data.shape:
                 raise ValueError(
                     f"tendency shape {data.shape} does not match grid {self.current.grid.shape}"
                 )
             _freeze(data)
-        stamps = [t for t, _ in self.tendencies]
-        if any(b <= a for a, b in zip(stamps, stamps[1:])):
-            raise ValueError("history time stamps must be strictly increasing")
-        gaps = {b - a for a, b in zip(stamps, stamps[1:])}
-        if len(gaps) > 1:
-            raise ValueError(f"history time stamps must be uniformly spaced, gaps {sorted(gaps)}")
 
 
 @dataclass(frozen=True)

@@ -116,7 +116,7 @@ elif mode == "non-finite-tendency":
     tendency = np.zeros_like(state.data)
     tendency[3, 2, 1] = np.nan
     step = 86400 // int(args["--spd"])
-    write_checkpoint(state, StepHistory(state, ((state.time - step, tendency),)), args["--out"])
+    write_checkpoint(state, StepHistory(state, (tendency,), step), args["--out"])
     sys.exit(0)
 open(args["--out"], "wb").write(out)
 """

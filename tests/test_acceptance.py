@@ -21,6 +21,7 @@ from paratide import (
     PropagatorSpec,
     SliceLayout,
     parse_config,
+    propagate,
     read_checkpoint,
     rel_max_norm,
     run_parareal,
@@ -42,7 +43,7 @@ from paratide.metrics import measure_runtime_ratio
 from paratide.solver import StepHistory, integrate, integrate_history
 from paratide.state import FIELD_ORDER
 
-from conftest import CONFIG_DIR, constant_state, random_state
+from conftest import CONFIG_DIR, REPO_ROOT, constant_state, random_state
 from test_solver import oracle_rhs, tendency
 from test_state import naive_add, naive_diff
 
@@ -198,8 +199,9 @@ def test_criterion_4_state_algebra_checkpoint(tmp_path, grid8, params, capsys):
     ck = read_checkpoint(path, grid=grid8)
     assert ck.state.bit_equal(h.current)
     rebuilt = ck.step_history(2400)
-    for (ta, t1), (tb, t2) in zip(h.tendencies, rebuilt.tendencies):
-        assert ta == tb and t1.tobytes() == t2.tobytes()
+    assert rebuilt.dt == h.dt
+    for t1, t2 in zip(h.tendencies, rebuilt.tendencies, strict=True):
+        assert t1.tobytes() == t2.tobytes()
 
     blob = bytearray(path.read_bytes())
     blob[50] ^= 0xFF
@@ -324,6 +326,27 @@ def test_criterion_8_external_equivalence(exp1_config, exp1_u0, acceptance_root,
             assert a.bit_equal(b), (k, n)
     with capsys.disabled():
         _passed(8, f"external single-shot run bit-identical to internal over {internal.iterations_run} iterations")
+
+
+def test_fine_child_writes_the_two_tendencies_a_step_reads(exp1_config, exp1_u0, tmp_path):
+    # a fine single-shot child at exp1 nf 144 (32x32): a 33-byte header,
+    # the state and two tendency blocks of 40,960 bytes each, an 8-byte CRC
+    spec = PropagatorSpec(144, mode="external", command=SINGLE_SHOT_EXP1)
+    t_end = exp1_u0.time + exp1_config.layout.slice_length
+    h = propagate(spec, StepHistory(exp1_u0), t_end, exp1_config.params, workdir=tmp_path)
+    assert (tmp_path / "out.prcp").stat().st_size == 122_921
+    assert (len(h.tendencies), h.dt) == (2, 600)
+
+
+def test_readme_library_example_runs(exp1_u0, monkeypatch, capsys):
+    # README's "Library example" as written, from the repository root;
+    # exp1_u0 has cached the spin-up it starts from
+    readme = (REPO_ROOT / "README.md").read_text()
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(REPO_ROOT)
+    exec(compile(block, "README.md", "exec"), {})
+    iterations, stopped = capsys.readouterr().out.splitlines()[0].split()
+    assert int(iterations) >= 0 and stopped in ("True", "False")
 
 
 def test_criterion_9_determinism(exp1_config, capsys):

@@ -43,10 +43,8 @@ def test_round_trip_with_history_and_clock(tmp_path, grid8, sample):
     assert ck.state.bit_equal(sample.current)
     assert ck.slice_index == 4 and ck.iteration == 2
     rebuilt = ck.step_history(2400)
-    assert len(rebuilt.tendencies) == len(sample.tendencies)
-    for (t_a, a), (t_b, b) in zip(sample.tendencies, rebuilt.tendencies):
-        assert t_a == t_b
-        assert a.tobytes() == b.tobytes()
+    assert rebuilt.dt == sample.dt == 2400
+    assert [a.tobytes() for a in rebuilt.tendencies] == [b.tobytes() for b in sample.tendencies]
 
 
 def test_clock_passthrough_one_day(tmp_path, grid8):
@@ -123,7 +121,7 @@ def test_header_layout_is_as_documented(tmp_path, grid8, sample):
     version, nx, ny = struct.unpack_from("<III", blob, 4)
     time, sl, it, hist = struct.unpack_from("<QiiB", blob, 16)
     assert (version, nx, ny) == (FORMAT_VERSION, 8, 8)
-    assert (time, sl, it, hist) == (sample.current.time, 7, 3, 3)
+    assert (time, sl, it, hist) == (sample.current.time, 7, 3, 2)   # the two a step reads
     # trailer is CRC-64 of everything before it
     (stored,) = struct.unpack_from("<Q", blob, len(blob) - 8)
     assert stored == crc64(blob[:-8])
@@ -215,12 +213,32 @@ def test_crc64_accepts_bytes_like(monkeypatch):
 
 def test_written_file_matches_reference_writer(tmp_path, grid8, sample):
     for history, sl, it in ((None, -1, -1), (sample, 3, 2)):
-        tendencies = () if history is None else tuple(t for _, t in history.tendencies)
+        tendencies = () if history is None else history.tendencies
         path = tmp_path / f"w{len(tendencies)}.prcp"
         write_checkpoint(sample.current, history, path, slice_index=sl, iteration=it)
         expected = reference_checkpoint_bytes(sample.current, tendencies, sl, it)
         assert path.read_bytes() == expected
         assert read_checkpoint(path, grid=grid8).state.bit_equal(sample.current)
+
+
+def test_three_block_file_continues_as_its_newest_two(tmp_path, grid8, params):
+    # format v1 allows three tendency blocks, as an outside model may write:
+    # such a file reads back as the history of its newest two, and
+    # continuing it gives the bits of continuing the engine's own history
+    s = random_state(grid8, np.random.default_rng(24))
+    oldest = integrate_history(StepHistory(s), 2400, 2400, params).tendencies
+    own = integrate_history(StepHistory(s), 3 * 2400, 2400, params)
+    path = tmp_path / "three.prcp"
+    path.write_bytes(reference_checkpoint_bytes(own.current, oldest + own.tendencies, -1, -1))
+    ck = read_checkpoint(path, grid=grid8)
+    assert len(ck.history) == 3
+    h = ck.step_history(2400)
+    assert h.dt == 2400 and h.current.bit_equal(own.current)
+    assert [t.tobytes() for t in h.tendencies] == [t.tobytes() for t in own.tendencies]
+    expected = integrate_history(own, 6 * 2400, 2400, params)
+    got = integrate_history(h, 6 * 2400, 2400, params)
+    assert got.current.bit_equal(expected.current)
+    assert [t.tobytes() for t in got.tendencies] == [t.tobytes() for t in expected.tendencies]
 
 
 def test_flipped_bit_anywhere_in_payload_rejected(tmp_path, grid8, sample):

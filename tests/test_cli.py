@@ -129,11 +129,10 @@ def test_single_shot_non_finite_input_exits_2(tmp_path, grid8, conf8, params, ca
     data[2, 4, 4] = np.nan
     h = integrate_history(StepHistory(random_state(grid8, np.random.default_rng(3))),
                           2 * 2400, 2400, params)
-    (t, newest), older = h.tendencies[-1], h.tendencies[:-1]
-    bad = newest.copy()
+    bad = h.tendencies[-1].copy()
     bad[4, 1, 6] = np.inf
     for state, history in ((ModelState(grid8, data, 0), None),
-                           (h.current, StepHistory(h.current, (*older, (t, bad))))):
+                           (h.current, StepHistory(h.current, (*h.tendencies[:-1], bad), h.dt))):
         write_checkpoint(state, history, tmp_path / "in.prcp")
         rc = main([
             "single-shot", "--in", str(tmp_path / "in.prcp"), "--out", str(tmp_path / "o.prcp"),
@@ -146,7 +145,7 @@ def test_single_shot_non_finite_input_exits_2(tmp_path, grid8, conf8, params, ca
 
 def test_single_shot_warm_history_round_trip(tmp_path, grid8, conf8, params):
     # a checkpoint with tendencies continues warm, bit-identical to the
-    # unsplit run, and writes the last three tendencies back
+    # unsplit run, and writes the last two tendencies back
     s = random_state(grid8, np.random.default_rng(6))
     h = integrate_history(StepHistory(s), 2 * 2400, 2400, params)
     write_checkpoint(h.current, h, tmp_path / "in.prcp")

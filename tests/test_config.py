@@ -94,10 +94,15 @@ def test_preset_hashes_pinned(name, config_hash):
     (MINIMAL + "t0 = -1\n", "t0"),
     (MINIMAL.replace("slice_length = 2400", "slice_length = 0"), "slice_length"),
     (MINIMAL.replace("n_slices = 12", "n_slices = 0"), "n_slices"),
+    (MINIMAL + "[model]\nH = inf\n", "H"),          # physics must be finite
+    (MINIMAL + "[model]\ng = inf\n", "g"),
+    (MINIMAL + "[model]\nnu_h = inf\n", "nu_h"),
+    (MINIMAL + "[model]\nkappa = inf\n", "kappa"),
 ], ids=["on_blow_up", "max_parallel_fine", "spin_up_spd", "spin_up_days-step", "reference_spd",
         "coarse_spd", "max_iterations", "fine_spd-step", "nx-small", "H", "nx-float",
         "monitored_fields-empty", "monitored_fields-twice", "spin_up_spd-cfl", "reference_spd-cfl",
-        "fine_spd-twice", "seed-negative", "t0-negative", "slice_length-zero", "n_slices-zero"])
+        "fine_spd-twice", "seed-negative", "t0-negative", "slice_length-zero", "n_slices-zero",
+        "H-inf", "g-inf", "nu_h-inf", "kappa-inf"])
 def test_rule_violation_names_its_key(tmp_path, body, key):
     # each rule is judged by the object that owns it; the error still
     # names the config key at fault

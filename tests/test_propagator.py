@@ -24,7 +24,7 @@ from paratide.errors import (
     StepMismatchError,
 )
 from paratide.propagator import restarted_serial_run
-from paratide.solver import integrate, integrate_history
+from paratide.solver import integrate, integrate_batch, integrate_history
 from paratide.state import FIELD_ORDER, StepHistory
 
 from conftest import CONFIG_DIR, faulty_command, random_state
@@ -227,8 +227,8 @@ def test_external_child_integrates_the_parents_model(tmp_path):
     spec = PropagatorSpec(72, mode="external", command=(*child, "--config", str(conf)))
     external = propagate(spec, StepHistory(s), 2400, params, workdir=tmp_path / "w")
     assert external.current.bit_equal(internal.current)
-    assert [(t, d.tobytes()) for t, d in external.tendencies] == \
-        [(t, d.tobytes()) for t, d in internal.tendencies]
+    assert external.dt == internal.dt
+    assert [d.tobytes() for d in external.tendencies] == [d.tobytes() for d in internal.tendencies]
     bare = PropagatorSpec(72, mode="external", command=child)
     with pytest.raises(BlowUpError, match="exited 2"):
         propagate(bare, StepHistory(s), 2400, params, workdir=tmp_path / "bare")
@@ -350,7 +350,7 @@ def test_external_default_workdir_removed_after_spawn_failure(tmp_path, monkeypa
 
 def test_history_of_another_step_refused_before_any_work(tmp_path, monkeypatch, settled_state,
                                                          params):
-    # tendencies stamped 300 s apart, continued at 600 s: integrate_history,
+    # tendencies taken at 300 s, continued at 600 s: integrate_history,
     # an internal and an external spec refuse it with one message, the
     # external one before a work directory or a child exists
     h = integrate_history(StepHistory(settled_state), 600, 300, params)
@@ -364,32 +364,45 @@ def test_history_of_another_step_refused_before_any_work(tmp_path, monkeypatch, 
     for call in calls:
         with pytest.raises(StepMismatchError) as err:
             call()
-        assert str(err.value) == ("history was built at a different step size: "
-                                  "last tendency at t=300, expected t=0")
+        assert str(err.value) == "history was built at dt=300, continued at dt=600"
     assert list(tmp_path.iterdir()) == []
 
 
-def test_history_spaced_at_another_step_refused_by_its_oldest_stamp(tmp_path, monkeypatch, grid8,
-                                                                   params):
-    # stamps 0 and 600 at t = 900: the newest sits one 300-s step before the
-    # state, but the two are 600 s apart, so AB3 at dt = 300 would misread
-    # them; every path refuses before any work, wherever the window ends
-    s = random_state(grid8, np.random.default_rng(28), time=900)
-    h = StepHistory(s, ((0, np.zeros_like(s.data)), (600, np.ones_like(s.data))))
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+@pytest.mark.parametrize("path", ["integrate", "integrate_batch", "internal", "external"])
+def test_non_integral_window_refused_not_truncated(tmp_path, monkeypatch, settled_state, params,
+                                                   path):
+    # int() would cut a window to the step before it and a 2400.9 s step to
+    # 2400 s: every path refuses a fraction of a second before any work, and
+    # takes an integral value of any type like an int
+    s, dt = settled_state, 2400
+    spec = (PropagatorSpec(36, mode="external", command=SINGLE_SHOT) if path == "external"
+            else PropagatorSpec(36))
+
+    def run(t_end, dt=dt):
+        if path == "integrate":
+            return integrate(s, t_end, dt, params)
+        if path == "integrate_batch":
+            (out,) = integrate_batch([s], t_end - s.time, dt, params)
+            return out
+        return propagate(spec, StepHistory(s), t_end, params, workdir=tmp_path / "w").current
+
     monkeypatch.setattr(propagator, "run_external", lambda *a, **kw: pytest.fail("child started"))
-    external = PropagatorSpec(288, mode="external", command=SINGLE_SHOT)
-    for t_end in (1200, 1800):
-        calls = [lambda: integrate_history(h, t_end, 300, params),
-                 lambda: propagate(PropagatorSpec(288), h, t_end, params),
-                 lambda: propagate(external, h, t_end, params),
-                 lambda: propagate(external, h, t_end, params, workdir=tmp_path / "w")]
-        for call in calls:
-            with pytest.raises(StepMismatchError) as err:
-                call()
-            assert str(err.value) == ("history was built at a different step size: "
-                                      "first tendency at t=0, expected t=300")
-    assert list(tmp_path.iterdir()) == []
+    bad = [(s.time + 2 * dt + 0.5, dt), (float("inf"), dt), (float("nan"), dt)]
+    if path in ("integrate", "integrate_batch"):        # a spec's dt is an int
+        bad += [(s.time + 2 * dt, dt + 0.9)]
+    for t_end, step in bad:
+        with pytest.raises(StepMismatchError, match="is not a"):
+            run(t_end, step)
+    assert not (tmp_path / "w").exists()
+    monkeypatch.undo()
+
+    expected = integrate(s, s.time + 2 * dt, dt, params)
+    good = [(float(s.time + 2 * dt), dt), (np.int64(s.time + 2 * dt), dt)]
+    if path in ("integrate", "integrate_batch"):
+        good += [(s.time + 2 * dt, float(dt)), (s.time + 2 * dt, np.int64(dt))]
+    for t_end, step in good:
+        out = run(t_end, step)
+        assert out.bit_equal(expected) and type(out.time) is int
 
 
 def test_spec_refuses_an_unknown_mode():

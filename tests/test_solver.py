@@ -3,6 +3,7 @@ import pytest
 
 from paratide import Field, Grid, ModelParams, ModelState, PropagatorSpec, cfl_max_dt, propagate
 from paratide import solver
+from paratide.checkpoint import Checkpoint
 from paratide.errors import BlowUpError, CFLImpossibleError, NonFiniteError, StepMismatchError
 from paratide.solver import (
     StepHistory,
@@ -17,8 +18,8 @@ from conftest import constant_state, random_state
 
 def tendency(s, p):
     """The tendency at s: the newest entry of a one-step cold history,
-    which the StepHistory invariant places at s.time."""
-    return integrate_history(StepHistory(s), s.time + 300, 300, p).tendencies[-1][1]
+    which the StepHistory invariant places one step before the new state."""
+    return integrate_history(StepHistory(s), s.time + 300, 300, p).tendencies[-1]
 
 
 # --------------------------------------------------------------------------
@@ -144,7 +145,7 @@ def test_ab3_matches_scalar_recurrence(grid8):
 
     u2, v2 = exact(2 * dt)
     s = constant_state(grid8, u=u2, v=v2, temp=0.0, salt=0.0, time=2 * dt)
-    h = StepHistory(s, ((0, tendency_at(0)), (dt, tendency_at(dt))))
+    h = StepHistory(s, (tendency_at(0), tendency_at(dt)), dt)
 
     y = np.array([u2, v2])
     fs = [None, np.array([f0 * exact(dt)[1], -f0 * exact(dt)[0]]),
@@ -402,13 +403,13 @@ def roll_ab3_step(h, dt, p):
         f_pred = roll_rhs(predictor, p)
         new_data = s.data + (0.5 * dt) * (f_n + f_pred)
     elif n_prior == 1:
-        f_m1 = h.tendencies[-1][1]
+        f_m1 = h.tendencies[-1]
         new_data = f_n * (dt * _AB2[0])
         new_data += f_m1 * (dt * _AB2[1])
         new_data += s.data
     else:
-        f_m1 = h.tendencies[-1][1]
-        f_m2 = h.tendencies[-2][1]
+        f_m1 = h.tendencies[-1]
+        f_m2 = h.tendencies[-2]
         new_data = f_n * (dt * _AB3[0])
         scratch = f_m1 * (dt * _AB3[1])
         new_data += scratch
@@ -420,7 +421,7 @@ def roll_ab3_step(h, dt, p):
     report = validate_state(new_state, p.velocity_cap)
     if report is not None:
         raise BlowUpError(f"step to t={new_state.time} diverged: {report}", report)
-    return StepHistory(new_state, (h.tendencies + ((s.time, f_n),))[-3:])
+    return StepHistory(new_state, (h.tendencies + (f_n,))[-2:], dt)
 
 
 def roll_integrate_history(h, n_steps, dt, p):
@@ -435,9 +436,8 @@ def roll_integrate_history(h, n_steps, dt, p):
 
 def assert_same_history(a, b):
     assert a.current.bit_equal(b.current)
-    assert [t for t, _ in a.tendencies] == [t for t, _ in b.tendencies]
-    for (_, x), (_, y) in zip(a.tendencies, b.tendencies):
-        assert x.tobytes() == y.tobytes()
+    assert a.dt == b.dt
+    assert [x.tobytes() for x in a.tendencies] == [y.tobytes() for y in b.tendencies]
 
 
 def assert_same_blow_up(a, b):
@@ -469,9 +469,15 @@ def test_rhs_bit_identical_to_roll_oracle(grid, params):
 @pytest.mark.parametrize("n_prior", [0, 1, 2, 3])
 @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=GRID_IDS)
 def test_warm_continuation_bit_identical_to_roll_oracle(grid, n_prior, params):
+    # n_prior = 3: the two tendencies behind a NaN block, as a three-block
+    # checkpoint holds them; its history keeps the newest two
     dt = 1200
     start = roll_integrate_history(StepHistory(random_state(grid, np.random.default_rng(5))), 3, dt, params)
-    h = StepHistory(start.current, start.tendencies[3 - n_prior:])
+    if n_prior == 3:
+        blocks = (np.full_like(start.current.data, np.nan), *start.tendencies)
+        h = Checkpoint(start.current, blocks, -1, -1).step_history(dt)
+    else:
+        h = StepHistory(start.current, start.tendencies[2 - n_prior:], dt if n_prior else None)
     for n_steps in (1, 2, 5):
         assert_same_history(
             integrate_history(h, h.current.time + n_steps * dt, dt, params),
@@ -550,7 +556,7 @@ def test_reused_stepper_keeps_bits_under_nan_scratch(settled_state, params):
         (integrate, (s, s.time + 5 * dt, dt, params)),
         (integrate, (s, s.time + dt, dt, params)),
         (integrate_history, (warm, warm.current.time + 4 * dt, dt, params)),
-        (integrate_history, (StepHistory(warm.current, warm.tendencies[1:]),
+        (integrate_history, (StepHistory(warm.current, warm.tendencies[1:], dt),
                              warm.current.time + 2 * dt, dt, params)),
         (integrate_batch, ([other], 4 * dt, dt, params)),
     ]

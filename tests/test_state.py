@@ -195,15 +195,18 @@ def test_step_history_invariants(grid8):
     from test_solver import tendency
     t = tendency(s, ModelParams())
     assert t.flags.writeable is False
-    StepHistory(s, ((0, t), (2400, t)))
-    with pytest.raises(ValueError):
-        StepHistory(s, ((2400, t[:, :4]),))  # not the state's grid
-    with pytest.raises(ValueError):
-        StepHistory(s, ((0, t), (2400, t), (3600, t)))  # uneven spacing
-    with pytest.raises(ValueError):
-        StepHistory(s, ((2400, t), (0, t)))  # not increasing
-    with pytest.raises(ValueError):
-        StepHistory(s, ((0, t),) * 4)
+    StepHistory(s, (t, t), 2400)
+    fresh = np.ones_like(s.data)
+    StepHistory(s, (fresh,), 2400)
+    assert fresh.flags.writeable is False               # frozen on the way in
+    with pytest.raises(ValueError, match="does not match grid"):
+        StepHistory(s, (t[:, :4],), 2400)
+    with pytest.raises(ValueError, match="at most 2"):
+        StepHistory(s, (t, t, t), 2400)                 # the next step reads two
+    with pytest.raises(ValueError, match="exactly when"):
+        StepHistory(s, (t,))                            # tendencies without their step
+    with pytest.raises(ValueError, match="exactly when"):
+        StepHistory(s, (), 2400)                        # a step without tendencies
 
 
 def test_state_data_coerced_to_frozen_float64(grid8):
