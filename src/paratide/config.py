@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import ClassVar
 
 from .errors import ParseError, ValidationError
-from .propagator import PropagatorSpec, SliceLayout
+from .propagator import PropagatorSpec, SliceLayout, store_whole
 from .solver import SECONDS_PER_DAY, ModelParams, cfl_max_dt
 from .state import Field, Grid, ModelState
 
@@ -90,6 +90,9 @@ class PararealConfig:
 
     def __post_init__(self):
         # Messages name the config keys: parse_config reports them as is.
+        store_whole(self, "max_parallel_fine")
+        if self.max_iterations is not None:
+            store_whole(self, "max_iterations")
         if self.fine.spd <= self.coarse.spd:
             raise ValueError(
                 f"fine_spd: {self.fine.spd} must be strictly finer than "

@@ -13,6 +13,8 @@ recomputation.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 from dataclasses import dataclass
@@ -281,14 +283,6 @@ def _tracer_anomaly(fine_runs: list[dict]) -> bool:
     return False
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -303,28 +297,7 @@ def emit_report(report: dict, fmt: str, out_dir: str | Path) -> Path:
         out_dir.mkdir(parents=True, exist_ok=True)
         if fmt == "csv":
             path = out_dir / "errors.csv"
-            lines = [",".join(ERROR_CSV_HEADER)]
-            for fr in report["fine_runs"]:
-                blow_by_k: dict[int, list[str]] = {}
-                for b in fr["blow_ups"]:
-                    blow_by_k.setdefault(b["k"], []).append(f"slice{b['slice']}")
-                for cell in fr["errors"]:
-                    wall = fr["wall"].get(str(cell["k"]), (None, None))   # None: not run
-                    if cell["status"] == "ok":
-                        e_inf, e_2 = _fmt(cell["E_inf"]), _fmt(cell["E_2"])
-                    else:
-                        e_inf = e_2 = cell["status"]
-                    lines.append(",".join([
-                        fr["run_id"],
-                        str(cell["k"]),
-                        cell["field"],
-                        e_inf,
-                        e_2,
-                        _fmt(wall[0]),
-                        _fmt(wall[1]),
-                        ";".join(blow_by_k.get(cell["k"], [])),
-                    ]))
-            path.write_text("\n".join(lines) + "\n")
+            path.write_text(_error_csv(report))     # one write: no partial file
             return path
         if fmt == "text-table":
             path = out_dir / "report.txt"
@@ -333,6 +306,29 @@ def emit_report(report: dict, fmt: str, out_dir: str | Path) -> Path:
     except OSError as err:
         raise IOFailureError(f"cannot emit report into {out_dir}: {err}") from err
     raise ValueError(f"unknown report format {fmt!r}")
+
+
+def _error_csv(report: dict) -> str:
+    """One row per error cell; the csv module writes None as an empty
+    field, a float as its repr and quotes a field holding a comma or a
+    quote."""
+    buf = io.StringIO()
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(ERROR_CSV_HEADER)
+    for fr in report["fine_runs"]:
+        blow_by_k: dict[int, list[str]] = {}
+        for b in fr["blow_ups"]:
+            blow_by_k.setdefault(b["k"], []).append(f"slice{b['slice']}")
+        for cell in fr["errors"]:
+            coarse_s, fine_s = fr["wall"].get(str(cell["k"]), (None, None))   # None: not run
+            ok = cell["status"] == "ok"
+            out.writerow([
+                fr["run_id"], cell["k"], cell["field"],
+                cell["E_inf"] if ok else cell["status"],
+                cell["E_2"] if ok else cell["status"],
+                coarse_s, fine_s, ";".join(blow_by_k.get(cell["k"], [])),
+            ])
+    return buf.getvalue()
 
 
 def _text_table(report: dict) -> str:
@@ -386,48 +382,23 @@ class RestartStudyRow:
     warm_bit_exact: bool
 
 
-@dataclass(frozen=True)
-class RestartStudyReport:
-    total_seconds: int
-    spd: int
-    rows: tuple[RestartStudyRow, ...]
-    cold_non_decreasing: bool     # observed property, report-only
-
-    def to_text(self) -> str:
-        lines = [
-            f"restart consistency study: {self.total_seconds}s at {self.spd} spd",
-            "n_slices slice_s  cold_dev      warm_dev  warm_bit_exact",
-        ]
-        for r in self.rows:
-            lines.append(
-                f"{r.n_slices:<8d} {r.slice_seconds:<8d} {r.cold_deviation:<13.6e} "
-                f"{r.warm_deviation:<9.1e} {'yes' if r.warm_bit_exact else 'NO'}"
-            )
-        lines.append(
-            f"cold deviation non-decreasing in slice count: "
-            f"{'yes' if self.cold_non_decreasing else 'no (reported, not asserted)'}"
-        )
-        lines.append("")
-        return "\n".join(lines)
-
-
 def restart_consistency_study(
     config: ExperimentConfig, slice_counts: tuple[int, ...], total_days: float
-) -> RestartStudyReport:
-    """Quantify split-vs-consecutive deviation for both restart policies.
+) -> tuple[RestartStudyRow, ...]:
+    """Split-vs-consecutive deviation for both restart policies, one row
+    per slice count.
 
     A fixed window is split into increasingly many slices; each split run
-    is a restarted_serial_run over the split, the consecutive run one over
-    the whole window.  Warm chains must match bit-exactly, cold chains
-    deviate.
+    is a restarted_serial_run over the split at the coarse spd, the
+    consecutive run one over the whole window.  Warm chains must match
+    bit-exactly, cold chains deviate.
     """
     seconds = total_days * SECONDS_PER_DAY
     if not 0 < seconds < float("inf"):
         raise ValidationError(f"restart study: days={total_days!r} is not a positive finite span")
-    total = int(round(seconds))
     spd = config.coarse_spd
     window = judged("restart study: ", SliceLayout,
-                    t0=config.layout.t0, slice_length=total, n_slices=1)
+                    t0=config.layout.t0, slice_length=int(round(seconds)), n_slices=1)
     layouts = [judged("restart study: ", window.split, n) for n in slice_counts]
     for layout in layouts:
         config.step(f"restart study: coarse_spd={spd}", spd, layout.slice_length)
@@ -435,33 +406,20 @@ def restart_consistency_study(
 
     consecutive = restarted_serial_run(PropagatorSpec(spd), u0, window, config.params)[-1]
 
+    def final(policy: str, layout: SliceLayout) -> ModelState:
+        spec = PropagatorSpec(spd, restart_policy=policy)
+        return restarted_serial_run(spec, u0, layout, config.params)[-1]
+
+    def deviation(state: ModelState) -> float:
+        return max(rel_max_norm(state.field(f), consecutive.field(f))
+                   for f in config.monitored_fields)
+
     rows = []
     for layout in layouts:
-        devs = {}
-        finals = {}
-        for policy in ("cold", "warm"):
-            spec = PropagatorSpec(spd, restart_policy=policy)
-            final = restarted_serial_run(spec, u0, layout, config.params)[-1]
-            finals[policy] = final
-            devs[policy] = max(
-                rel_max_norm(final.field(f), consecutive.field(f))
-                for f in config.monitored_fields
-            )
-        rows.append(
-            RestartStudyRow(
-                n_slices=layout.n_slices,
-                slice_seconds=layout.slice_length,
-                cold_deviation=devs["cold"],
-                warm_deviation=devs["warm"],
-                warm_bit_exact=finals["warm"].bit_equal(consecutive),
-            )
-        )
-
-    cold = [r.cold_deviation for r in rows]
-    non_decreasing = all(b >= a for a, b in zip(cold, cold[1:]))
-    return RestartStudyReport(
-        total_seconds=total, spd=spd, rows=tuple(rows), cold_non_decreasing=non_decreasing
-    )
+        cold, warm = final("cold", layout), final("warm", layout)
+        rows.append(RestartStudyRow(layout.n_slices, layout.slice_length, deviation(cold),
+                                    deviation(warm), warm.bit_equal(consecutive)))
+    return tuple(rows)
 
 
 # --------------------------------------------------------------------------

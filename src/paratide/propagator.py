@@ -57,6 +57,21 @@ OUT_FILE = "out.prcp"
 LOG_FILE = "run.log"
 
 
+def store_whole(owner, *names: str) -> None:
+    """Store the named fields of a frozen dataclass as ints (36.0 and
+    np.int64(36) as 36); a bool or a value that is no whole number raises
+    a ValueError that names the field."""
+    for name in names:
+        value = getattr(owner, name)
+        try:
+            whole = int(value)
+        except (TypeError, ValueError, OverflowError):      # None, nan, inf
+            whole = None
+        if isinstance(value, bool) or whole is None or whole != value:
+            raise ValueError(f"{name}={value!r} is not a whole number")
+        object.__setattr__(owner, name, whole)
+
+
 @dataclass(frozen=True)
 class PropagatorSpec:
     """One time integrator, defined by its steps-per-day and execution mode.
@@ -74,6 +89,7 @@ class PropagatorSpec:
     restart_policy: str = "cold"
 
     def __post_init__(self):
+        store_whole(self, "spd")
         if self.spd < 1 or SECONDS_PER_DAY % self.spd != 0:
             raise ValueError(f"spd={self.spd} is not an integer divisor of 86400")
         if self.mode not in ("internal", "external"):
@@ -98,6 +114,7 @@ class SliceLayout:
     n_slices: int
 
     def __post_init__(self):
+        store_whole(self, "t0", "slice_length", "n_slices")
         if self.t0 < 0:
             raise ValueError("t0 must be >= 0")
         if self.slice_length <= 0:

@@ -131,6 +131,7 @@ class StepHistory:
     dt: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "tendencies", tuple(self.tendencies))
         if len(self.tendencies) > 2:
             raise ValueError("history holds at most 2 tendencies")
         if (self.dt is None) != (not self.tendencies):

@@ -173,8 +173,7 @@ def test_golden_report_digest_exp1(exp1_config):
 
 
 def test_criterion_3_restart_pathology(exp1_config, exp1_u0, capsys):
-    study = restart_consistency_study(exp1_config, slice_counts=(2,), total_days=1.0)
-    row = study.rows[0]
+    (row,) = restart_consistency_study(exp1_config, slice_counts=(2,), total_days=1.0)
     assert row.warm_bit_exact
     assert row.warm_deviation == 0.0
     assert row.cold_deviation > 0.0

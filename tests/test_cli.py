@@ -5,7 +5,7 @@ from paratide import ModelParams, ModelState, StepHistory, harness, read_checkpo
 from paratide.cli import main
 from paratide.solver import integrate, integrate_history
 
-from conftest import CONFIG_DIR, constant_state, random_state
+from conftest import CONFIG_DIR, REPO_ROOT, constant_state, random_state
 
 SMALL = """
 [config]
@@ -62,6 +62,17 @@ def test_run_subcommand(small_conf, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "report written" in out
     assert (tmp_path / "runs" / "trial" / "errors.csv").exists()
+
+
+def test_errors_csv_quotes_a_run_id_with_a_comma(small_conf, tmp_path):
+    import csv
+
+    assert main(["run", str(small_conf), "--run-id", "a,b"]) == 0
+    with open(tmp_path / "runs" / "a,b" / "errors.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert len(rows) > 1
+    assert {len(row) for row in rows} == {8}
+    assert {row[0] for row in rows[1:]} == {"a,b-nf72"}
 
 
 def test_serial_subcommand(small_conf, tmp_path, capsys):
@@ -313,10 +324,15 @@ def test_restart_policy_key_exits_2(small_conf, capsys):
 
 
 def test_restart_study_subcommand(small_conf, capsys):
+    # the whole table, byte for byte: the cold split deviates, the warm one is bit-exact
     assert main(["restart-study", str(small_conf), "--slices", "1,2", "--days", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "restart consistency study" in out
-    assert "yes" in out
+    assert capsys.readouterr().out == (
+        "restart consistency study: 86400s at 36 spd\n"
+        "n_slices slice_s  cold_dev      warm_dev  warm_bit_exact\n"
+        "1        86400    0.000000e+00  0.0e+00   yes\n"
+        "2        43200    4.925780e-06  0.0e+00   yes\n"
+        "cold deviation non-decreasing in slice count: yes\n"
+    )
 
 
 def test_avg_error_subcommand(small_conf, capsys):
@@ -390,10 +406,10 @@ def test_single_shot_with_config_imports_only_what_it_uses(tmp_path, grid8):
     assert _single_shot_loads(tmp_path, grid8, "--config", str(conf)) == "0 [] []"
 
 
-def test_module_entry_freezes_its_imports_and_collects_during_the_command():
-    # `python -m paratide`, the external child's command, pauses the cyclic
-    # collector while it imports and freezes what the imports built; the
-    # command itself runs with the collector on
+def _entry_in_fresh_interpreter(run: str) -> tuple[str, str, int]:
+    """Run `paratide speedup` through the entry `run` names in a fresh
+    interpreter; return its exit code, whether the collector is on after
+    it, and how many objects are frozen."""
     import os
     import subprocess
     import sys
@@ -405,7 +421,7 @@ def test_module_entry_freezes_its_imports_and_collects_during_the_command():
         "import gc, runpy, sys\n"
         "sys.argv = ['paratide', 'speedup', '--m', '4', '--nt', '12']\n"
         "try:\n"
-        "    runpy.run_module('paratide', run_name='__main__', alter_sys=True)\n"
+        f"    {run}\n"
         "except SystemExit as stop:\n"
         "    code = stop.code\n"
         "print(code, gc.isenabled(), gc.get_freeze_count(), file=sys.stderr)\n"
@@ -416,8 +432,30 @@ def test_module_entry_freezes_its_imports_and_collects_during_the_command():
                          check=True)
     assert out.stdout.startswith("speedup model: N_t=12 m=4")
     code, enabled, frozen = out.stderr.split()
+    return code, enabled, int(frozen)
+
+
+def test_module_entry_freezes_its_imports_and_collects_during_the_command():
+    # `python -m paratide`, the external child's command, pauses the cyclic
+    # collector while it imports and freezes what the imports built; the
+    # command itself runs with the collector on
+    code, enabled, frozen = _entry_in_fresh_interpreter(
+        "runpy.run_module('paratide', run_name='__main__', alter_sys=True)")
     assert (code, enabled) == ("0", "True")
-    assert int(frozen) > 10_000
+    assert frozen > 10_000
+
+
+def test_console_script_entry_freezes_its_imports_too():
+    # the `paratide` console script imports the module pyproject.toml names
+    # and calls its function, as an installed script's wrapper does
+    pyproject = (REPO_ROOT / "pyproject.toml").read_text()
+    (target,) = [line.split("=", 1)[1].strip().strip('"') for line in pyproject.splitlines()
+                 if line.startswith("paratide =")]
+    module, function = target.split(":")
+    code, enabled, frozen = _entry_in_fresh_interpreter(
+        f"import importlib; sys.exit(importlib.import_module({module!r}).{function}())")
+    assert (code, enabled) == ("0", "True")
+    assert frozen > 10_000
 
 
 def test_public_names_resolve_lazily():

@@ -189,13 +189,14 @@ def test_report_json_round_trips_through_emit(small_config, tmp_path):
 
 def test_restart_study_policies(small_config):
     study = restart_consistency_study(small_config, slice_counts=(1, 2, 4), total_days=1.0)
-    rows = {r.n_slices: r for r in study.rows}
+    assert [r.n_slices for r in study] == [1, 2, 4]
+    assert [r.slice_seconds for r in study] == [86400, 43200, 21600]
+    rows = {r.n_slices: r for r in study}
     assert rows[1].cold_deviation == 0.0          # unsplit == consecutive
     assert rows[2].cold_deviation > 0.0
-    for r in study.rows:
+    for r in study:
         assert r.warm_bit_exact
         assert r.warm_deviation == 0.0
-    assert "restart consistency" in study.to_text()
 
 
 def test_restart_study_rejects_misaligned_split(small_config):

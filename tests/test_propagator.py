@@ -46,6 +46,37 @@ def test_spec_validation():
     assert PropagatorSpec(36).dt == 2400
 
 
+def _layout(**kw):
+    return SliceLayout(**{"t0": 0, "slice_length": 2400, "n_slices": 4, **kw})
+
+
+def _parareal(**kw):
+    from paratide import PararealConfig
+
+    return PararealConfig(_layout(), PropagatorSpec(36), PropagatorSpec(72), **kw)
+
+
+@pytest.mark.parametrize("make, field, value, stored", [
+    (PropagatorSpec, "spd", 36.0, 36),
+    (PropagatorSpec, "spd", True, None),
+    (PropagatorSpec, "spd", 36.5, None),
+    (_layout, "t0", True, None),
+    (_layout, "slice_length", 2400.5, None),
+    (_layout, "n_slices", 3.0, 3),
+    (_parareal, "max_iterations", 2.0, 2),
+    (_parareal, "max_iterations", 1.5, None),
+    (_parareal, "max_parallel_fine", 1.5, None),
+])
+def test_settings_hold_whole_numbers(make, field, value, stored):
+    # an integral value is stored as an int; a bool or a fraction is refused by name
+    if stored is None:
+        with pytest.raises(ValueError, match=f"^{field}={value!r} is not a whole number$"):
+            make(**{field: value})
+    else:
+        made = getattr(make(**{field: value}), field)
+        assert made == stored and type(made) is int
+
+
 def test_layout_helpers():
     layout = SliceLayout(t0=0, slice_length=2400, n_slices=12)
     assert layout.total_seconds == 28800

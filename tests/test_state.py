@@ -209,6 +209,20 @@ def test_step_history_invariants(grid8):
         StepHistory(s, (), 2400)                        # a step without tendencies
 
 
+def test_step_history_from_a_list_continues_as_from_a_tuple(grid8):
+    from paratide import ModelParams
+    from paratide.solver import integrate_history
+
+    p = ModelParams()
+    h = integrate_history(StepHistory(random_state(grid8, np.random.default_rng(4))), 7200, 2400, p)
+    listed = StepHistory(h.current, list(h.tendencies), h.dt)
+    assert isinstance(listed.tendencies, tuple)
+    a = integrate_history(listed, 14400, 2400, p)
+    b = integrate_history(StepHistory(h.current, tuple(h.tendencies), h.dt), 14400, 2400, p)
+    assert a.current.bit_equal(b.current)
+    assert all(np.array_equal(x, y) for x, y in zip(a.tendencies, b.tendencies, strict=True))
+
+
 def test_state_data_coerced_to_frozen_float64(grid8):
     s = ModelState(grid8, np.ones((5, 8, 8), dtype=np.float32), 0)
     assert s.data.dtype == np.float64 and not s.data.flags.writeable
