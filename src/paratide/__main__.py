@@ -1,4 +1,5 @@
 import gc
+import sys
 
 
 def main() -> None:
@@ -6,10 +7,10 @@ def main() -> None:
     # child starts once per slice: collect nothing during the imports, then freeze
     # what they built so that no later pass, the full one at exit included, walks it.
     gc.disable()
-    from .cli import entrypoint
+    from . import cli
     gc.freeze()
     gc.enable()
-    entrypoint()
+    sys.exit(cli.main())
 
 
 if __name__ == "__main__":      # python -m paratide; the console script calls main()

@@ -137,6 +137,8 @@ def _cmd_single_shot(args) -> int:
 def _cmd_speedup(args) -> int:
     from .metrics import max_profitable_iterations, speedup_bound, speedup_estimate
 
+    if args.k is not None and args.k > args.nt:
+        raise ValidationError(f"speedup: k={args.k} exceeds N_t={args.nt}, where Parareal stops")
     ks = [args.k] if args.k is not None else list(range(1, args.nt + 1))
     rows, best = judged("speedup: ", lambda: (
         [f"{k} {speedup_estimate(k, args.nt, args.m):.6f} "
@@ -223,7 +225,3 @@ def main(argv: list[str] | None = None) -> int:
     except EngineError as err:      # after its subclasses BlowUpError and IOFailureError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-
-
-def entrypoint() -> None:
-    sys.exit(main())

@@ -30,9 +30,9 @@ from pathlib import Path
 from typing import ClassVar
 
 from .errors import ParseError, ValidationError
-from .propagator import PropagatorSpec, SliceLayout, store_whole
+from .propagator import PropagatorSpec, SliceLayout
 from .solver import SECONDS_PER_DAY, ModelParams, cfl_max_dt
-from .state import Field, Grid, ModelState
+from .state import Field, Grid, store_whole
 
 _FIELD_NAMES = {f.name: f for f in Field}
 DEFAULT_SPACING = 50_000.0   # m, dx and dy when [model] leaves them out
@@ -102,7 +102,7 @@ class PararealConfig:
             if spec.restart_policy != "cold":
                 raise ValueError(f"{key}: restart_policy {spec.restart_policy!r} would change "
                                  f"nothing: the driver starts every slice cold")
-            if not self.layout.compatible_with(spec):
+            if self.layout.slice_length % spec.dt:
                 raise ValueError(
                     f"slice_length: {self.layout.slice_length}s is not a multiple "
                     f"of the {key}={spec.spd} step ({spec.dt}s)"
@@ -192,13 +192,12 @@ class ExperimentConfig:
     def step(self, key: str, spd: int, span: int | None = None) -> int:
         """The step of spd, judged for this model and, when span is given,
         for slices of span seconds: spd divides a day, the step divides
-        span and is no longer than the CFL floor of the model at rest (wave
-        speed only: a check before any work, the live bound depends on the
-        evolving velocities).  A ValidationError names key."""
+        span and is no longer than the model's CFL floor.  A ValidationError
+        names key, or [model] when no step fits the model at all."""
         dt = judged(f"{key}: ", PropagatorSpec, spd).dt
         if span is not None and span % dt:
             raise ValidationError(f"{key}: {span}s slices are not a multiple of its {dt}s step")
-        floor = cfl_max_dt(ModelState.zeros(self.grid), self.params)
+        floor = judged("[model] ", cfl_max_dt, self.grid, self.params)
         if dt > floor:
             raise ValidationError(f"{key}: step of {dt}s exceeds the CFL step floor "
                                   f"of {floor}s ({SECONDS_PER_DAY // floor} spd) for this model")

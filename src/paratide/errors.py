@@ -36,10 +36,6 @@ class StepMismatchError(EngineError):
     """Requested time window is incompatible with the step size."""
 
 
-class CFLImpossibleError(EngineError):
-    """No admissible step size exists, not even 1 second."""
-
-
 class CheckpointError(EngineError):
     """Base class for checkpoint I/O failures."""
 
@@ -64,15 +60,11 @@ class ZeroReferenceError(EngineError):
     """Relative error norm is undefined because the reference norm is zero."""
 
 
-class ConfigError(EngineError):
-    """Base class for configuration problems."""
-
-
-class ParseError(ConfigError):
+class ParseError(EngineError):
     """Config file is syntactically malformed; names the line."""
 
 
-class ValidationError(ConfigError):
+class ValidationError(EngineError):
     """Config file parsed but violates a constraint; names the key."""
 
 

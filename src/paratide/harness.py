@@ -263,7 +263,7 @@ def run_experiment(config: ExperimentConfig, run_id: str | None = None) -> tuple
     }
     emit_report(report, "csv", run_dir)
     emit_report(report, "text-table", run_dir)
-    _write_json(run_dir / "report.json", report)
+    (run_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report, run_dir
 
 
@@ -281,11 +281,6 @@ def _tracer_anomaly(fine_runs: list[dict]) -> bool:
         if any(crossing[t] > u_val for t in ("T", "S") if t in crossing):
             return True
     return False
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def emit_report(report: dict, fmt: str, out_dir: str | Path) -> Path:

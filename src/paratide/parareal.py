@@ -131,10 +131,6 @@ class Propagator:
         ).current
 
 
-def _in_process(fn: PropagatorFn) -> bool:
-    return isinstance(fn, Propagator) and fn.spec.mode == "internal"
-
-
 def _run_lanes(
     fn: Propagator, k: int, slices: Sequence[int], states: Sequence[ModelState]
 ) -> list[ModelState | BlowUpError]:
@@ -467,7 +463,7 @@ def run_parareal(
     # Imported here, so that a run without processes does not load
     # multiprocessing.
     pool = None
-    if _in_process(fine_fn):
+    if isinstance(fine_fn, Propagator) and fine_fn.spec.mode == "internal":
         workers = _fine_chunks(cfg, cfg.layout.n_slices) - 1
         if workers:
             import multiprocessing

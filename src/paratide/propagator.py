@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import tempfile
 from dataclasses import dataclass
@@ -50,26 +51,11 @@ from .errors import (
     StepMismatchError,
 )
 from .solver import SECONDS_PER_DAY, ModelParams, StepHistory, _check_window, integrate_history
-from .state import ModelState, validate_state
+from .state import ModelState, store_whole, validate_state
 
 IN_FILE = "in.prcp"
 OUT_FILE = "out.prcp"
 LOG_FILE = "run.log"
-
-
-def store_whole(owner, *names: str) -> None:
-    """Store the named fields of a frozen dataclass as ints (36.0 and
-    np.int64(36) as 36); a bool or a value that is no whole number raises
-    a ValueError that names the field."""
-    for name in names:
-        value = getattr(owner, name)
-        try:
-            whole = int(value)
-        except (TypeError, ValueError, OverflowError):      # None, nan, inf
-            whole = None
-        if isinstance(value, bool) or whole is None or whole != value:
-            raise ValueError(f"{name}={value!r} is not a whole number")
-        object.__setattr__(owner, name, whole)
 
 
 @dataclass(frozen=True)
@@ -126,9 +112,6 @@ class SliceLayout:
     def total_seconds(self) -> int:
         return self.n_slices * self.slice_length
 
-    def compatible_with(self, spec: PropagatorSpec) -> bool:
-        return self.slice_length % spec.dt == 0
-
     def split(self, n_slices: int) -> SliceLayout:
         """The same window cut into n_slices equal slices of whole seconds."""
         if n_slices < 1 or self.total_seconds % n_slices != 0:
@@ -172,7 +155,9 @@ def run_external(
     A relative command[0] that contains a path separator (./model, bin/model)
     is anchored to the parent's current directory as well; a bare name is
     looked up on PATH and the other arguments are passed verbatim.
-    A timeout kills the child and raises; a nonzero exit is returned.
+    The child leads a process group of its own: a timeout, or any
+    exception while waiting, kills the whole group (a wrapper script's
+    background jobs too) and raises; a nonzero exit is returned.
     """
     command = list(command)
     if os.path.dirname(command[0]) and not os.path.isabs(command[0]):
@@ -181,19 +166,24 @@ def run_external(
     workdir.mkdir(parents=True, exist_ok=True)
     try:
         with open(workdir / LOG_FILE, "wb") as log:
-            proc = subprocess.run(
+            proc = subprocess.Popen(
                 command,
                 cwd=workdir,
                 stdout=log,
                 stderr=subprocess.STDOUT,
                 env=_child_env(),
-                timeout=timeout,
+                start_new_session=True,
             )
     except OSError as err:       # no such file, no permission, no valid executable
         raise SpawnFailureError(f"cannot launch {command[0]!r}: {err}") from err
+    try:
+        return proc.wait(timeout)
     except subprocess.TimeoutExpired as err:
         raise ExternalTimeoutError(f"{command[0]!r} exceeded {timeout}s and was killed") from err
-    return proc.returncode
+    finally:
+        if proc.returncode is None:     # not reaped, so its group id is still its own
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
 
 
 def propagate(

@@ -33,6 +33,28 @@ FIELD_ORDER = (Field.U, Field.V, Field.ETA, Field.T, Field.S)
 N_FIELDS = len(FIELD_ORDER)
 
 
+def store_whole(owner, *names: str) -> None:
+    """Store the named fields of a frozen dataclass as ints (36.0 and
+    np.int64(36) as 36); a bool or a value that is no whole number raises
+    a ValueError that names the field."""
+    for name in names:
+        value = getattr(owner, name)
+        try:
+            whole = int(value)
+        except (TypeError, ValueError, OverflowError):      # None, nan, inf
+            whole = None
+        if isinstance(value, bool) or whole is None or whole != value:
+            raise ValueError(f"{name}={value!r} is not a whole number")
+        object.__setattr__(owner, name, whole)
+
+
+def store_float(owner, *names: str) -> None:
+    """Store the named fields of a frozen dataclass as floats, so that a
+    setting built in code (H=8) equals, and hashes as, the parsed one (8.0)."""
+    for name in names:
+        object.__setattr__(owner, name, float(getattr(owner, name)))
+
+
 @dataclass(frozen=True)
 class Grid:
     """Doubly periodic structured grid.
@@ -47,6 +69,8 @@ class Grid:
     dy: float
 
     def __post_init__(self):
+        store_whole(self, "nx", "ny")
+        store_float(self, "dx", "dy")
         if self.nx < 4 or self.ny < 4:
             raise ValueError(f"nx and ny must be at least 4, got nx={self.nx}, ny={self.ny}")
         if not (0 < self.dx < np.inf and 0 < self.dy < np.inf):
@@ -75,11 +99,9 @@ class ModelState:
     time: int
 
     def __post_init__(self):
-        if not isinstance(self.time, (int, np.integer)) or isinstance(self.time, bool):
-            raise ValueError(f"time must be an integer number of seconds, got {self.time!r}")
+        store_whole(self, "time")
         if self.time < 0:
             raise ValueError(f"time must be >= 0, got {self.time}")
-        object.__setattr__(self, "time", int(self.time))
         if self.data.shape != (N_FIELDS, self.grid.ny, self.grid.nx):
             raise ValueError(
                 f"data shape {self.data.shape} does not match grid {self.grid.shape}"
@@ -92,10 +114,6 @@ class ModelState:
         # Unpickling goes through __init__, so a state that comes back from
         # a worker process is frozen like any other.
         return (ModelState, (self.grid, self.data, self.time))
-
-    @classmethod
-    def zeros(cls, grid: Grid, time: int = 0) -> "ModelState":
-        return cls(grid, np.zeros((N_FIELDS, grid.ny, grid.nx)), time)
 
     def field(self, f: Field) -> np.ndarray:
         return self.data[f.value]

@@ -186,6 +186,7 @@ def test_single_shot_bad_spd_exits_2(tmp_path, grid8, conf8):
     ["speedup", "--m", "0", "--nt", "5"],
     ["speedup", "--m", "2", "--nt", "0"],
     ["speedup", "--m", "2", "--nt", "5", "--k", "0"],
+    ["speedup", "--m", "8", "--nt", "12", "--k", "20"],   # Parareal stops by k = N_t
     ["serial", "{conf}", "--spd", "0"],
     ["serial", "{conf}", "--spd", "-5"],       # 86400 % -5 == 0
     ["serial", "{conf}", "--spd", "24"],       # its 3600s step does not divide 2400s slices
@@ -205,8 +206,8 @@ def test_single_shot_bad_spd_exits_2(tmp_path, grid8, conf8):
     ["run"],
     ["serial", "{conf}", "--spd", "x"],
     ["bogus", "{conf}"],
-], ids=["speedup-m", "speedup-nt", "speedup-k", "serial-spd0", "serial-spd-neg", "serial-spd24",
-        "single-shot-spd0",
+], ids=["speedup-m", "speedup-nt", "speedup-k", "speedup-k-past-nt", "serial-spd0",
+        "serial-spd-neg", "serial-spd24", "single-shot-spd0",
         "restart-slices0", "restart-slices-a", "restart-slices-empty", "restart-days0",
         "restart-slices-step",
         "avg-spd0", "avg-spd-x", "avg-spd7", "avg-spd-empty",
@@ -290,6 +291,14 @@ def test_spin_up_past_the_cfl_floor_exits_2_before_any_work(small_conf, tmp_path
     assert main(["serial", str(small_conf), "--spd", "72"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: [config] spin_up_spd: step of 3600s")
+    assert not (tmp_path / "runs").exists()
+
+
+def test_model_with_no_1s_step_exits_2_naming_the_model(small_conf, tmp_path, capsys):
+    small_conf.write_text(small_conf.read_text().replace("[model]", "[model]\ndx = 1e-300"))
+    assert main(["run", str(small_conf)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: [model] CFL bound 5.64e-302s is below")
     assert not (tmp_path / "runs").exists()
 
 

@@ -1,6 +1,9 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
-from paratide import Field, parse_config
+from paratide import Field, Grid, ModelParams, parse_config
 from paratide.config import parse_model
 from paratide.errors import ParseError, ValidationError
 
@@ -71,6 +74,15 @@ def test_preset_hashes_pinned(name, config_hash):
     cfg = parse_config(CONFIG_DIR / name)
     assert cfg.hash() == config_hash
     assert cfg.spin_up_hash() == "e96621d0191d"
+
+
+def test_code_built_settings_hash_like_parsed_ones():
+    # H=8 and np.int64(32) are the parsed 8.0 and 32: one spin-up, one reference
+    exp1 = parse_config(CONFIG_DIR / "exp1.conf")
+    built = dataclasses.replace(exp1, grid=Grid(np.int64(32), 32, 50_000, 50_000),
+                                params=ModelParams(H=8, forcing_wavenumber=3.0))
+    assert built.grid == exp1.grid and built.params == exp1.params
+    assert (built.hash(), built.spin_up_hash()) == (exp1.hash(), exp1.spin_up_hash())
 
 
 @pytest.mark.parametrize("body, key", [

@@ -1,6 +1,8 @@
 import os
+import signal
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +58,16 @@ def _parareal(**kw):
     return PararealConfig(_layout(), PropagatorSpec(36), PropagatorSpec(72), **kw)
 
 
+def _grid(**kw):
+    return Grid(**{"nx": 8, "ny": 8, "dx": 5.0e4, "dy": 5.0e4, **kw})
+
+
+def _state(**kw):
+    from paratide import ModelState
+
+    return ModelState(_grid(), np.zeros((5, 8, 8)), **kw)
+
+
 @pytest.mark.parametrize("make, field, value, stored", [
     (PropagatorSpec, "spd", 36.0, 36),
     (PropagatorSpec, "spd", True, None),
@@ -66,6 +78,13 @@ def _parareal(**kw):
     (_parareal, "max_iterations", 2.0, 2),
     (_parareal, "max_iterations", 1.5, None),
     (_parareal, "max_parallel_fine", 1.5, None),
+    (_grid, "nx", 32.0, 32),
+    (_grid, "ny", np.int64(32), 32),
+    (_state, "time", 600.0, 600),
+    (_state, "time", 600.5, None),
+    (ModelParams, "forcing_wavenumber", 3.0, 3),
+    (ModelParams, "forcing_wavenumber", True, None),
+    (ModelParams, "forcing_wavenumber", float("inf"), None),
 ])
 def test_settings_hold_whole_numbers(make, field, value, stored):
     # an integral value is stored as an int; a bool or a fraction is refused by name
@@ -80,8 +99,6 @@ def test_settings_hold_whole_numbers(make, field, value, stored):
 def test_layout_helpers():
     layout = SliceLayout(t0=0, slice_length=2400, n_slices=12)
     assert layout.total_seconds == 28800
-    assert layout.compatible_with(PropagatorSpec(36))
-    assert not layout.compatible_with(PropagatorSpec(24))  # 3600 s step
 
 
 def test_internal_single_step_slice(settled_state, params):
@@ -176,6 +193,35 @@ def test_run_external_timeout_kills(tmp_path):
             tmp_path / "w",
             timeout=0.5,
         )
+
+
+def _running(pid: int) -> bool:
+    # a killed orphan may stay a zombie until its new parent reaps it
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/<pid>/stat")
+def test_run_external_timeout_kills_the_whole_process_group(tmp_path):
+    # a wrapper script (around srun or mpirun, say) that runs its work in
+    # the background: the timeout must end that work too, not just the shell
+    script = tmp_path / "wrapper.sh"
+    script.write_text("#!/bin/sh\nsleep 30 &\necho $! > bg.pid\nwait\n")
+    script.chmod(0o755)
+    with pytest.raises(ExternalTimeoutError):
+        run_external([str(script)], tmp_path / "w", timeout=0.5)
+    pid = int((tmp_path / "w" / "bg.pid").read_text())
+    try:
+        deadline = time.monotonic() + 5.0
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(pid)
+    finally:
+        if _running(pid):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_run_external_child_pythonpath_is_absolute(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from paratide import Field, Grid, ModelParams, ModelState, PropagatorSpec, cfl_max_dt, propagate
 from paratide import solver
 from paratide.checkpoint import Checkpoint
-from paratide.errors import BlowUpError, CFLImpossibleError, NonFiniteError, StepMismatchError
+from paratide.errors import BlowUpError, NonFiniteError, StepMismatchError
 from paratide.solver import (
     StepHistory,
     integrate,
@@ -281,9 +281,8 @@ def test_cfl_example_from_contract(grid):
     # g=9.81, H=100, dx=dy=50 km, rest state, C=0.5: raw bound ~798.2 s,
     # largest admissible divisor below it is 720.
     p = ModelParams(H=100.0)
-    s = constant_state(grid)
     raw = 0.5 * 50_000.0 / np.sqrt(9.81 * 100.0)
-    assert cfl_max_dt(s, p) == divisor_oracle(raw) == 720
+    assert cfl_max_dt(grid, p) == divisor_oracle(raw) == 720
 
 
 def test_cfl_scales_linearly_with_dx():
@@ -291,33 +290,27 @@ def test_cfl_scales_linearly_with_dx():
     g1 = Grid(8, 8, 50_000.0, 50_000.0)
     g2 = Grid(8, 8, 100_000.0, 50_000.0)
     # doubling dx doubles the raw bound; min(dx, dy) keeps the result here
-    s1, s2 = constant_state(g1), constant_state(g2)
-    assert cfl_max_dt(s2, p) == cfl_max_dt(s1, p)
+    assert cfl_max_dt(g2, p) == cfl_max_dt(g1, p)
     g3 = Grid(8, 8, 100_000.0, 100_000.0)
     raw1 = 0.5 * 50_000.0 / np.sqrt(9.81 * 100.0)
-    assert cfl_max_dt(constant_state(g3), p) == divisor_oracle(2 * raw1)
+    assert cfl_max_dt(g3, p) == divisor_oracle(2 * raw1)
 
 
 def test_cfl_tops_out_at_a_day_and_wave_speed_stays_positive(grid8):
     # a bound past a day, even one that overflows to inf, gives the whole day
     p = ModelParams(H=100.0)
-    assert cfl_max_dt(constant_state(Grid(8, 8, 1.0e8, 1.0e8)), p) == 86400
+    assert cfl_max_dt(Grid(8, 8, 1.0e8, 1.0e8), p) == 86400
     tiny = ModelParams(g=1.0e-160, H=1.0e-160)      # g*H is subnormal, still > 0
-    assert cfl_max_dt(constant_state(Grid(8, 8, 1.0e300, 1.0e300)), tiny) == 86400
+    assert cfl_max_dt(Grid(8, 8, 1.0e300, 1.0e300), tiny) == 86400
     # g*H that underflows to 0 would leave no wave speed to divide by
     with pytest.raises(ValueError, match=r"g\*H"):
         ModelParams(g=1.0e-200, H=1.0e-200)
 
 
-def test_cfl_impossible_for_unbounded_velocity(grid8):
-    p = ModelParams(H=100.0)
-    data = constant_state(grid8).data.copy()
-    data[Field.U.value, 0, 0] = np.inf
-    with pytest.raises(CFLImpossibleError):
-        cfl_max_dt(ModelState(grid8, data, 0), p)
-    # ... and for a finite but absurd speed that pushes the bound below 1 s
-    with pytest.raises(CFLImpossibleError):
-        cfl_max_dt(constant_state(grid8, u=1.0e9), p)
+def test_cfl_refuses_a_grid_with_no_1s_step():
+    # 1 m cells against a 31 m/s wave: the bound is 0.016 s
+    with pytest.raises(ValueError, match=r"^CFL bound 0\.016s is below the 1s step floor$"):
+        cfl_max_dt(Grid(8, 8, 1.0, 1.0), ModelParams(H=100.0))
 
 
 def test_history_step_size_guard(grid8, params):
@@ -727,7 +720,7 @@ def test_batch_refuses_lanes_on_two_grids(grid8, params):
 
 @pytest.mark.parametrize("kwargs, message", [
     (dict(nu_h=-1.0), "nu_h and kappa must be non-negative"),
-    (dict(forcing_wavenumber=2.5), "forcing_wavenumber must be an integer"),
+    (dict(forcing_wavenumber=2.5), "forcing_wavenumber=2.5 is not a whole number"),
 ], ids=["nu_h-negative", "wavenumber-fraction"])
 def test_params_refuse_bad_values(kwargs, message):
     with pytest.raises(ValueError, match=message):
