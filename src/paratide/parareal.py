@@ -47,7 +47,7 @@ from .checkpoint import write_checkpoint
 from .config import ABORT, PararealConfig
 from .errors import BlowUpError
 from .metrics import converged, errors_at_final
-from .propagator import PropagatorSpec, SliceLayout, check_start, propagate
+from .propagator import PropagatorSpec, SliceLayout, check_start, kill_children, propagate
 from .solver import ModelParams, integrate_batch
 from .state import Field, ModelState, StepHistory, state_add, state_diff
 
@@ -405,16 +405,6 @@ def _pipelined_schedule(u0, cfg, coarse_fn, fine_fn, pool, w):
         yield states, events, wall(k, 1), wall(k, 0)
 
 
-def _write_iterate_checkpoints(
-    run_dir: Path, k: int, states: Sequence[ModelState]
-) -> None:
-    for n, s in enumerate(states):
-        write_checkpoint(
-            s, None, run_dir / f"k{k}" / f"slice{n}" / "iterate.prcp",
-            slice_index=n, iteration=k,
-        )
-
-
 def run_parareal(
     u0: ModelState,
     cfg: PararealConfig,
@@ -490,7 +480,9 @@ def run_parareal(
                                            tuple(e.slice_index for e in events)))
             all_events.extend(events)
             if run_dir is not None:
-                _write_iterate_checkpoints(run_dir, k, states)
+                for n, state in enumerate(states):
+                    write_checkpoint(state, None, run_dir / f"k{k}" / f"slice{n}" / "iterate.prcp",
+                                     slice_index=n, iteration=k)
             if any(e.phase == "correction" for e in events):
                 # The sequential chain broke: nothing meaningful follows.
                 aborted = True
@@ -500,6 +492,11 @@ def run_parareal(
             )
             if stopped:
                 break
+    except (KeyboardInterrupt, SystemExit):     # no child sees the interrupt
+        with kill_children():
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+        raise
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

@@ -34,6 +34,8 @@ import shutil
 import signal
 import subprocess
 import tempfile
+import threading
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -141,6 +143,35 @@ def _child_env() -> dict[str, str]:
     return child
 
 
+_live: set[subprocess.Popen] = set()   # the external children waited on
+_live_lock = threading.Lock()
+_killing = 0                            # open kill_children blocks
+
+
+def _kill_group(proc: subprocess.Popen) -> None:
+    if proc.returncode is None:         # not reaped, so its group id is still its own
+        with suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+
+
+@contextmanager
+def kill_children():
+    """Kill the group of every external child this process waits on, and
+    of each one started until the block ends.  A child leads a session of
+    its own, out of reach of the terminal's interrupt: an interrupted
+    driver ends it here, and its run_external returns the kill's code."""
+    global _killing
+    with _live_lock:
+        _killing += 1
+        for proc in _live:
+            _kill_group(proc)
+    try:
+        yield
+    finally:
+        with _live_lock:
+            _killing -= 1
+
+
 def run_external(
     command: Sequence[str],
     workdir: str | Path,
@@ -177,13 +208,19 @@ def run_external(
     except OSError as err:       # no such file, no permission, no valid executable
         raise SpawnFailureError(f"cannot launch {command[0]!r}: {err}") from err
     try:
+        with _live_lock:
+            _live.add(proc)
+            if _killing:
+                _kill_group(proc)
         return proc.wait(timeout)
     except subprocess.TimeoutExpired as err:
         raise ExternalTimeoutError(f"{command[0]!r} exceeded {timeout}s and was killed") from err
     finally:
-        if proc.returncode is None:     # not reaped, so its group id is still its own
-            os.killpg(proc.pid, signal.SIGKILL)
+        if proc.returncode is None:
+            _kill_group(proc)
             proc.wait()
+        with _live_lock:
+            _live.discard(proc)
 
 
 def propagate(

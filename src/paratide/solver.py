@@ -12,7 +12,7 @@ order stays at three.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -58,7 +58,7 @@ class ModelParams:
 
     def __post_init__(self):
         store_whole(self, "forcing_wavenumber")
-        store_float(self, *(f.name for f in fields(self) if f.type == "float"))
+        store_float(self, "f0", "g", "H", "nu_h", "kappa", "forcing_amp", "velocity_cap")
         if not (0 < self.H < np.inf and 0 < self.g < np.inf and self.g * self.H > 0):  # no underflow
             raise ValueError("H and g must be positive and finite, and so must g*H")
         if not (0 <= self.nu_h < np.inf and 0 <= self.kappa < np.inf):
@@ -256,10 +256,6 @@ class _Stepper:
         """The lane's (5, ny, nx) fields in Field order, copied."""
         return self.interior[_SLOT, lane]
 
-    def tendency_of(self, step: int) -> np.ndarray:
-        """Lane 0's tendency at one of the last three steps, in Field order."""
-        return self._planes(self.ring[step % 3])[_SLOT, 0, 1:-1, 1:-1]
-
 
 _idle = threading.local()   # per thread: the last one-lane stepper whose run stayed finite
 
@@ -317,7 +313,8 @@ def integrate_history(
     stepper, (result,) = _step(s.grid, p, [s], n_steps, dt, priors, on_step)
     if isinstance(result, BlowUpError):
         raise result
-    fresh = tuple(stepper.tendency_of(i) for i in range(max(n_steps - 2, 0), n_steps))
+    fresh = tuple(stepper._planes(stepper.ring[i % 3])[_SLOT, 0, 1:-1, 1:-1]  # Field order
+                  for i in range(max(n_steps - 2, 0), n_steps))
     return StepHistory(result, (h.tendencies + fresh)[-2:], dt)
 
 

@@ -9,6 +9,7 @@ state, so states can be shared freely between concurrent workers.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -50,9 +51,18 @@ def store_whole(owner, *names: str) -> None:
 
 def store_float(owner, *names: str) -> None:
     """Store the named fields of a frozen dataclass as floats, so that a
-    setting built in code (H=8) equals, and hashes as, the parsed one (8.0)."""
+    setting built in code (H=8) equals, and hashes as, the parsed one (8.0);
+    a bool, a value that is no real number or one past the float range
+    raises a ValueError that names the field."""
     for name in names:
-        object.__setattr__(owner, name, float(getattr(owner, name)))
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name}={value!r} is not a real number")
+        try:
+            real = float(value)
+        except OverflowError as err:                        # an int past 1e308
+            raise ValueError(f"{name}={value!r} is past the float range") from err
+        object.__setattr__(owner, name, real)
 
 
 @dataclass(frozen=True)

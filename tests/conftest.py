@@ -50,6 +50,16 @@ def settled_state(grid, params):
     return integrate(s, 86400, 300, params).with_time(0)
 
 
+def running(pid: int) -> bool:
+    """Whether a process runs (Linux); a killed orphan may stay a zombie
+    until its new parent reaps it, and counts as ended."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 def random_state(grid, rng, time=0):
     """State with smooth random fields, finite everywhere."""
     data = np.empty((5, grid.ny, grid.nx))

@@ -31,7 +31,7 @@ from paratide.metrics import first_crossing_iteration
 from paratide.propagator import restarted_serial_run
 from paratide.solver import integrate
 
-from conftest import CONFIG_DIR, constant_state, faulty_command, random_state
+from conftest import CONFIG_DIR, constant_state, faulty_command, random_state, running
 
 SINGLE_SHOT = (sys.executable, "-m", "paratide", "single-shot",
                "--config", str(CONFIG_DIR / "exp1.conf"))
@@ -888,6 +888,47 @@ def test_error_series_decays_to_round_off_plateau(settled_state, params):
     for before, after in zip(errs, errs[1:]):
         assert after <= max(before, floor), errs
     assert errs[-1] <= floor
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/<pid>/stat")
+def test_interrupt_kills_in_flight_external_children(tmp_path, grid8, params):
+    # an external child leads a session of its own, so a terminal's Ctrl-C
+    # reaches only the driver, whose worker threads wait on the children:
+    # the interrupt must end them, and what they started, itself
+    import signal
+    import threading
+    import time
+
+    pids = tmp_path / "pids"
+    script = tmp_path / "slow.sh"
+    script.write_text(f"#!/bin/sh\necho $$ >> {pids}\nsleep 30 &\necho $! >> {pids}\nwait\n")
+    script.chmod(0o755)
+    cfg = small_cfg(n_slices=2, max_iterations=1, max_parallel_fine=2,
+                    fine=PropagatorSpec(288, mode="external", command=(str(script),)))
+    u0 = random_state(grid8, np.random.default_rng(13))
+    sent = []
+
+    def interrupt_once_running():
+        deadline = time.monotonic() + 20.0
+        while time.monotonic() < deadline:
+            if pids.exists() and len(pids.read_text().split()) == 4:   # two shells, two sleeps
+                sent.append(time.monotonic())
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                return
+            time.sleep(0.02)
+
+    interrupter = threading.Thread(target=interrupt_once_running)
+    interrupter.start()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_parareal(u0, cfg, params, run_dir=tmp_path / "run")
+        assert sent and time.monotonic() - sent[0] < 5.0      # not the 30 s of a sleep
+        assert not [pid for pid in map(int, pids.read_text().split()) if running(pid)]
+    finally:
+        interrupter.join()
+        for pid in map(int, pids.read_text().split()) if pids.exists() else ():
+            if running(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_external_fine_kill_continues_uncorrected(tmp_path, settled_state, params):

@@ -29,7 +29,7 @@ from paratide.propagator import restarted_serial_run
 from paratide.solver import integrate, integrate_batch, integrate_history
 from paratide.state import FIELD_ORDER, StepHistory
 
-from conftest import CONFIG_DIR, faulty_command, random_state
+from conftest import CONFIG_DIR, faulty_command, random_state, running
 
 # exp1's [model] is the 32x32 grid and default physics of settled_state
 SINGLE_SHOT = (sys.executable, "-m", "paratide", "single-shot",
@@ -94,6 +94,30 @@ def test_settings_hold_whole_numbers(make, field, value, stored):
     else:
         made = getattr(make(**{field: value}), field)
         assert made == stored and type(made) is int
+
+
+@pytest.mark.parametrize("make, field, value, stored", [
+    (_grid, "dx", 50_000, 5.0e4),
+    (_grid, "dy", np.float32(5.0e4), 5.0e4),
+    (_grid, "dx", "5e4", "is not a real number"),
+    (ModelParams, "H", 8, 8.0),
+    (ModelParams, "g", np.int64(10), 10.0),
+    (ModelParams, "velocity_cap", float("inf"), float("inf")),
+    (ModelParams, "H", "8", "is not a real number"),
+    (ModelParams, "H", True, "is not a real number"),
+    (ModelParams, "nu_h", np.bool_(False), "is not a real number"),
+    (ModelParams, "f0", None, "is not a real number"),
+    (ModelParams, "kappa", 10**400, "is past the float range"),
+])
+def test_settings_hold_real_numbers(make, field, value, stored):
+    # a real value is stored as a float, so a setting built in code equals
+    # the parsed one; a bool or a value that is no real number is refused by name
+    if isinstance(stored, str):
+        with pytest.raises(ValueError, match=f"^{field}=.* {stored}$"):
+            make(**{field: value})
+    else:
+        made = getattr(make(**{field: value}), field)
+        assert made == stored and type(made) is float
 
 
 def test_layout_helpers():
@@ -195,15 +219,6 @@ def test_run_external_timeout_kills(tmp_path):
         )
 
 
-def _running(pid: int) -> bool:
-    # a killed orphan may stay a zombie until its new parent reaps it
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except FileNotFoundError:
-        return False
-    return stat.rsplit(")", 1)[1].split()[0] != "Z"
-
-
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/<pid>/stat")
 def test_run_external_timeout_kills_the_whole_process_group(tmp_path):
     # a wrapper script (around srun or mpirun, say) that runs its work in
@@ -216,11 +231,11 @@ def test_run_external_timeout_kills_the_whole_process_group(tmp_path):
     pid = int((tmp_path / "w" / "bg.pid").read_text())
     try:
         deadline = time.monotonic() + 5.0
-        while _running(pid) and time.monotonic() < deadline:
+        while running(pid) and time.monotonic() < deadline:
             time.sleep(0.05)
-        assert not _running(pid)
+        assert not running(pid)
     finally:
-        if _running(pid):
+        if running(pid):
             os.kill(pid, signal.SIGKILL)
 
 
